@@ -65,6 +65,22 @@ class RewardBounds:
         lo, hi = self.tail(k)
         return hi - lo
 
+    def check(self, dataset) -> None:
+        """Raise ValueError unless there is one pair per stage of the dataset and
+        every stage-k reward lies in [low_k, high_k]; names the first bad row of
+        the latest failing stage."""
+        if self.num_stages != dataset.num_stages:
+            raise ValueError("reward_bounds must declare one [low, high] pair per stage")
+        for k in range(self.num_stages, 0, -1):
+            rewards = dataset.rewards(k)
+            lo, hi = self.stage(k)
+            bad = (rewards < lo - 1e-9) | (rewards > hi + 1e-9)
+            if np.any(bad):
+                row = int(np.flatnonzero(bad)[0]) + 1
+                raise ValueError(
+                    f"stage {k} reward outside declared bounds [{lo}, {hi}] at row {row}"
+                )
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -196,7 +212,7 @@ def mp_interval(
     return Interval(lower=float(lower[0]), upper=float(upper[0]))
 
 
-def weighted_q(interval: Interval, lam: float) -> float:
-    """lam * lower + (1 - lam) * upper."""
+def weighted_q(interval: Interval, lam: float):
+    """lam * lower + (1 - lam) * upper; the ends may be scalars or arrays."""
     _check_unit(lam)
     return lam * interval.lower + (1.0 - lam) * interval.upper

@@ -27,7 +27,7 @@ from .dtr_core import (
     dtr_to_json,
     project_policy,
 )
-from .improve import fit_ivimproved, relative_stage_estimates
+from .improve import fit_ivimproved
 from .nuisance import NumericalError
 from .sim import SimConfig, fit_sra_baseline, run_cell, true_value
 
@@ -36,15 +36,34 @@ class ConfigError(ValueError):
     """Raised on invalid run configuration."""
 
 
-_COMMON_KEYS = {"seed", "out", "report", "threads", "strict"}
+_COMMON_KEYS = {"seed", "out", "report", "strict"}
 _ALLOWED_KEYS = {
     "fit": _COMMON_KEYS | {"data", "schema", "reward_bounds", "lambda", "depth", "crossfit"},
     "improve": _COMMON_KEYS | {"data", "schema", "reward_bounds", "baseline", "depth"},
     "simulate": _COMMON_KEYS | {
         "c1", "xi", "n_train", "replications", "n_eval", "lambda", "depth",
-        "crossfit", "out_csv", "out_json",
+        "crossfit", "out_csv", "out_json", "threads",
     },
     "evaluate": _COMMON_KEYS | {"policy", "c1", "xi", "n_eval"},
+}
+
+# flag -> (type, help); each flag overrides the config key of the same name
+_FLAG_SPECS = {
+    "data": (str, "trajectory CSV path"),
+    "lambda": (str, "weight spec: w|b|m|float|const:stage:value"),
+    "depth": (int, "tree depth"),
+    "crossfit": (int, "number of cross-fitting batches (0/1 off)"),
+    "baseline": (str, "baseline policy: std|prosp|sra|path"),
+    "policy": (str, "policy JSON path or std|prosp"),
+    "seed": (int, "random seed"),
+    "out": (str, "output path for the policy/summary JSON"),
+    "threads": (int, "worker process cap"),
+}
+_FLAGS = {
+    "fit": ("data", "lambda", "depth", "crossfit", "seed", "out"),
+    "improve": ("data", "baseline", "depth", "out"),
+    "simulate": ("lambda", "depth", "crossfit", "seed", "out", "threads"),
+    "evaluate": ("policy", "seed", "out"),
 }
 
 
@@ -67,19 +86,9 @@ def _load_config(path: Optional[str], command: str) -> dict:
 
 
 def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    overrides = {
-        "data": args.data,
-        "lambda": getattr(args, "lam", None),
-        "depth": args.depth,
-        "crossfit": args.crossfit,
-        "baseline": args.baseline,
-        "seed": args.seed,
-        "out": args.out,
-        "threads": args.threads,
-        "policy": getattr(args, "policy", None),
-    }
     merged = dict(config)
-    for key, value in overrides.items():
+    for key in _FLAGS[args.command]:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
@@ -130,7 +139,7 @@ def _check_converged(config: dict, fitted) -> None:
     if not config.get("strict", False):
         return
     for est in fitted:
-        if not est.nuisance.converged:
+        if not est.converged:
             raise NumericalError(
                 f"stage {est.stage} nuisance fit did not converge within limits"
             )
@@ -194,32 +203,34 @@ def cmd_fit(config: dict) -> int:
     return 0
 
 
-def _resolve_baseline(spec: str, dataset: Dataset, depth: int) -> tuple[Dtr, str]:
+def _load_policy(spec: str, num_stages: int, what: str) -> Dtr:
+    """The constant policy std (-1) or prosp (+1), or a policy JSON file."""
     if spec == "std":
-        return constant_dtr(-1, dataset.num_stages, kind="std"), "std"
+        return constant_dtr(-1, num_stages, kind="std")
     if spec == "prosp":
-        return constant_dtr(1, dataset.num_stages, kind="prosp"), "prosp"
-    if spec == "sra":
-        return fit_sra_baseline(dataset, depth), "sra"
+        return constant_dtr(1, num_stages, kind="prosp")
     try:
         with open(spec, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"baseline policy file not found: {spec}") from None
+        raise ConfigError(f"{what} file not found: {spec}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"baseline policy is not valid JSON: {exc}") from None
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
     try:
-        return dtr_from_json(doc), spec
+        return dtr_from_json(doc)
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"malformed baseline policy JSON: {exc}") from None
+        raise ConfigError(f"malformed {what} JSON: {exc}") from None
 
 
 def cmd_improve(config: dict) -> int:
     dataset = _load_dataset(config)
     bounds = _reward_bounds(config)
     depth = int(config.get("depth", 2))
-    baseline_spec = str(_require(config, "baseline"))
-    baseline, tag = _resolve_baseline(baseline_spec, dataset, depth)
+    tag = str(_require(config, "baseline"))
+    if tag == "sra":
+        baseline = fit_sra_baseline(dataset, depth)
+    else:
+        baseline = _load_policy(tag, dataset.num_stages, "baseline policy")
     if baseline.num_stages != dataset.num_stages:
         raise ConfigError(
             f"baseline has {baseline.num_stages} stages, data has {dataset.num_stages}"
@@ -228,6 +239,7 @@ def cmd_improve(config: dict) -> int:
     policy, estimates = fit_ivimproved(
         dataset, baseline, bounds, depth, baseline_id=tag
     )
+    _check_converged(config, estimates)
     policy_doc = dtr_to_json(policy)
     _dump_json(policy_doc, config.get("out"))
     report = {
@@ -305,24 +317,7 @@ def cmd_simulate(config: dict) -> int:
 
 
 def cmd_evaluate(config: dict) -> int:
-    spec = str(_require(config, "policy"))
-    if spec == "std":
-        policy = constant_dtr(-1, 2, kind="std")
-    elif spec == "prosp":
-        policy = constant_dtr(1, 2, kind="prosp")
-    else:
-        try:
-            with open(spec, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"policy file not found: {spec}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"policy is not valid JSON: {exc}") from None
-        try:
-            policy = dtr_from_json(doc)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"malformed policy JSON: {exc}") from None
-
+    policy = _load_policy(str(_require(config, "policy")), 2, "policy")
     try:
         sim_config = SimConfig(
             c1=float(config.get("c1", 4.0)),
@@ -360,19 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate, improve, and evaluate instrument-informed treatment regimes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config document")
-        p.add_argument("--data", help="trajectory CSV path")
-        p.add_argument("--lambda", dest="lam", help="weight spec: w|b|m|float|const:stage:value")
-        p.add_argument("--depth", type=int, help="tree depth")
-        p.add_argument("--crossfit", type=int, help="number of cross-fitting batches (0/1 off)")
-        p.add_argument("--baseline", help="baseline policy: std|prosp|sra|path")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--out", help="output path for the policy/summary JSON")
-        p.add_argument("--threads", type=int, help="worker process cap")
-        if name == "evaluate":
-            p.add_argument("--policy", help="policy JSON path or std|prosp")
+        for flag in flags:
+            kind, text = _FLAG_SPECS[flag]
+            p.add_argument(f"--{flag}", type=kind, help=text)
     return parser
 
 

@@ -1,31 +1,24 @@
-"""Cross-fitted contrast estimation for the weighted-classification step.
+"""Cross-fitted contrasts for the weighted-classification step.
 
 Each sample's classification weight is a contrast estimated with models that
-never saw the sample's own batch. The generic driver is agnostic to what the
-per-batch fitting procedure returns, as long as it can evaluate contrasts on
-held-out histories; the IV-optimal pipeline wrapper cross-fits the final
-classification weights while propagating pseudo-outcome values from
-full-sample fits (nested sample splitting is out of scope).
+never saw the sample's own batch (Chernozhukov et al., 2018, "Double/debiased
+machine learning"). For every batch the whole backward induction, value
+propagation included, runs on the batch complement; the fitted stage
+evaluators then score the held-out batch's histories. crossfit_stage_contrasts
+is agnostic to what the per-batch fitting procedure returns, as long as it can
+evaluate contrasts on held-out histories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .bounds import RewardBounds, WeightSpec
 from .data import BatchAssignment, Dataset, assign_batches
-from .dtr_core import (
-    DEFAULT_TIE_SIGN,
-    Dtr,
-    backward_induct,
-    fit_stage,
-    fit_weighted_tree,
-    pseudo_outcomes,
-    sign_with_tie,
-)
+from .dtr_core import Dtr, backward_induct, fit_weighted_tree, sign_with_tie
 
 MIN_BATCH_SIZE = 10
 
@@ -36,7 +29,6 @@ class CrossfitContrasts:
 
     contrasts: tuple[np.ndarray, ...]   # entry k-1: (n,) stage-k contrasts
     batches: BatchAssignment
-    m: int
 
 
 def crossfit_stage_contrasts(
@@ -62,7 +54,7 @@ def crossfit_stage_contrasts(
         held_set = dataset.subset(held)
         for k in range(1, K + 1):
             out[k - 1][held] = evaluate(k, held_set.histories(k))
-    return CrossfitContrasts(contrasts=tuple(out), batches=batches, m=batches.m)
+    return CrossfitContrasts(contrasts=tuple(out), batches=batches)
 
 
 def ivoptimal_contrast_fitter(
@@ -91,63 +83,24 @@ def fit_ivoptimal_crossfit(
     m: int,
     seed: int,
     clip: float = 1e-3,
-    min_leaf_weight: Optional[float] = None,
-    tie_sign: int = DEFAULT_TIE_SIGN,
 ) -> Dtr:
     """IV-optimal pipeline with cross-fitted classification weights.
 
-    m <= 1 degenerates to the plain in-sample pipeline. Pseudo-outcome value
-    propagation always uses the full-sample stage fits; only the contrasts
-    feeding the per-stage weighted classification are refit per batch
-    complement.
+    The samples are split into m >= 2 seeded batches of at least
+    MIN_BATCH_SIZE. Each stage's tree is fit to the signs and magnitudes of
+    contrasts from backward inductions run wholly on the batch complements,
+    so no sample's label or weight depends on its own batch's data.
     """
-    full_estimates, _ = backward_induct(dataset, reward_bounds, lam, clip=clip,
-                                        tie_sign=tie_sign)
-    if m <= 1:
-        stages = []
-        for est in full_estimates:
-            H = dataset.histories(est.stage)
-            stages.append(fit_weighted_tree(H, est.action, np.abs(est.contrast),
-                                            depth, min_leaf_weight=min_leaf_weight))
-        return Dtr(stages=tuple(stages), kind="iv_optimal", lam=lam)
-
-    n = dataset.n
-    if n // m < MIN_BATCH_SIZE:
+    batches = assign_batches(dataset.n, m, np.random.default_rng(seed))
+    if dataset.n // m < MIN_BATCH_SIZE:
         raise ValueError(
             f"cross-fitting with m={m} leaves batches below {MIN_BATCH_SIZE} samples"
         )
-    rng = np.random.default_rng(seed)
-    batches = assign_batches(n, m, rng)
-
-    K = dataset.num_stages
-    cf_contrasts = [np.zeros(n) for _ in range(K)]
-    for j in range(m):
-        held = batches.members(j)
-        train_idx = batches.complement(j)
-        train = dataset.subset(train_idx)
-        held_set = dataset.subset(held)
-        next_value_train: Optional[np.ndarray] = None
-        for k in range(K, 0, -1):
-            tail = reward_bounds.tail(k)
-            if k == K:
-                outcomes = train.rewards(k)
-            else:
-                # value propagation from the full-sample fit, per design
-                next_value_train = full_estimates[k].value[train_idx]
-                outcomes = pseudo_outcomes(train.rewards(k), next_value_train)
-            outcomes = np.clip(outcomes, tail[0], tail[1])
-            est = fit_stage(
-                train.histories(k), train.instruments(k), train.actions(k),
-                outcomes, tail, lam.at(k), clip=clip, tie_sign=tie_sign, stage=k,
-            )
-            cf_contrasts[k - 1][held] = est.evaluator.contrast(held_set.histories(k))
-
-    stages = []
-    for k in range(1, K + 1):
-        contrast = cf_contrasts[k - 1]
-        labels = sign_with_tie(contrast, tie_sign)
-        stages.append(
-            fit_weighted_tree(dataset.histories(k), labels, np.abs(contrast),
-                              depth, min_leaf_weight=min_leaf_weight)
-        )
-    return Dtr(stages=tuple(stages), kind="iv_optimal", lam=lam)
+    cf = crossfit_stage_contrasts(
+        dataset, batches, ivoptimal_contrast_fitter(reward_bounds, lam, clip=clip)
+    )
+    stages = tuple(
+        fit_weighted_tree(dataset.histories(k), sign_with_tie(contrast), np.abs(contrast), depth)
+        for k, contrast in enumerate(cf.contrasts, start=1)
+    )
+    return Dtr(stages=stages, kind="iv_optimal", lam=lam)

@@ -6,12 +6,13 @@ weight into a scalar Q value, and records the contrast between the two
 actions. Step II projects each stage's sign-of-contrast rule onto depth-limited
 classification trees by weighted 0/1 loss.
 
-Sign ties resolve to +1 unless a different tie sign is configured.
+Sign ties resolve to +1; only a contrast_sign stage read from JSON may carry
+another tie sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -24,6 +25,7 @@ from .nuisance import (
     LogisticModel,
     NuisanceSet,
     fit_stage_nuisance,
+    is_binary_outcome,
 )
 
 DEFAULT_TIE_SIGN = 1
@@ -197,16 +199,15 @@ class StageContrastEvaluator:
     tail: tuple[float, float]
     lam: float
 
-    def q_values(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        low_p, up_p, _ = mp_bounds_matrix(self.nuisance, H, +1, self.tail)
-        low_n, up_n, _ = mp_bounds_matrix(self.nuisance, H, -1, self.tail)
-        q_pos = self.lam * low_p + (1.0 - self.lam) * up_p
-        q_neg = self.lam * low_n + (1.0 - self.lam) * up_n
-        return q_pos, q_neg
+    def intervals(self, H: np.ndarray) -> tuple[Interval, Interval, int]:
+        """Per-row intervals for actions +1 and -1, and the total repair count."""
+        low_p, up_p, rep_p = mp_bounds_matrix(self.nuisance, H, +1, self.tail)
+        low_n, up_n, rep_n = mp_bounds_matrix(self.nuisance, H, -1, self.tail)
+        return Interval(low_p, up_p), Interval(low_n, up_n), rep_p + rep_n
 
     def contrast(self, H: np.ndarray) -> np.ndarray:
-        q_pos, q_neg = self.q_values(H)
-        return q_pos - q_neg
+        plus, minus, _ = self.intervals(H)
+        return weighted_q(plus, self.lam) - weighted_q(minus, self.lam)
 
 
 @dataclass(frozen=True)
@@ -245,9 +246,7 @@ class Dtr:
         return int(self.action_matrix(k, np.atleast_2d(h))[0])
 
 
-def constant_dtr(label: int, num_stages: int, kind: Optional[str] = None) -> Dtr:
-    if kind is None:
-        kind = "constant"
+def constant_dtr(label: int, num_stages: int, kind: str = "constant") -> Dtr:
     return Dtr(stages=tuple(ConstantRule(label) for _ in range(num_stages)), kind=kind)
 
 
@@ -275,16 +274,14 @@ class StageQEstimate:
     value: np.ndarray
     evaluator: StageContrastEvaluator
     n_repaired: int
-    tie_sign: int = DEFAULT_TIE_SIGN
 
     @property
     def nuisance(self) -> NuisanceSet:
         return self.evaluator.nuisance
 
-    def interval(self, i: int, a: int) -> Interval:
-        if a == 1:
-            return Interval(float(self.lower_pos[i]), float(self.upper_pos[i]))
-        return Interval(float(self.lower_neg[i]), float(self.upper_neg[i]))
+    @property
+    def converged(self) -> bool:
+        return self.nuisance.converged
 
 
 def pseudo_outcomes(rewards_k: np.ndarray, next_values: np.ndarray) -> np.ndarray:
@@ -298,10 +295,6 @@ def pseudo_outcomes(rewards_k: np.ndarray, next_values: np.ndarray) -> np.ndarra
     return rewards_k + next_values
 
 
-def _is_binary_outcome(outcomes: np.ndarray, tail: tuple[float, float]) -> bool:
-    return tail == (0.0, 1.0) and bool(np.all((outcomes == 0.0) | (outcomes == 1.0)))
-
-
 def fit_stage(
     histories: np.ndarray,
     z: np.ndarray,
@@ -310,30 +303,26 @@ def fit_stage(
     tail_bounds: tuple[float, float],
     lambda_k: float,
     clip: float = 1e-3,
-    tie_sign: int = DEFAULT_TIE_SIGN,
     stage: int = 0,
 ) -> StageQEstimate:
     """One stage of Step I: nuisance fit, intervals at +/-1, contrast, value."""
     tail = (float(tail_bounds[0]), float(tail_bounds[1]))
     outcomes = np.asarray(outcomes, dtype=float).ravel()
-    binary = _is_binary_outcome(outcomes, tail)
     nuisance = fit_stage_nuisance(
-        histories, z, a, outcomes, outcome_range=tail, binary_outcome=binary, clip=clip
+        histories, z, a, outcomes, outcome_range=tail,
+        binary_outcome=is_binary_outcome(outcomes, tail), clip=clip,
     )
     evaluator = StageContrastEvaluator(nuisance=nuisance, tail=tail, lam=float(lambda_k))
-    H = np.atleast_2d(np.asarray(histories, dtype=float))
-    low_p, up_p, rep_p = mp_bounds_matrix(nuisance, H, +1, tail)
-    low_n, up_n, rep_n = mp_bounds_matrix(nuisance, H, -1, tail)
-    q_pos = lambda_k * low_p + (1.0 - lambda_k) * up_p
-    q_neg = lambda_k * low_n + (1.0 - lambda_k) * up_n
+    plus, minus, n_repaired = evaluator.intervals(histories)
+    q_pos, q_neg = weighted_q(plus, evaluator.lam), weighted_q(minus, evaluator.lam)
     contrast = q_pos - q_neg
-    action = sign_with_tie(contrast, tie_sign)
+    action = sign_with_tie(contrast)
     value = np.where(action == 1, q_pos, q_neg)
     return StageQEstimate(
         stage=stage,
-        lower_pos=low_p, upper_pos=up_p, lower_neg=low_n, upper_neg=up_n,
+        lower_pos=plus.lower, upper_pos=plus.upper, lower_neg=minus.lower, upper_neg=minus.upper,
         q_pos=q_pos, q_neg=q_neg, contrast=contrast, action=action, value=value,
-        evaluator=evaluator, n_repaired=rep_p + rep_n, tie_sign=tie_sign,
+        evaluator=evaluator, n_repaired=n_repaired,
     )
 
 
@@ -342,35 +331,24 @@ def backward_induct(
     reward_bounds: RewardBounds,
     lam: WeightSpec,
     clip: float = 1e-3,
-    tie_sign: int = DEFAULT_TIE_SIGN,
 ) -> tuple[list[StageQEstimate], Dtr]:
     """Step I over k = K..1; returns stage estimates and the sign-rule policy."""
+    reward_bounds.check(dataset)
     K = dataset.num_stages
-    if reward_bounds.num_stages != K:
-        raise ValueError("reward_bounds must declare one [low, high] pair per stage")
     estimates: list[Optional[StageQEstimate]] = [None] * K
     next_value: Optional[np.ndarray] = None
     for k in range(K, 0, -1):
         rewards = dataset.rewards(k)
-        lo, hi = reward_bounds.stage(k)
-        bad = (rewards < lo - 1e-9) | (rewards > hi + 1e-9)
-        if np.any(bad):
-            row = int(np.flatnonzero(bad)[0]) + 1
-            raise ValueError(
-                f"stage {k} reward outside declared bounds [{lo}, {hi}] at row {row}"
-            )
         outcomes = rewards if k == K else pseudo_outcomes(rewards, next_value)
         tail = reward_bounds.tail(k)
         outcomes = np.clip(outcomes, tail[0], tail[1])
         est = fit_stage(
             dataset.histories(k), dataset.instruments(k), dataset.actions(k),
-            outcomes, tail, lam.at(k), clip=clip, tie_sign=tie_sign, stage=k,
+            outcomes, tail, lam.at(k), clip=clip, stage=k,
         )
         estimates[k - 1] = est
         next_value = est.value
-    stages = tuple(
-        SignOfContrast(evaluator=est.evaluator, tie_sign=tie_sign) for est in estimates
-    )
+    stages = tuple(SignOfContrast(evaluator=est.evaluator) for est in estimates)
     q_rule = Dtr(stages=stages, kind="iv_optimal", lam=lam)
     return list(estimates), q_rule
 
@@ -379,19 +357,15 @@ def project_policy(
     stage_estimates: Sequence[StageQEstimate],
     dataset: Dataset,
     depth: int,
-    min_leaf_weight: Optional[float] = None,
     lam: Optional[WeightSpec] = None,
     kind: str = "iv_optimal",
 ) -> Dtr:
     """Step II: fit one depth-limited tree per stage to the contrast signs."""
-    stages = []
-    for est in stage_estimates:
-        H = dataset.histories(est.stage)
-        tree = fit_weighted_tree(
-            H, est.action, np.abs(est.contrast), depth, min_leaf_weight=min_leaf_weight
-        )
-        stages.append(tree)
-    return Dtr(stages=tuple(stages), kind=kind, lam=lam)
+    stages = tuple(
+        fit_weighted_tree(dataset.histories(est.stage), est.action, np.abs(est.contrast), depth)
+        for est in stage_estimates
+    )
+    return Dtr(stages=stages, kind=kind, lam=lam)
 
 
 # ------------------------------ serialization ------------------------------

@@ -21,14 +21,14 @@ which are bounded separately before the interval ends are combined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .bounds import RewardBounds, mp_bounds_matrix
+from .bounds import Interval, RewardBounds, mp_bounds_matrix
 from .data import Dataset
 from .dtr_core import Dtr, fit_weighted_tree
-from .nuisance import fit_mu_cells, fit_stage_nuisance
+from .nuisance import fit_mu_cells, fit_stage_nuisance, is_binary_outcome
 
 
 def improve_rule_single(L: float, U: float, baseline_action: int) -> int:
@@ -44,10 +44,6 @@ def improve_rule_single(L: float, U: float, baseline_action: int) -> int:
     if U < 0:
         return -1
     return int(baseline_action)
-
-
-def _pick_by_action(values_pos: np.ndarray, values_neg: np.ndarray, action: np.ndarray) -> np.ndarray:
-    return np.where(action == 1, values_pos, values_neg)
 
 
 @dataclass(frozen=True)
@@ -66,16 +62,57 @@ class RelativeStageEstimate:
     improved_action: np.ndarray   # flip where contrast > 0, else baseline
     relative_value: np.ndarray    # keep_lower + max(0, contrast)
     n_repaired: int
+    converged: bool               # the reward nuisance's fits all converged
+
+
+def _arm_intervals(nuisance, H: np.ndarray, tail: tuple[float, float],
+                   baseline_action: np.ndarray) -> tuple[Interval, Interval, int]:
+    """Per-row intervals on the baseline arm a' and on the flipped arm -a'."""
+    low_p, up_p, rep_p = mp_bounds_matrix(nuisance, H, +1, tail)
+    low_n, up_n, rep_n = mp_bounds_matrix(nuisance, H, -1, tail)
+    on_pos = baseline_action == 1
+    keep = Interval(np.where(on_pos, low_p, low_n), np.where(on_pos, up_p, up_n))
+    flip = Interval(np.where(on_pos, low_n, low_p), np.where(on_pos, up_n, up_p))
+    return keep, flip, rep_p + rep_n
+
+
+def relative_contrast_pieces(
+    H: np.ndarray,
+    baseline_action: np.ndarray,
+    reward_nuisance,
+    reward_tail: tuple[float, float],
+    continuation: Optional[tuple] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """(flip_lower, baseline_upper, keep_lower, contrast, n_repaired) per history row.
+
+    continuation is None at stage K, where the flipped arm is bounded with the
+    reward nuisance and keep_lower is zero; otherwise it is
+    (sum_nuisance, sum_tail, continuation_nuisance, continuation_tail).
+    n_repaired counts repairs on both arms of every nuisance used.
+    """
+    keep_r, flip_r, n_rep = _arm_intervals(reward_nuisance, H, reward_tail, baseline_action)
+    if continuation is None:
+        flip_lower, keep_lower = flip_r.lower, np.zeros_like(flip_r.lower)
+    else:
+        sum_ns, sum_tail, cont_ns, cont_tail = continuation
+        _, flip_s, rep_s = _arm_intervals(sum_ns, H, sum_tail, baseline_action)
+        keep_c, _, rep_c = _arm_intervals(cont_ns, H, cont_tail, baseline_action)
+        flip_lower, keep_lower = flip_s.lower, keep_c.lower
+        n_rep += rep_s + rep_c
+    contrast = flip_lower - keep_r.upper - keep_lower
+    return flip_lower, keep_r.upper, keep_lower, contrast, n_rep
+
+
+def _contrast_at(h: np.ndarray, baseline_action: int, *nuisance_args) -> float:
+    pieces = relative_contrast_pieces(
+        np.atleast_2d(h), np.array([int(baseline_action)]), *nuisance_args)
+    return float(pieces[3][0])
 
 
 def relative_contrast_stage_K(nuisance, h: np.ndarray, baseline_action: int,
                               tail: tuple[float, float]) -> float:
     """Final-stage relative contrast at one history (flip-positive sign)."""
-    H = np.atleast_2d(h)
-    a_flip = -int(baseline_action)
-    low_flip, _, _ = mp_bounds_matrix(nuisance, H, a_flip, tail)
-    _, up_base, _ = mp_bounds_matrix(nuisance, H, int(baseline_action), tail)
-    return float(low_flip[0] - up_base[0])
+    return _contrast_at(h, baseline_action, nuisance, tail)
 
 
 def relative_contrast_stage_k(
@@ -93,12 +130,8 @@ def relative_contrast_stage_k(
     With a zero continuation (continuation nuisance bounding the constant 0)
     this reduces exactly to the final-stage formula.
     """
-    H = np.atleast_2d(h)
-    a_base = int(baseline_action)
-    low_flip, _, _ = mp_bounds_matrix(sum_nuisance, H, -a_base, sum_tail)
-    _, up_base, _ = mp_bounds_matrix(reward_nuisance, H, a_base, reward_tail)
-    low_keep, _, _ = mp_bounds_matrix(continuation_nuisance, H, a_base, continuation_tail)
-    return float(low_flip[0] - up_base[0] - low_keep[0])
+    return _contrast_at(h, baseline_action, reward_nuisance, reward_tail,
+                        (sum_nuisance, sum_tail, continuation_nuisance, continuation_tail))
 
 
 def relative_stage_estimates(
@@ -116,8 +149,7 @@ def relative_stage_estimates(
         raise ValueError(
             f"baseline has {baseline.num_stages} stages, dataset has {K}"
         )
-    if reward_bounds.num_stages != K:
-        raise ValueError("reward_bounds must declare one [low, high] pair per stage")
+    reward_bounds.check(dataset)
 
     estimates: list[Optional[RelativeStageEstimate]] = [None] * K
     next_relative: Optional[np.ndarray] = None
@@ -128,28 +160,14 @@ def relative_stage_estimates(
         a = dataset.actions(k)
         r = dataset.rewards(k)
         reward_tail = reward_bounds.stage(k)
-        bad = (r < reward_tail[0] - 1e-9) | (r > reward_tail[1] + 1e-9)
-        if np.any(bad):
-            row = int(np.flatnonzero(bad)[0]) + 1
-            raise ValueError(
-                f"stage {k} reward outside declared bounds {list(reward_tail)} at row {row}"
-            )
         base_action = baseline.action_matrix(k, H)
-
-        binary_reward = reward_tail == (0.0, 1.0) and bool(np.all((r == 0.0) | (r == 1.0)))
         reward_ns = fit_stage_nuisance(
-            H, z, a, r, outcome_range=reward_tail, binary_outcome=binary_reward, clip=clip
+            H, z, a, r, outcome_range=reward_tail,
+            binary_outcome=is_binary_outcome(r, reward_tail), clip=clip,
         )
-        n_rep = 0
 
-        if k == K:
-            low_flip_p, up_p, rep1 = mp_bounds_matrix(reward_ns, H, +1, reward_tail)
-            low_flip_n, up_n, rep2 = mp_bounds_matrix(reward_ns, H, -1, reward_tail)
-            n_rep += rep1 + rep2
-            flip_lower = _pick_by_action(low_flip_n, low_flip_p, base_action)
-            baseline_upper = _pick_by_action(up_p, up_n, base_action)
-            keep_lower = np.zeros_like(flip_lower)
-        else:
+        continuation = None
+        if k < K:
             cont_width = reward_bounds.tail_width(k + 1)
             cont_tail = (0.0, cont_width)
             sum_tail = (reward_tail[0], reward_tail[1] + cont_width)
@@ -158,22 +176,11 @@ def relative_stage_estimates(
 
             cont_mu, cont_empty = fit_mu_cells(H, z, a, cont_y, cont_tail, binary_outcome=False)
             sum_mu, sum_empty = fit_mu_cells(H, z, a, sum_y, sum_tail, binary_outcome=False)
-            cont_ns = reward_ns.with_mu(cont_mu, cont_tail, False, cont_empty)
-            sum_ns = reward_ns.with_mu(sum_mu, sum_tail, False, sum_empty)
+            continuation = (reward_ns.with_mu(sum_mu, sum_tail, False, sum_empty), sum_tail,
+                            reward_ns.with_mu(cont_mu, cont_tail, False, cont_empty), cont_tail)
 
-            low_sum_p, _, rep1 = mp_bounds_matrix(sum_ns, H, +1, sum_tail)
-            low_sum_n, _, rep2 = mp_bounds_matrix(sum_ns, H, -1, sum_tail)
-            _, up_r_p, rep3 = mp_bounds_matrix(reward_ns, H, +1, reward_tail)
-            _, up_r_n, rep4 = mp_bounds_matrix(reward_ns, H, -1, reward_tail)
-            low_c_p, _, rep5 = mp_bounds_matrix(cont_ns, H, +1, cont_tail)
-            low_c_n, _, rep6 = mp_bounds_matrix(cont_ns, H, -1, cont_tail)
-            n_rep += rep1 + rep2 + rep3 + rep4 + rep5 + rep6
-
-            flip_lower = _pick_by_action(low_sum_n, low_sum_p, base_action)
-            baseline_upper = _pick_by_action(up_r_p, up_r_n, base_action)
-            keep_lower = _pick_by_action(low_c_p, low_c_n, base_action)
-
-        contrast = flip_lower - baseline_upper - keep_lower
+        flip_lower, baseline_upper, keep_lower, contrast, n_rep = relative_contrast_pieces(
+            H, base_action, reward_ns, reward_tail, continuation)
         improved = np.where(contrast > 0, -base_action, base_action).astype(int)
         relative_value = keep_lower + np.maximum(contrast, 0.0)
 
@@ -187,6 +194,7 @@ def relative_stage_estimates(
             improved_action=improved,
             relative_value=relative_value,
             n_repaired=n_rep,
+            converged=reward_ns.converged,
         )
         next_relative = relative_value
 
@@ -199,18 +207,13 @@ def fit_ivimproved(
     reward_bounds: RewardBounds,
     depth: int,
     clip: float = 1e-3,
-    min_leaf_weight: Optional[float] = None,
     baseline_id: str = "baseline",
 ) -> tuple[Dtr, list[RelativeStageEstimate]]:
     """Estimate the IV-improved policy over a baseline, projected onto trees."""
     estimates = relative_stage_estimates(dataset, baseline, reward_bounds, clip=clip)
-    stages = []
-    for est in estimates:
-        H = dataset.histories(est.stage)
-        tree = fit_weighted_tree(
-            H, est.improved_action, np.abs(est.contrast), depth,
-            min_leaf_weight=min_leaf_weight,
-        )
-        stages.append(tree)
-    dtr = Dtr(stages=tuple(stages), kind=f"iv_improved({baseline_id})")
-    return dtr, estimates
+    stages = tuple(
+        fit_weighted_tree(dataset.histories(est.stage), est.improved_action,
+                          np.abs(est.contrast), depth)
+        for est in estimates
+    )
+    return Dtr(stages=stages, kind=f"iv_improved({baseline_id})"), estimates

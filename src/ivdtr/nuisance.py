@@ -12,7 +12,7 @@ ridge least squares with the penalty on slopes only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -216,8 +216,9 @@ class NuisanceSet:
                        binary_outcome=binary_outcome, empty_cells=empty_cells)
 
 
-def _is_binary(y: np.ndarray) -> bool:
-    return bool(np.all((y == 0.0) | (y == 1.0)))
+def is_binary_outcome(y: np.ndarray, outcome_range: tuple[float, float]) -> bool:
+    """True when the outcomes are 0/1 on the range [0, 1]: cells then get logistic fits."""
+    return tuple(outcome_range) == (0.0, 1.0) and bool(np.all((y == 0.0) | (y == 1.0)))
 
 
 def fit_mu_cells(

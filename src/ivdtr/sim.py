@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ class SimConfig:
     xi: float = 1.0
     n_train: int = 1000
     seed: int = 0
-    estimator: str = "parametric"
     lam: WeightSpec = field(default_factory=WeightSpec.minmax)
     depth: int = 2
     replications: int = 100
@@ -63,8 +62,6 @@ class SimConfig:
             raise ValueError("c1 must be positive")
         if self.xi <= 0:
             raise ValueError("xi must be positive")
-        if self.estimator != "parametric":
-            raise ValueError(f"unsupported estimator '{self.estimator}'")
 
 
 SIM_REWARD_BOUNDS = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
@@ -189,8 +186,24 @@ def _aipw_contrast(H, a, y, mu_pos, mu_neg, prop_pos, clip):
     return mu_pos - mu_neg + a * (y - mu_own) / prop
 
 
-def fit_sra_baseline(dataset: Dataset, depth: int, clip: float = 1e-3,
-                     min_leaf_weight: Optional[float] = None) -> Dtr:
+def _dr_stage(h, a, y, fit_arm, predict_arm, depth, clip, stage):
+    """One stage of doubly robust C-learning: per-arm outcome models, AIPW
+    scores smoothed by a linear model, and a tree on the smoothed contrast.
+
+    Returns (tree, arm +1 predictions, arm -1 predictions).
+    """
+    if np.all(a == a[0]):
+        raise ValueError(f"no treatment variation at stage {stage}")
+    arm = {a0: fit_arm(h[a == a0], y[a == a0]) for a0 in (-1.0, 1.0)}
+    prop = fit_logistic(h, (a == 1.0).astype(float))
+    mu_pos, mu_neg = predict_arm(arm[1.0], h), predict_arm(arm[-1.0], h)
+    phi = _aipw_contrast(h, a, y, mu_pos, mu_neg, prop.predict(h, clip=clip), clip)
+    contrast = fit_linear(h, phi).predict(h)
+    tree = fit_weighted_tree(h, np.where(contrast >= 0, 1, -1), np.abs(contrast), depth)
+    return tree, mu_pos, mu_neg
+
+
+def fit_sra_baseline(dataset: Dataset, depth: int, clip: float = 1e-3) -> Dtr:
     """Backward doubly-robust C-learning that ignores the instrument.
 
     Stage outcome models are logistic for the binary stage-2 reward and linear
@@ -199,47 +212,14 @@ def fit_sra_baseline(dataset: Dataset, depth: int, clip: float = 1e-3,
     """
     if dataset.num_stages != 2:
         raise ValueError("the SRA baseline fitter handles two-stage data")
-
-    stages = []
-    # stage 2
-    h2 = dataset.histories(2)
-    a2 = dataset.actions(2)
-    r2 = dataset.rewards(2)
-    if np.all(a2 == a2[0]):
-        raise ValueError("no treatment variation at stage 2")
-    mu2 = {}
-    for a0 in (-1.0, 1.0):
-        rows = a2 == a0
-        mu2[a0] = fit_logistic(h2[rows], r2[rows])
-    prop2 = fit_logistic(h2, (a2 == 1.0).astype(float))
-    mu2_pos = np.clip(mu2[1.0].predict(h2, clip=clip), 0.0, 1.0)
-    mu2_neg = np.clip(mu2[-1.0].predict(h2, clip=clip), 0.0, 1.0)
-    phi2 = _aipw_contrast(h2, a2, r2, mu2_pos, mu2_neg, prop2.predict(h2, clip=clip), clip)
-    smooth2 = fit_linear(h2, phi2)
-    c2 = smooth2.predict(h2)
-    labels2 = np.where(c2 >= 0, 1, -1)
-    tree2 = fit_weighted_tree(h2, labels2, np.abs(c2), depth, min_leaf_weight=min_leaf_weight)
-
+    tree2, mu2_pos, mu2_neg = _dr_stage(
+        dataset.histories(2), dataset.actions(2), dataset.rewards(2), fit_logistic,
+        lambda model, h: np.clip(model.predict(h, clip=clip), 0.0, 1.0), depth, clip, 2)
     # stage 1: pseudo-outcome r1 + max_a mu2(h2, a)
-    h1 = dataset.histories(1)
-    a1 = dataset.actions(1)
-    r1 = dataset.rewards(1)
-    if np.all(a1 == a1[0]):
-        raise ValueError("no treatment variation at stage 1")
-    po = r1 + np.maximum(mu2_pos, mu2_neg)
-    mu1 = {}
-    for a0 in (-1.0, 1.0):
-        rows = a1 == a0
-        mu1[a0] = fit_linear(h1[rows], po[rows])
-    prop1 = fit_logistic(h1, (a1 == 1.0).astype(float))
-    mu1_pos = np.clip(mu1[1.0].predict(h1), 0.0, 2.0)
-    mu1_neg = np.clip(mu1[-1.0].predict(h1), 0.0, 2.0)
-    phi1 = _aipw_contrast(h1, a1, po, mu1_pos, mu1_neg, prop1.predict(h1, clip=clip), clip)
-    smooth1 = fit_linear(h1, phi1)
-    c1 = smooth1.predict(h1)
-    labels1 = np.where(c1 >= 0, 1, -1)
-    tree1 = fit_weighted_tree(h1, labels1, np.abs(c1), depth, min_leaf_weight=min_leaf_weight)
-
+    tree1, _, _ = _dr_stage(
+        dataset.histories(1), dataset.actions(1),
+        dataset.rewards(1) + np.maximum(mu2_pos, mu2_neg), fit_linear,
+        lambda model, h: np.clip(model.predict(h), 0.0, 2.0), depth, clip, 1)
     return Dtr(stages=(tree1, tree2), kind="sra")
 
 

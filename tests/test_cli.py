@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ivdtr.nuisance
 from ivdtr.cli import run
 from ivdtr.data import save_csv
 from ivdtr.dtr_core import dtr_from_json
@@ -216,6 +219,38 @@ class TestEvaluate:
     def test_missing_policy_key(self, capsys):
         assert run(["evaluate"]) == 2
         assert "policy" in read_error(capsys)["error"]
+
+
+class TestConfigSurface:
+    @pytest.mark.parametrize("argv", [["fit", "--threads", "2"],
+                                      ["improve", "--crossfit", "5"]])
+    def test_flag_of_another_command_is_an_argparse_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_readme_fit_config_runs_fit_and_improve(self, tmp_path, sim_csv):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"Example `fit.json`[^\n]*\s*```json\n(.*?)```", readme, re.S)
+        doc = json.loads(block.group(1))
+        doc.update(data=str(sim_csv), out=str(tmp_path / "p.json"),
+                   report=str(tmp_path / "r.json"))
+        config = write_config(tmp_path, "fit.json", doc)
+        assert run(["fit", "--config", str(config)]) == 0
+        assert run(["improve", "--config", str(config), "--baseline", "std"]) == 0
+
+    @pytest.mark.parametrize("command", ["fit", "improve"])
+    def test_strict_nonconvergence_exits_3(self, tmp_path, sim_csv, capsys,
+                                           monkeypatch, command):
+        monkeypatch.setattr(ivdtr.nuisance, "MAX_ITER", 1)
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "strict": True,
+            "out": str(tmp_path / "p.json"),
+        })
+        extra = ["--baseline", "std"] if command == "improve" else []
+        assert run([command, "--config", str(config), *extra]) == 3
+        assert "did not converge" in read_error(capsys)["error"]
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestExitCodes:

@@ -1,18 +1,20 @@
-"""Cross-fitting: out-of-batch purity, degenerate modes, determinism."""
+"""Cross-fitting: out-of-batch purity of crossfit_stage_contrasts and of the
+shipped pipeline, batch-size limits, determinism."""
 
-import json
+import dataclasses
 
 import numpy as np
 import pytest
 from synth import random_two_stage_dataset
 
+import ivdtr.crossfit
 from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.crossfit import (
     crossfit_stage_contrasts,
     fit_ivoptimal_crossfit,
     ivoptimal_contrast_fitter,
 )
-from ivdtr.data import BatchAssignment, Dataset, StageObservation, Trajectory
+from ivdtr.data import BatchAssignment, Dataset, StageObservation, Trajectory, assign_batches
 from ivdtr.dtr_core import backward_induct, dtr_to_json, project_policy
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
@@ -38,6 +40,28 @@ def scramble_batch(dataset: Dataset, members, rng) -> Dataset:
                 )
             )
         trajectories.append(Trajectory(stages=tuple(stages)))
+    return Dataset(trajectories=tuple(trajectories), num_stages=dataset.num_stages,
+                   covariate_dims=dataset.covariate_dims)
+
+
+def scramble_history_free_fields(dataset: Dataset, members, rng) -> Dataset:
+    """Redraw z1, z2, a2 and r2 of the given two-stage trajectories.
+
+    No history vector contains these fields, so every sample keeps its stage-1
+    and stage-2 histories while its batch's outcome data change.
+    """
+    members = set(int(i) for i in members)
+    trajectories = []
+    for i, traj in enumerate(dataset.trajectories):
+        if i in members:
+            first, second = traj.stages
+            traj = Trajectory(stages=(
+                dataclasses.replace(first, instrument=int(rng.choice([-1, 1]))),
+                dataclasses.replace(second, instrument=int(rng.choice([-1, 1])),
+                                    action=int(rng.choice([-1, 1])),
+                                    reward=float(rng.integers(0, 2))),
+            ))
+        trajectories.append(traj)
     return Dataset(trajectories=tuple(trajectories), num_stages=dataset.num_stages,
                    covariate_dims=dataset.covariate_dims)
 
@@ -91,13 +115,43 @@ class TestFitIvoptimalCrossfit:
         two = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=2, seed=5)
         assert dtr_to_json(one) == dtr_to_json(two)
 
-    def test_m1_degenerates_to_plain_pipeline(self):
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_own_batch_outcomes_leave_its_tree_inputs_unchanged(self, monkeypatch, m):
+        # the labels and weights the shipped pipeline hands to the tree fitter
+        # for batch j must not depend on batch j's data
+        received = []
+        fit_tree = ivdtr.crossfit.fit_weighted_tree
+
+        def spy(features, labels, weights, depth, **kwargs):
+            received.append((np.array(labels), np.array(weights)))
+            return fit_tree(features, labels, weights, depth, **kwargs)
+
+        monkeypatch.setattr(ivdtr.crossfit, "fit_weighted_tree", spy)
+
+        def tree_inputs(data):
+            received.clear()
+            fit_ivoptimal_crossfit(data, BOUNDS2, LAM, depth=2, m=m, seed=11)
+            assert len(received) == 2
+            return list(received)
+
+        rng = np.random.default_rng(10)
+        ds = random_two_stage_dataset(rng, n=120)
+        base = tree_inputs(ds)
+        batches = assign_batches(ds.n, m, np.random.default_rng(11))
+        for j in range(m):
+            held = batches.members(j)
+            moved = tree_inputs(scramble_history_free_fields(ds, held, rng))
+            for k, ((labels0, weights0), (labels1, weights1)) in enumerate(
+                    zip(base, moved), start=1):
+                np.testing.assert_array_equal(
+                    labels1[held], labels0[held], err_msg=f"stage {k} labels, batch {j}")
+                np.testing.assert_array_equal(
+                    weights1[held], weights0[held], err_msg=f"stage {k} weights, batch {j}")
+
+    def test_fewer_than_two_batches_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(4), n=150)
-        plain_estimates, _ = backward_induct(ds, BOUNDS2, LAM)
-        plain = project_policy(plain_estimates, ds, depth=2, lam=LAM)
-        degenerate = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=1, seed=0)
-        assert json.dumps(dtr_to_json(degenerate)["stages"]) == json.dumps(
-            dtr_to_json(plain)["stages"])
+        with pytest.raises(ValueError, match=">= 2"):
+            fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=1, seed=0)
 
     def test_small_batches_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(5), n=30)

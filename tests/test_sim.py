@@ -85,8 +85,6 @@ class TestGenerate:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             SimConfig(c1=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(estimator="random_forest")
         cfg = SimConfig()
         with pytest.raises(ValueError):
             generate(cfg, 0, np.random.default_rng(0))
