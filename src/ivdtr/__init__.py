@@ -6,10 +6,7 @@ from .data import (
     BatchAssignment,
     DataError,
     Dataset,
-    StageObservation,
-    Trajectory,
     assign_batches,
-    history_at,
     load_csv,
     save_csv,
 )

@@ -36,15 +36,16 @@ class ConfigError(ValueError):
     """Raised on invalid run configuration."""
 
 
-_COMMON_KEYS = {"seed", "out", "report", "strict"}
+# each command accepts only the config keys it reads
+_DATA_KEYS = {"data", "schema", "reward_bounds", "depth", "out", "report", "strict"}
 _ALLOWED_KEYS = {
-    "fit": _COMMON_KEYS | {"data", "schema", "reward_bounds", "lambda", "depth", "crossfit"},
-    "improve": _COMMON_KEYS | {"data", "schema", "reward_bounds", "baseline", "depth"},
-    "simulate": _COMMON_KEYS | {
+    "fit": _DATA_KEYS | {"lambda", "crossfit", "seed"},
+    "improve": _DATA_KEYS | {"baseline"},
+    "simulate": {
         "c1", "xi", "n_train", "replications", "n_eval", "lambda", "depth",
-        "crossfit", "out_csv", "out_json", "threads",
+        "crossfit", "seed", "out", "out_csv", "out_json", "threads",
     },
-    "evaluate": _COMMON_KEYS | {"policy", "c1", "xi", "n_eval"},
+    "evaluate": {"policy", "c1", "xi", "n_eval", "seed", "out"},
 }
 
 # flag -> (type, help); each flag overrides the config key of the same name

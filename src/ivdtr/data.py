@@ -1,10 +1,10 @@
-"""Trajectory data model, CSV ingestion, history construction, batch splitting.
+"""Columnar trajectory data, CSV ingestion, history construction, batch splitting.
 
 Conventions baked in here and relied on everywhere else:
-  * instruments and actions are encoded as integers in {-1, +1};
+  * instruments and actions are encoded as floats in {-1.0, +1.0};
   * the stage-k history vector is the concatenation
         [x_1, a_1, r_1, x_2, a_2, r_2, ..., a_{k-1}, r_{k-1}, x_k]
-    with past actions cast to +/-1.0 floats, so H_1 = x_1.
+    so H_1 = x_1.
 """
 
 from __future__ import annotations
@@ -22,84 +22,80 @@ class DataError(ValueError):
 
 
 @dataclass(frozen=True)
-class StageObservation:
-    covariates: np.ndarray  # shape (d_k,)
-    instrument: int         # in {-1, +1}
-    action: int             # in {-1, +1}
-    reward: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "covariates", np.asarray(self.covariates, dtype=float))
-        if self.instrument not in (-1, 1):
-            raise DataError(f"instrument not in {{-1,+1}}: {self.instrument}")
-        if self.action not in (-1, 1):
-            raise DataError(f"action not in {{-1,+1}}: {self.action}")
-        if not np.isfinite(self.reward):
-            raise DataError(f"reward not finite: {self.reward}")
-        if not np.all(np.isfinite(self.covariates)):
-            raise DataError("covariates contain non-finite values")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    stages: tuple[StageObservation, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if len(self.stages) < 1:
-            raise DataError("trajectory must have at least one stage")
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.stages)
-
-
-@dataclass(frozen=True)
 class Dataset:
-    trajectories: tuple[Trajectory, ...]
-    num_stages: int
-    covariate_dims: tuple[int, ...]
+    """n trajectories of K stages, stored as per-stage arrays.
+
+    covariates[k - 1] is the (n, d_k) stage-k covariate matrix; z, a and r are
+    (n, K) matrices whose column k - 1 holds the stage-k instruments, actions
+    and rewards.
+    """
+
+    covariates: tuple[np.ndarray, ...]
+    z: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
-        object.__setattr__(self, "covariate_dims", tuple(int(d) for d in self.covariate_dims))
-        if len(self.trajectories) < 1:
-            raise DataError("empty dataset")
-        if self.num_stages < 1:
+        covariates = tuple(np.asarray(c, dtype=float) for c in self.covariates)
+        object.__setattr__(self, "covariates", covariates)
+        for name in ("z", "a", "r"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not covariates:
             raise DataError("num_stages must be >= 1")
-        if len(self.covariate_dims) != self.num_stages:
-            raise DataError("covariate_dims length must equal num_stages")
-        for traj in self.trajectories:
-            if traj.num_stages != self.num_stages:
-                raise DataError("all trajectories must share the declared number of stages")
-            for k, obs in enumerate(traj.stages):
-                if obs.covariates.shape != (self.covariate_dims[k],):
-                    raise DataError(
-                        f"stage {k + 1} covariate dimension {obs.covariates.shape[0]} "
-                        f"!= declared {self.covariate_dims[k]}"
-                    )
+        shape = (len(covariates[0]), len(covariates))
+        if any(c.ndim != 2 or len(c) != shape[0] for c in covariates) or any(
+            m.shape != shape for m in (self.z, self.a, self.r)
+        ):
+            raise DataError(f"stage arrays must share n rows; z, a and r must be {shape}")
+        if shape[0] < 1:
+            raise DataError("empty dataset")
+        for what, m in (("instrument", self.z), ("action", self.a)):
+            bad = np.argwhere((m != 1.0) & (m != -1.0))
+            if len(bad):
+                i, k = bad[0]
+                raise DataError(f"row {i + 1}: stage {k + 1} {what} not in {{-1,+1}}: {m[i, k]:g}")
+        bad = np.argwhere(~np.isfinite(self.r))
+        if len(bad):
+            i, k = bad[0]
+            raise DataError(f"row {i + 1}: stage {k + 1} reward not finite: {self.r[i, k]}")
+        for k, c in enumerate(covariates, start=1):
+            if not np.all(np.isfinite(c)):
+                raise DataError(f"stage {k} covariates contain non-finite values")
 
     @property
     def n(self) -> int:
-        return len(self.trajectories)
+        return len(self.r)
+
+    @property
+    def num_stages(self) -> int:
+        return len(self.covariates)
+
+    @property
+    def covariate_dims(self) -> tuple[int, ...]:
+        return tuple(c.shape[1] for c in self.covariates)
 
     # --- column accessors (1-indexed stage k), used by every estimator ---
 
     def histories(self, k: int) -> np.ndarray:
         """(n, dim_k) matrix of stage-k history vectors."""
-        return np.array([history_at(traj, k) for traj in self.trajectories])
+        self._check_stage(k)
+        parts = []
+        for t in range(k - 1):
+            parts += [self.covariates[t], self.a[:, t:t + 1], self.r[:, t:t + 1]]
+        parts.append(self.covariates[k - 1])
+        return np.hstack(parts)
 
     def instruments(self, k: int) -> np.ndarray:
         self._check_stage(k)
-        return np.array([t.stages[k - 1].instrument for t in self.trajectories], dtype=float)
+        return self.z[:, k - 1].copy()
 
     def actions(self, k: int) -> np.ndarray:
         self._check_stage(k)
-        return np.array([t.stages[k - 1].action for t in self.trajectories], dtype=float)
+        return self.a[:, k - 1].copy()
 
     def rewards(self, k: int) -> np.ndarray:
         self._check_stage(k)
-        return np.array([t.stages[k - 1].reward for t in self.trajectories], dtype=float)
+        return self.r[:, k - 1].copy()
 
     def history_dim(self, k: int) -> int:
         self._check_stage(k)
@@ -107,28 +103,15 @@ class Dataset:
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """Dataset restricted to the given trajectory indices (order kept)."""
+        idx = np.asarray(indices, dtype=int)
         return Dataset(
-            trajectories=tuple(self.trajectories[i] for i in indices),
-            num_stages=self.num_stages,
-            covariate_dims=self.covariate_dims,
+            covariates=tuple(c[idx] for c in self.covariates),
+            z=self.z[idx], a=self.a[idx], r=self.r[idx],
         )
 
     def _check_stage(self, k: int) -> None:
         if not 1 <= k <= self.num_stages:
             raise DataError(f"stage index {k} out of range 1..{self.num_stages}")
-
-
-def history_at(traj: Trajectory, k: int) -> np.ndarray:
-    """Stage-k history vector [x_1, a_1, r_1, ..., a_{k-1}, r_{k-1}, x_k]."""
-    if not 1 <= k <= traj.num_stages:
-        raise DataError(f"stage index {k} out of range 1..{traj.num_stages}")
-    parts = []
-    for t in range(k - 1):
-        obs = traj.stages[t]
-        parts.append(obs.covariates)
-        parts.append(np.array([float(obs.action), obs.reward]))
-    parts.append(traj.stages[k - 1].covariates)
-    return np.concatenate(parts) if parts else np.array([])
 
 
 @dataclass(frozen=True)
@@ -191,18 +174,6 @@ def _parse_header(header: list[str]) -> tuple[int, tuple[int, ...]]:
     return k, tuple(dims)
 
 
-def _parse_pm1(cell: str, what: str, row: int) -> int:
-    try:
-        value = float(cell)
-    except ValueError as exc:
-        raise DataError(f"row {row}: non-numeric {what} '{cell}'") from exc
-    if value == 1.0:
-        return 1
-    if value == -1.0:
-        return -1
-    raise DataError(f"row {row}: {what} not in {{-1,+1}}: {cell}")
-
-
 def load_csv(path, schema: tuple[int, Sequence[int]] | None = None) -> Dataset:
     """Load a trajectory dataset from CSV.
 
@@ -233,36 +204,28 @@ def _load_csv_file(fh, schema) -> Dataset:
             )
     width = len(header)
 
-    trajectories = []
+    values = []
     for idx, row in enumerate(reader, start=1):
         if not row:
             continue
         if len(row) != width:
             raise DataError(f"row {idx}: expected {width} cells, got {len(row)}")
-        if any(cell.strip() == "" for cell in row):
-            raise DataError(f"row {idx}: missing cell")
-        pos = 0
-        stages = []
-        for k in range(1, num_stages + 1):
-            d = dims[k - 1]
-            try:
-                covs = np.array([float(row[pos + j]) for j in range(d)])
-            except ValueError as exc:
-                raise DataError(f"row {idx}: non-numeric covariate cell") from exc
-            pos += d
-            z = _parse_pm1(row[pos], "instrument", idx)
-            a = _parse_pm1(row[pos + 1], "action", idx)
-            try:
-                r = float(row[pos + 2])
-            except ValueError as exc:
-                raise DataError(f"row {idx}: non-numeric reward '{row[pos + 2]}'") from exc
-            pos += 3
-            stages.append(StageObservation(covariates=covs, instrument=z, action=a, reward=r))
-        trajectories.append(Trajectory(stages=tuple(stages)))
-
-    if not trajectories:
+        try:
+            values.append([float(cell) for cell in row])
+        except ValueError as exc:
+            if any(cell.strip() == "" for cell in row):
+                raise DataError(f"row {idx}: missing cell") from None
+            raise DataError(f"row {idx}: non-numeric cell ({exc})") from None
+    if not values:
         raise DataError("empty dataset")
-    return Dataset(trajectories=tuple(trajectories), num_stages=num_stages, covariate_dims=dims)
+
+    table = np.array(values)
+    starts = np.cumsum([0] + [d + 3 for d in dims[:-1]])
+    z_cols = starts + np.array(dims)
+    return Dataset(
+        covariates=tuple(table[:, s:s + d] for s, d in zip(starts, dims)),
+        z=table[:, z_cols], a=table[:, z_cols + 1], r=table[:, z_cols + 2],
+    )
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -279,11 +242,13 @@ def dumps_csv(dataset: Dataset) -> str:
 def _save_csv_file(dataset: Dataset, fh) -> None:
     writer = csv.writer(fh)
     writer.writerow(expected_header(dataset.num_stages, dataset.covariate_dims))
-    for traj in dataset.trajectories:
+    covariates = [c.tolist() for c in dataset.covariates]
+    z, a, r = dataset.z.tolist(), dataset.a.tolist(), dataset.r.tolist()
+    for i in range(dataset.n):
         row: list = []
-        for obs in traj.stages:
-            row.extend(repr(float(v)) for v in obs.covariates)
-            row.extend([obs.instrument, obs.action, repr(float(obs.reward))])
+        for k, x in enumerate(covariates):
+            row.extend(map(repr, x[i]))
+            row.extend([int(z[i][k]), int(a[i][k]), repr(r[i][k])])
         writer.writerow(row)
 
 
@@ -298,20 +263,7 @@ def dataset_from_arrays(
     covariates[k] has shape (n, d_{k+1}); instruments/actions/rewards[k] have
     shape (n,). Mostly used by the simulation engine and tests.
     """
-    num_stages = len(covariates)
-    n = len(np.atleast_2d(covariates[0]))
-    trajectories = []
-    for i in range(n):
-        stages = []
-        for k in range(num_stages):
-            stages.append(
-                StageObservation(
-                    covariates=np.atleast_2d(covariates[k])[i],
-                    instrument=int(instruments[k][i]),
-                    action=int(actions[k][i]),
-                    reward=float(rewards[k][i]),
-                )
-            )
-        trajectories.append(Trajectory(stages=tuple(stages)))
-    dims = tuple(np.atleast_2d(c).shape[1] for c in covariates)
-    return Dataset(trajectories=tuple(trajectories), num_stages=num_stages, covariate_dims=dims)
+    return Dataset(
+        covariates=tuple(np.atleast_2d(c) for c in covariates),
+        z=np.column_stack(instruments), a=np.column_stack(actions), r=np.column_stack(rewards),
+    )

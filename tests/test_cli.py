@@ -2,6 +2,8 @@
 
 import json
 import re
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ def read_error(capsys):
 
 
 BOUNDS_DOC = [[0.0, 1.0], [0.0, 1.0]]
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestFit:
@@ -230,7 +233,7 @@ class TestConfigSurface:
         assert exc.value.code == 2
 
     def test_readme_fit_config_runs_fit_and_improve(self, tmp_path, sim_csv):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = (REPO / "README.md").read_text()
         block = re.search(r"Example `fit.json`[^\n]*\s*```json\n(.*?)```", readme, re.S)
         doc = json.loads(block.group(1))
         doc.update(data=str(sim_csv), out=str(tmp_path / "p.json"),
@@ -238,6 +241,26 @@ class TestConfigSurface:
         config = write_config(tmp_path, "fit.json", doc)
         assert run(["fit", "--config", str(config)]) == 0
         assert run(["improve", "--config", str(config), "--baseline", "std"]) == 0
+
+    @pytest.mark.parametrize("command, doc", [("simulate", {"strict": True}),
+                                              ("evaluate", {"report": "x.json"}),
+                                              ("improve", {"seed": 1})])
+    def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, doc):
+        config = write_config(tmp_path, "cfg.json", doc)
+        assert run([command, "--config", str(config)]) == 2
+        assert "unknown config keys" in read_error(capsys)["error"]
+
+    def test_readme_library_example_runs_on_example_data(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["make_example_data.py", "--n", "500",
+                                          "--out", "train.csv"])
+        runpy.run_path(str(REPO / "scripts" / "make_example_data.py"))["main"]()
+        readme = (REPO / "README.md").read_text()
+        block = re.search(r"## Library\s*```python\n(.*?)```", readme, re.S)
+        namespace: dict = {}
+        exec(block.group(1), namespace)
+        assert namespace["data"].n == 500
+        assert namespace["action"] in (-1, 1)
 
     @pytest.mark.parametrize("command", ["fit", "improve"])
     def test_strict_nonconvergence_exits_3(self, tmp_path, sim_csv, capsys,

@@ -14,7 +14,7 @@ from ivdtr.crossfit import (
     fit_ivoptimal_crossfit,
     ivoptimal_contrast_fitter,
 )
-from ivdtr.data import BatchAssignment, Dataset, StageObservation, Trajectory, assign_batches
+from ivdtr.data import BatchAssignment, Dataset, assign_batches
 from ivdtr.dtr_core import backward_induct, dtr_to_json, project_policy
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
@@ -23,25 +23,15 @@ LAM = WeightSpec.minmax()
 
 def scramble_batch(dataset: Dataset, members, rng) -> Dataset:
     """Replace every field of the given trajectories with arbitrary junk."""
-    members = set(int(i) for i in members)
-    trajectories = []
-    for i, traj in enumerate(dataset.trajectories):
-        if i not in members:
-            trajectories.append(traj)
-            continue
-        stages = []
-        for obs in traj.stages:
-            stages.append(
-                StageObservation(
-                    covariates=rng.normal(size=obs.covariates.shape),
-                    instrument=int(rng.choice([-1, 1])),
-                    action=int(rng.choice([-1, 1])),
-                    reward=float(rng.random()),
-                )
-            )
-        trajectories.append(Trajectory(stages=tuple(stages)))
-    return Dataset(trajectories=tuple(trajectories), num_stages=dataset.num_stages,
-                   covariate_dims=dataset.covariate_dims)
+    idx = np.asarray(members, dtype=int)
+    covariates = tuple(c.copy() for c in dataset.covariates)
+    for c in covariates:
+        c[idx] = rng.normal(size=(len(idx), c.shape[1]))
+    z, a, r = dataset.z.copy(), dataset.a.copy(), dataset.r.copy()
+    z[idx] = rng.choice([-1.0, 1.0], size=(len(idx), dataset.num_stages))
+    a[idx] = rng.choice([-1.0, 1.0], size=(len(idx), dataset.num_stages))
+    r[idx] = rng.random(size=(len(idx), dataset.num_stages))
+    return dataclasses.replace(dataset, covariates=covariates, z=z, a=a, r=r)
 
 
 def scramble_history_free_fields(dataset: Dataset, members, rng) -> Dataset:
@@ -50,20 +40,12 @@ def scramble_history_free_fields(dataset: Dataset, members, rng) -> Dataset:
     No history vector contains these fields, so every sample keeps its stage-1
     and stage-2 histories while its batch's outcome data change.
     """
-    members = set(int(i) for i in members)
-    trajectories = []
-    for i, traj in enumerate(dataset.trajectories):
-        if i in members:
-            first, second = traj.stages
-            traj = Trajectory(stages=(
-                dataclasses.replace(first, instrument=int(rng.choice([-1, 1]))),
-                dataclasses.replace(second, instrument=int(rng.choice([-1, 1])),
-                                    action=int(rng.choice([-1, 1])),
-                                    reward=float(rng.integers(0, 2))),
-            ))
-        trajectories.append(traj)
-    return Dataset(trajectories=tuple(trajectories), num_stages=dataset.num_stages,
-                   covariate_dims=dataset.covariate_dims)
+    idx = np.asarray(members, dtype=int)
+    z, a, r = dataset.z.copy(), dataset.a.copy(), dataset.r.copy()
+    z[idx] = rng.choice([-1.0, 1.0], size=(len(idx), 2))
+    a[idx, 1] = rng.choice([-1.0, 1.0], size=len(idx))
+    r[idx, 1] = rng.integers(0, 2, size=len(idx))
+    return dataclasses.replace(dataset, z=z, a=a, r=r)
 
 
 class TestCrossfitStageContrasts:
@@ -87,9 +69,7 @@ class TestCrossfitStageContrasts:
     def test_identical_halves_match_in_sample(self):
         rng = np.random.default_rng(1)
         half = random_two_stage_dataset(rng, n=100)
-        doubled = Dataset(
-            trajectories=half.trajectories + half.trajectories,
-            num_stages=2, covariate_dims=half.covariate_dims)
+        doubled = half.subset(np.tile(np.arange(100), 2))
         batches = BatchAssignment(
             batch_index=np.concatenate([np.zeros(100, int), np.ones(100, int)]), m=2)
         cf = crossfit_stage_contrasts(doubled, batches,

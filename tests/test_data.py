@@ -1,5 +1,7 @@
 """Data model, CSV round-trip, history construction, batch assignment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,10 @@ from ivdtr.data import (
     BatchAssignment,
     DataError,
     Dataset,
-    StageObservation,
-    Trajectory,
     assign_batches,
     dataset_from_arrays,
     dumps_csv,
     expected_header,
-    history_at,
     loads_csv,
 )
 
@@ -27,13 +26,19 @@ TWO_STAGE_CSV = (
 )
 
 
-def make_trajectory():
-    return Trajectory(
-        stages=(
-            StageObservation(covariates=np.array([0.3]), instrument=1, action=1, reward=1.0),
-            StageObservation(covariates=np.array([-0.2]), instrument=-1, action=-1, reward=0.0),
-        )
+def one_row(covariates, actions, rewards, instruments=None):
+    """One-trajectory dataset; covariates[k] is the stage-(k+1) covariate list."""
+    return dataset_from_arrays(
+        covariates=covariates,
+        instruments=[[z] for z in (instruments or [1] * len(actions))],
+        actions=[[a] for a in actions],
+        rewards=[[r] for r in rewards],
     )
+
+
+def make_trajectory():
+    return one_row(covariates=[[0.3], [-0.2]], instruments=[1, -1], actions=[1, -1],
+                   rewards=[1.0, 0.0])
 
 
 class TestLoadCsv:
@@ -42,8 +47,8 @@ class TestLoadCsv:
         assert ds.n == 3
         assert ds.num_stages == 2
         assert ds.covariate_dims == (1, 1)
-        assert ds.trajectories[0].stages[0].reward == 1.0
-        assert ds.trajectories[2].stages[1].action == -1
+        assert ds.r[0, 0] == 1.0
+        assert ds.a[2, 1] == -1
 
     def test_schema_validated_against_header(self):
         ds = loads_csv(TWO_STAGE_CSV, schema=(2, (1, 1)))
@@ -93,65 +98,81 @@ class TestLoadCsv:
         again = loads_csv(dumps_csv(ds))
         assert again.num_stages == ds.num_stages
         assert again.covariate_dims == ds.covariate_dims
-        for t1, t2 in zip(ds.trajectories, again.trajectories):
-            for s1, s2 in zip(t1.stages, t2.stages):
-                assert s1.instrument == s2.instrument
-                assert s1.action == s2.action
-                assert s1.reward == s2.reward
-                np.testing.assert_array_equal(s1.covariates, s2.covariates)
+        np.testing.assert_array_equal(again.z, ds.z)
+        np.testing.assert_array_equal(again.a, ds.a)
+        np.testing.assert_array_equal(again.r, ds.r)
+        for c1, c2 in zip(ds.covariates, again.covariates):
+            np.testing.assert_array_equal(c1, c2)
+
+
+HEADER2 = "x1_1,z1,a1,r1,x2_1,z2,a2,r2\n"
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("0.3,1,1,1.0,,-1,-1,0.0", r"^row 2: missing cell$"),
+    ("0.3,1,1,1.0,foo,-1,-1,0.0", r"^row 2: non-numeric cell .*'foo'"),
+    ("0.3,1,1,1.0,-0.2,0,-1,0.0", r"^row 2: stage 2 instrument not in \{-1,\+1\}: 0$"),
+    ("0.3,1,2,1.0,-0.2,-1,-1,0.0", r"^row 2: stage 1 action not in \{-1,\+1\}: 2$"),
+    ("0.3,1,1,1.0,-0.2,-1,-1", r"^row 2: expected 8 cells, got 7$"),
+])
+def test_rejected_cell_names_its_data_row(bad_row, message):
+    with pytest.raises(DataError, match=message):
+        loads_csv(HEADER2 + "0.3,1,1,1.0,-0.2,-1,-1,0.0\n" + bad_row + "\n")
+
+
+def test_blank_lines_skipped_and_pm1_spellings_accepted():
+    ds = loads_csv(HEADER2 + "\n0.3,1.0, -1,1.0,-0.2, -1,1.0,0.0\n\n")
+    assert ds.n == 1
+    np.testing.assert_array_equal(ds.z, [[1.0, -1.0]])
+    np.testing.assert_array_equal(ds.a, [[-1.0, 1.0]])
+    with pytest.raises(DataError, match="^row 2: missing cell$"):
+        loads_csv(HEADER2 + "\n0.3,1,1,1.0,,-1,-1,0.0\n")
 
 
 class TestHistoryAt:
+    """The stage-k history H_k, read through Dataset.histories on one-row datasets."""
+
     def test_definition_unrolled(self):
-        traj = make_trajectory()
-        np.testing.assert_allclose(history_at(traj, 2), [0.3, 1.0, 1.0, -0.2])
+        np.testing.assert_allclose(make_trajectory().histories(2), [[0.3, 1.0, 1.0, -0.2]])
 
     def test_stage_one_is_baseline_covariates(self):
-        np.testing.assert_allclose(history_at(make_trajectory(), 1), [0.3])
+        np.testing.assert_allclose(make_trajectory().histories(1), [[0.3]])
 
     def test_multi_covariate_stage_one(self):
-        traj = Trajectory(
-            stages=(
-                StageObservation(np.array([0.1, 0.7]), instrument=1, action=-1, reward=0.0),
-            )
-        )
-        np.testing.assert_allclose(history_at(traj, 1), [0.1, 0.7])
+        ds = one_row(covariates=[[0.1, 0.7]], actions=[-1], rewards=[0.0])
+        np.testing.assert_allclose(ds.histories(1), [[0.1, 0.7]])
 
     def test_out_of_range(self):
         with pytest.raises(DataError, match="out of range"):
-            history_at(make_trajectory(), 3)
+            make_trajectory().histories(3)
 
     @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=3),
            st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
     def test_prefix_extension(self, num_stages, dim, rnd):
         rng = np.random.default_rng(rnd.randint(0, 10**6))
-        stages = tuple(
-            StageObservation(
-                covariates=rng.normal(size=dim),
-                instrument=int(rng.choice([-1, 1])),
-                action=int(rng.choice([-1, 1])),
-                reward=float(rng.normal()),
-            )
-            for _ in range(num_stages)
+        ds = one_row(
+            covariates=[rng.normal(size=dim) for _ in range(num_stages)],
+            instruments=[int(rng.choice([-1, 1])) for _ in range(num_stages)],
+            actions=[int(rng.choice([-1, 1])) for _ in range(num_stages)],
+            rewards=[float(rng.normal()) for _ in range(num_stages)],
         )
-        traj = Trajectory(stages=stages)
         for k in range(2, num_stages + 1):
-            h_prev = history_at(traj, k - 1)
-            h = history_at(traj, k)
-            obs = traj.stages[k - 2]
+            h_prev = ds.histories(k - 1)[0]
+            h = ds.histories(k)[0]
             np.testing.assert_array_equal(h[: len(h_prev)], h_prev)
             np.testing.assert_allclose(
-                h[len(h_prev): len(h_prev) + 2], [obs.action, obs.reward]
+                h[len(h_prev): len(h_prev) + 2], [ds.a[0, k - 2], ds.r[0, k - 2]]
             )
 
 
 class TestDataset:
-    def test_mismatched_stage_count_rejected(self):
-        one = Trajectory(stages=(make_trajectory().stages[0],))
-        with pytest.raises(DataError):
-            Dataset(trajectories=(make_trajectory(), one), num_stages=2,
-                    covariate_dims=(1, 1))
+    def test_mismatched_row_count_rejected(self):
+        ds = loads_csv(TWO_STAGE_CSV)
+        with pytest.raises(DataError, match="share n rows"):
+            dataclasses.replace(ds, r=ds.r[:2])
+        with pytest.raises(DataError, match="share n rows"):
+            Dataset(covariates=(ds.covariates[0], ds.covariates[1][:2]), z=ds.z, a=ds.a, r=ds.r)
 
     def test_history_dim(self):
         ds = loads_csv(TWO_STAGE_CSV)

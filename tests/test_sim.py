@@ -1,5 +1,7 @@
 """Data-generating process marginals, exact evaluator, SRA baseline, cell runner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -138,18 +140,9 @@ class TestSraBaseline:
     def test_requires_treatment_variation(self):
         cfg = SimConfig(c1=4.0, xi=1.0)
         ds, _ = generate(cfg, 200, np.random.default_rng(8))
-        from ivdtr.data import Dataset, StageObservation, Trajectory
-
-        frozen = Dataset(
-            trajectories=tuple(
-                Trajectory(stages=(
-                    t.stages[0],
-                    StageObservation(t.stages[1].covariates, t.stages[1].instrument,
-                                     -1, t.stages[1].reward),
-                ))
-                for t in ds.trajectories
-            ),
-            num_stages=2, covariate_dims=ds.covariate_dims)
+        a = ds.a.copy()
+        a[:, 1] = -1
+        frozen = dataclasses.replace(ds, a=a)
         with pytest.raises(ValueError, match="no treatment variation"):
             fit_sra_baseline(frozen, depth=2)
 
