@@ -151,14 +151,6 @@ def parse_weight_spec(text: str, num_stages: int) -> WeightSpec:
 # ------------------------------ bounds ------------------------------
 
 
-def psi(nuisance: NuisanceSet, h: np.ndarray, a: int, z: int, C: float) -> float:
-    """C * P(A=-a|Z=z,h) + E[Y|h,z,a] * P(A=a|Z=z,h) at one history."""
-    H = np.atleast_2d(h)
-    p_a = nuisance.prob_a(H, a, z)
-    mu = nuisance.mu_val(H, z, a)
-    return float(C * (1.0 - p_a[0]) + mu[0] * p_a[0])
-
-
 def mp_bounds_matrix(
     nuisance: NuisanceSet,
     H: np.ndarray,
@@ -201,15 +193,15 @@ def mp_bounds_matrix(
     return lower, upper, n_repaired
 
 
-def mp_interval(
+def arm_intervals(
     nuisance: NuisanceSet,
-    h: np.ndarray,
-    a: int,
+    H: np.ndarray,
     tail: tuple[float, float],
-) -> Interval:
-    """Partial-identification interval for E[Y(a)|h] at one history."""
-    lower, upper, _ = mp_bounds_matrix(nuisance, np.atleast_2d(h), a, tail)
-    return Interval(lower=float(lower[0]), upper=float(upper[0]))
+) -> tuple[Interval, Interval, int]:
+    """Per-row intervals for actions +1 and -1, and the total repair count."""
+    low_p, up_p, rep_p = mp_bounds_matrix(nuisance, H, +1, tail)
+    low_n, up_n, rep_n = mp_bounds_matrix(nuisance, H, -1, tail)
+    return Interval(low_p, up_p), Interval(low_n, up_n), rep_p + rep_n
 
 
 def weighted_q(interval: Interval, lam: float):

@@ -171,12 +171,11 @@ def cmd_fit(config: dict) -> int:
     depth = int(config.get("depth", 2))
     m = int(config.get("crossfit", 0))
     seed = int(config.get("seed", 0))
-    clip = 1e-3
 
-    estimates, _ = backward_induct(dataset, bounds, lam, clip=clip)
+    estimates, _ = backward_induct(dataset, bounds, lam)
     _check_converged(config, estimates)
     if m >= 2:
-        policy = fit_ivoptimal_crossfit(dataset, bounds, lam, depth, m=m, seed=seed, clip=clip)
+        policy = fit_ivoptimal_crossfit(dataset, bounds, lam, depth, m=m, seed=seed)
     else:
         policy = project_policy(estimates, dataset, depth, lam=lam)
 
@@ -324,12 +323,12 @@ def cmd_evaluate(config: dict) -> int:
             c1=float(config.get("c1", 4.0)),
             xi=float(config.get("xi", 1.0)),
             seed=int(config.get("seed", 0)),
+            n_eval=int(config.get("n_eval", 100_000)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    n_eval = int(config.get("n_eval", 100_000))
     rng = np.random.default_rng(sim_config.seed)
-    report = true_value(policy, sim_config, n_eval, rng)
+    report = true_value(policy, sim_config, sim_config.n_eval, rng)
     _dump_json(
         {
             "raw_value": report.raw_value,

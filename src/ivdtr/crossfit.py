@@ -60,12 +60,11 @@ def crossfit_stage_contrasts(
 def ivoptimal_contrast_fitter(
     reward_bounds: RewardBounds,
     lam: WeightSpec,
-    clip: float = 1e-3,
 ) -> Callable[[Dataset], Callable[[int, np.ndarray], np.ndarray]]:
     """fit_fn running the full backward induction on the training subset."""
 
     def fit(train: Dataset):
-        estimates, _ = backward_induct(train, reward_bounds, lam, clip=clip)
+        estimates, _ = backward_induct(train, reward_bounds, lam)
 
         def evaluate(k: int, histories: np.ndarray) -> np.ndarray:
             return estimates[k - 1].evaluator.contrast(histories)
@@ -82,7 +81,6 @@ def fit_ivoptimal_crossfit(
     depth: int,
     m: int,
     seed: int,
-    clip: float = 1e-3,
 ) -> Dtr:
     """IV-optimal pipeline with cross-fitted classification weights.
 
@@ -97,7 +95,7 @@ def fit_ivoptimal_crossfit(
             f"cross-fitting with m={m} leaves batches below {MIN_BATCH_SIZE} samples"
         )
     cf = crossfit_stage_contrasts(
-        dataset, batches, ivoptimal_contrast_fitter(reward_bounds, lam, clip=clip)
+        dataset, batches, ivoptimal_contrast_fitter(reward_bounds, lam)
     )
     stages = tuple(
         fit_weighted_tree(dataset.histories(k), sign_with_tie(contrast), np.abs(contrast), depth)

@@ -6,8 +6,7 @@ weight into a scalar Q value, and records the contrast between the two
 actions. Step II projects each stage's sign-of-contrast rule onto depth-limited
 classification trees by weighted 0/1 loss.
 
-Sign ties resolve to +1; only a contrast_sign stage read from JSON may carry
-another tie sign.
+Sign ties resolve to +1.
 """
 
 from __future__ import annotations
@@ -17,25 +16,22 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import Interval, RewardBounds, WeightSpec, mp_bounds_matrix, weighted_q
+from .bounds import Interval, RewardBounds, WeightSpec, arm_intervals, weighted_q
 from .data import Dataset
 from .nuisance import (
-    ConstantModel,
-    LinearModel,
-    LogisticModel,
     NuisanceSet,
+    StageModels,
+    fit_stage_models,
     fit_stage_nuisance,
     is_binary_outcome,
 )
 
-DEFAULT_TIE_SIGN = 1
 MIN_LEAF_WEIGHT_FRACTION = 0.01
 
 
-def sign_with_tie(values: np.ndarray, tie_sign: int = DEFAULT_TIE_SIGN) -> np.ndarray:
-    """Elementwise sign in {-1,+1}; zeros map to tie_sign."""
-    out = np.where(values > 0, 1, -1)
-    return np.where(values == 0, tie_sign, out).astype(int)
+def sign_with_tie(values: np.ndarray) -> np.ndarray:
+    """Elementwise sign in {-1,+1}; zeros map to +1."""
+    return np.where(values >= 0, 1, -1).astype(int)
 
 
 # ------------------------- weighted classification tree -------------------------
@@ -201,9 +197,7 @@ class StageContrastEvaluator:
 
     def intervals(self, H: np.ndarray) -> tuple[Interval, Interval, int]:
         """Per-row intervals for actions +1 and -1, and the total repair count."""
-        low_p, up_p, rep_p = mp_bounds_matrix(self.nuisance, H, +1, self.tail)
-        low_n, up_n, rep_n = mp_bounds_matrix(self.nuisance, H, -1, self.tail)
-        return Interval(low_p, up_p), Interval(low_n, up_n), rep_p + rep_n
+        return arm_intervals(self.nuisance, H, self.tail)
 
     def contrast(self, H: np.ndarray) -> np.ndarray:
         plus, minus, _ = self.intervals(H)
@@ -213,10 +207,9 @@ class StageContrastEvaluator:
 @dataclass(frozen=True)
 class SignOfContrast:
     evaluator: StageContrastEvaluator
-    tie_sign: int = DEFAULT_TIE_SIGN
 
     def decide(self, H: np.ndarray) -> np.ndarray:
-        return sign_with_tie(self.evaluator.contrast(H), self.tie_sign)
+        return sign_with_tie(self.evaluator.contrast(H))
 
 
 PolicyStage = Union[TreeRule, ConstantRule, SignOfContrast]
@@ -248,11 +241,6 @@ class Dtr:
 
 def constant_dtr(label: int, num_stages: int, kind: str = "constant") -> Dtr:
     return Dtr(stages=tuple(ConstantRule(label) for _ in range(num_stages)), kind=kind)
-
-
-def evaluate_policy_stage(policy: PolicyStage, h: np.ndarray) -> int:
-    """Deterministic single-history evaluation of one stage rule."""
-    return int(policy.decide(np.atleast_2d(h))[0])
 
 
 # ------------------------------ Q-learning ------------------------------
@@ -296,21 +284,21 @@ def pseudo_outcomes(rewards_k: np.ndarray, next_values: np.ndarray) -> np.ndarra
 
 
 def fit_stage(
+    models: StageModels,
     histories: np.ndarray,
     z: np.ndarray,
     a: np.ndarray,
     outcomes: np.ndarray,
     tail_bounds: tuple[float, float],
     lambda_k: float,
-    clip: float = 1e-3,
     stage: int = 0,
 ) -> StageQEstimate:
-    """One stage of Step I: nuisance fit, intervals at +/-1, contrast, value."""
+    """One stage of Step I: outcome cells, intervals at +/-1, contrast, value."""
     tail = (float(tail_bounds[0]), float(tail_bounds[1]))
     outcomes = np.asarray(outcomes, dtype=float).ravel()
     nuisance = fit_stage_nuisance(
-        histories, z, a, outcomes, outcome_range=tail,
-        binary_outcome=is_binary_outcome(outcomes, tail), clip=clip,
+        models, histories, z, a, outcomes, outcome_range=tail,
+        binary_outcome=is_binary_outcome(outcomes, tail),
     )
     evaluator = StageContrastEvaluator(nuisance=nuisance, tail=tail, lam=float(lambda_k))
     plus, minus, n_repaired = evaluator.intervals(histories)
@@ -330,10 +318,15 @@ def backward_induct(
     dataset: Dataset,
     reward_bounds: RewardBounds,
     lam: WeightSpec,
-    clip: float = 1e-3,
+    models: Optional[Sequence[StageModels]] = None,
 ) -> tuple[list[StageQEstimate], Dtr]:
-    """Step I over k = K..1; returns stage estimates and the sign-rule policy."""
+    """Step I over k = K..1; returns stage estimates and the sign-rule policy.
+
+    models (entry k-1 for stage k) are fit from dataset when not given.
+    """
     reward_bounds.check(dataset)
+    if models is None:
+        models = fit_stage_models(dataset)
     K = dataset.num_stages
     estimates: list[Optional[StageQEstimate]] = [None] * K
     next_value: Optional[np.ndarray] = None
@@ -343,8 +336,8 @@ def backward_induct(
         tail = reward_bounds.tail(k)
         outcomes = np.clip(outcomes, tail[0], tail[1])
         est = fit_stage(
-            dataset.histories(k), dataset.instruments(k), dataset.actions(k),
-            outcomes, tail, lam.at(k), clip=clip, stage=k,
+            models[k - 1], dataset.histories(k), dataset.instruments(k), dataset.actions(k),
+            outcomes, tail, lam.at(k), stage=k,
         )
         estimates[k - 1] = est
         next_value = est.value
@@ -369,73 +362,6 @@ def project_policy(
 
 
 # ------------------------------ serialization ------------------------------
-
-
-def _model_to_json(model) -> dict:
-    if isinstance(model, LogisticModel):
-        return {
-            "kind": "logistic",
-            "intercept": model.intercept,
-            "coefficients": list(map(float, model.coefficients)),
-            "converged": bool(model.converged),
-        }
-    if isinstance(model, LinearModel):
-        return {
-            "kind": "linear",
-            "intercept": model.intercept,
-            "coefficients": list(map(float, model.coefficients)),
-        }
-    if isinstance(model, ConstantModel):
-        return {"kind": "constant", "value": model.value}
-    raise TypeError(f"cannot serialize model {type(model)!r}")
-
-
-def _model_from_json(doc: dict):
-    kind = doc["kind"]
-    if kind == "logistic":
-        return LogisticModel(
-            intercept=float(doc["intercept"]),
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-            converged=bool(doc.get("converged", True)),
-        )
-    if kind == "linear":
-        return LinearModel(
-            intercept=float(doc["intercept"]),
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-        )
-    if kind == "constant":
-        return ConstantModel(value=float(doc["value"]))
-    raise ValueError(f"unknown model kind '{kind}'")
-
-
-def _nuisance_to_json(ns: NuisanceSet) -> dict:
-    return {
-        "pz": _model_to_json(ns.pz),
-        "pa": {str(z): _model_to_json(m) for z, m in ns.pa.items()},
-        "mu": {f"{z},{a}": _model_to_json(m) for (z, a), m in ns.mu.items()},
-        "outcome_range": list(ns.outcome_range),
-        "binary_outcome": bool(ns.binary_outcome),
-        "clip": ns.clip,
-        "empty_cells": [list(c) if isinstance(c, tuple) else c for c in ns.empty_cells],
-    }
-
-
-def _nuisance_from_json(doc: dict) -> NuisanceSet:
-    empty = []
-    for cell in doc.get("empty_cells", []):
-        empty.append(tuple(cell) if isinstance(cell, list) else cell)
-    return NuisanceSet(
-        pz=_model_from_json(doc["pz"]),
-        pa={int(z): _model_from_json(m) for z, m in doc["pa"].items()},
-        mu={
-            tuple(int(v) for v in key.split(",")): _model_from_json(m)
-            for key, m in doc["mu"].items()
-        },
-        outcome_range=tuple(float(v) for v in doc["outcome_range"]),
-        binary_outcome=bool(doc["binary_outcome"]),
-        clip=float(doc["clip"]),
-        empty_cells=tuple(empty),
-    )
 
 
 def _tree_nodes_to_json(node, nodes: list) -> dict:
@@ -475,15 +401,6 @@ def _stage_to_json(stage: PolicyStage) -> dict:
             "max_depth": stage.max_depth,
             "degenerate": stage.degenerate,
         }
-    if isinstance(stage, SignOfContrast):
-        ev = stage.evaluator
-        return {
-            "type": "contrast_sign",
-            "lambda": ev.lam,
-            "tail": list(ev.tail),
-            "tie_sign": stage.tie_sign,
-            "nuisance": _nuisance_to_json(ev.nuisance),
-        }
     raise TypeError(f"cannot serialize stage {type(stage)!r}")
 
 
@@ -498,13 +415,6 @@ def _stage_from_json(doc: dict) -> PolicyStage:
             max_depth=int(doc["max_depth"]),
             degenerate=bool(doc.get("degenerate", False)),
         )
-    if kind == "contrast_sign":
-        evaluator = StageContrastEvaluator(
-            nuisance=_nuisance_from_json(doc["nuisance"]),
-            tail=tuple(float(v) for v in doc["tail"]),
-            lam=float(doc["lambda"]),
-        )
-        return SignOfContrast(evaluator=evaluator, tie_sign=int(doc.get("tie_sign", 1)))
     raise ValueError(f"unknown stage type '{kind}'")
 
 

@@ -21,29 +21,14 @@ which are bounded separately before the interval ends are combined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import Interval, RewardBounds, mp_bounds_matrix
+from .bounds import Interval, RewardBounds, arm_intervals
 from .data import Dataset
 from .dtr_core import Dtr, fit_weighted_tree
-from .nuisance import fit_mu_cells, fit_stage_nuisance, is_binary_outcome
-
-
-def improve_rule_single(L: float, U: float, baseline_action: int) -> int:
-    """Single-stage improved action from a contrast interval [L, U].
-
-    +1 when the interval is strictly positive, -1 when strictly negative,
-    the baseline action when the interval straddles zero.
-    """
-    if L > U:
-        raise ValueError(f"contrast interval [{L}, {U}] has L > U")
-    if L > 0:
-        return 1
-    if U < 0:
-        return -1
-    return int(baseline_action)
+from .nuisance import StageModels, fit_stage_models, fit_stage_nuisance, is_binary_outcome
 
 
 @dataclass(frozen=True)
@@ -68,12 +53,11 @@ class RelativeStageEstimate:
 def _arm_intervals(nuisance, H: np.ndarray, tail: tuple[float, float],
                    baseline_action: np.ndarray) -> tuple[Interval, Interval, int]:
     """Per-row intervals on the baseline arm a' and on the flipped arm -a'."""
-    low_p, up_p, rep_p = mp_bounds_matrix(nuisance, H, +1, tail)
-    low_n, up_n, rep_n = mp_bounds_matrix(nuisance, H, -1, tail)
+    (low_p, up_p), (low_n, up_n), n_rep = arm_intervals(nuisance, H, tail)
     on_pos = baseline_action == 1
     keep = Interval(np.where(on_pos, low_p, low_n), np.where(on_pos, up_p, up_n))
     flip = Interval(np.where(on_pos, low_n, low_p), np.where(on_pos, up_n, up_p))
-    return keep, flip, rep_p + rep_n
+    return keep, flip, n_rep
 
 
 def relative_contrast_pieces(
@@ -103,46 +87,16 @@ def relative_contrast_pieces(
     return flip_lower, keep_r.upper, keep_lower, contrast, n_rep
 
 
-def _contrast_at(h: np.ndarray, baseline_action: int, *nuisance_args) -> float:
-    pieces = relative_contrast_pieces(
-        np.atleast_2d(h), np.array([int(baseline_action)]), *nuisance_args)
-    return float(pieces[3][0])
-
-
-def relative_contrast_stage_K(nuisance, h: np.ndarray, baseline_action: int,
-                              tail: tuple[float, float]) -> float:
-    """Final-stage relative contrast at one history (flip-positive sign)."""
-    return _contrast_at(h, baseline_action, nuisance, tail)
-
-
-def relative_contrast_stage_k(
-    reward_nuisance,
-    sum_nuisance,
-    continuation_nuisance,
-    h: np.ndarray,
-    baseline_action: int,
-    reward_tail: tuple[float, float],
-    sum_tail: tuple[float, float],
-    continuation_tail: tuple[float, float],
-) -> float:
-    """Generic-stage relative contrast at one history (flip-positive sign).
-
-    With a zero continuation (continuation nuisance bounding the constant 0)
-    this reduces exactly to the final-stage formula.
-    """
-    return _contrast_at(h, baseline_action, reward_nuisance, reward_tail,
-                        (sum_nuisance, sum_tail, continuation_nuisance, continuation_tail))
-
-
 def relative_stage_estimates(
     dataset: Dataset,
     baseline: Dtr,
     reward_bounds: RewardBounds,
-    clip: float = 1e-3,
+    models: Optional[Sequence[StageModels]] = None,
 ) -> list[RelativeStageEstimate]:
     """Backward pass of the improvement operator over all stages.
 
-    Returns estimates indexed by stage (entry k-1 is stage k).
+    Returns estimates indexed by stage (entry k-1 is stage k). models (entry
+    k-1 for stage k) are fit from dataset when not given.
     """
     K = dataset.num_stages
     if baseline.num_stages != K:
@@ -150,6 +104,8 @@ def relative_stage_estimates(
             f"baseline has {baseline.num_stages} stages, dataset has {K}"
         )
     reward_bounds.check(dataset)
+    if models is None:
+        models = fit_stage_models(dataset)
 
     estimates: list[Optional[RelativeStageEstimate]] = [None] * K
     next_relative: Optional[np.ndarray] = None
@@ -162,8 +118,8 @@ def relative_stage_estimates(
         reward_tail = reward_bounds.stage(k)
         base_action = baseline.action_matrix(k, H)
         reward_ns = fit_stage_nuisance(
-            H, z, a, r, outcome_range=reward_tail,
-            binary_outcome=is_binary_outcome(r, reward_tail), clip=clip,
+            models[k - 1], H, z, a, r, outcome_range=reward_tail,
+            binary_outcome=is_binary_outcome(r, reward_tail),
         )
 
         continuation = None
@@ -174,10 +130,9 @@ def relative_stage_estimates(
             cont_y = np.clip(next_relative, cont_tail[0], cont_tail[1])
             sum_y = np.clip(r + cont_y, sum_tail[0], sum_tail[1])
 
-            cont_mu, cont_empty = fit_mu_cells(H, z, a, cont_y, cont_tail, binary_outcome=False)
-            sum_mu, sum_empty = fit_mu_cells(H, z, a, sum_y, sum_tail, binary_outcome=False)
-            continuation = (reward_ns.with_mu(sum_mu, sum_tail, False, sum_empty), sum_tail,
-                            reward_ns.with_mu(cont_mu, cont_tail, False, cont_empty), cont_tail)
+            cont_ns = fit_stage_nuisance(models[k - 1], H, z, a, cont_y, cont_tail, False)
+            sum_ns = fit_stage_nuisance(models[k - 1], H, z, a, sum_y, sum_tail, False)
+            continuation = (sum_ns, sum_tail, cont_ns, cont_tail)
 
         flip_lower, baseline_upper, keep_lower, contrast, n_rep = relative_contrast_pieces(
             H, base_action, reward_ns, reward_tail, continuation)
@@ -206,11 +161,11 @@ def fit_ivimproved(
     baseline: Dtr,
     reward_bounds: RewardBounds,
     depth: int,
-    clip: float = 1e-3,
     baseline_id: str = "baseline",
+    models: Optional[Sequence[StageModels]] = None,
 ) -> tuple[Dtr, list[RelativeStageEstimate]]:
     """Estimate the IV-improved policy over a baseline, projected onto trees."""
-    estimates = relative_stage_estimates(dataset, baseline, reward_bounds, clip=clip)
+    estimates = relative_stage_estimates(dataset, baseline, reward_bounds, models=models)
     stages = tuple(
         fit_weighted_tree(dataset.histories(est.stage), est.improved_action,
                           np.abs(est.contrast), depth)

@@ -12,7 +12,7 @@ ridge least squares with the penalty on slopes only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -141,13 +141,6 @@ def fit_logistic(
     return LogisticModel(intercept=float(theta[0]), coefficients=theta[1:], converged=converged)
 
 
-def predict_prob(model, h: np.ndarray, clip: float = DEFAULT_CLIP) -> float:
-    """Clipped probability prediction at a single history vector."""
-    if not 0.0 < clip < 0.5:
-        raise ValueError(f"clip must be in (0, 0.5), got {clip}")
-    return float(model.predict(np.atleast_2d(h), clip=clip)[0])
-
-
 def fit_linear(
     features: np.ndarray,
     targets: np.ndarray,
@@ -209,11 +202,37 @@ class NuisanceSet:
             pred = model.predict(H)
         return np.clip(pred, self.outcome_range[0], self.outcome_range[1])
 
-    def with_mu(self, mu: dict, outcome_range: tuple[float, float],
-                binary_outcome: bool, empty_cells: tuple = ()) -> "NuisanceSet":
-        """Same pz/pa fits, different outcome regressions."""
-        return replace(self, mu=mu, outcome_range=outcome_range,
-                       binary_outcome=binary_outcome, empty_cells=empty_cells)
+
+@dataclass(frozen=True)
+class StageModels:
+    """The instrument and treatment models of one stage: pz models P(Z=+1|H),
+    pa[z] models P(A=+1|H,Z=z). They depend on the data alone, so every
+    outcome vector bounded at the stage shares one fit."""
+
+    pz: object
+    pa: dict          # keys -1, +1
+    empty_cells: tuple
+    converged: bool
+
+
+def fit_stage_models(dataset) -> tuple[StageModels, ...]:
+    """Fit StageModels for every stage of a dataset; entry k-1 is stage k."""
+    out = []
+    for k in range(1, dataset.num_stages + 1):
+        H, z, a = dataset.histories(k), dataset.instruments(k), dataset.actions(k)
+        pz = fit_logistic(H, (z == 1.0).astype(float))
+        pa: dict = {}
+        empty: list = []
+        for z0 in (-1, 1):
+            rows = z == z0
+            if np.any(rows):
+                pa[z0] = fit_logistic(H[rows], (a[rows] == 1.0).astype(float))
+            else:
+                pa[z0] = ConstantModel(0.5)
+                empty.append(("pa", z0))
+        converged = all(getattr(m, "converged", True) for m in (pz, pa[1], pa[-1]))
+        out.append(StageModels(pz=pz, pa=pa, empty_cells=tuple(empty), converged=converged))
+    return tuple(out)
 
 
 def is_binary_outcome(y: np.ndarray, outcome_range: tuple[float, float]) -> bool:
@@ -247,58 +266,32 @@ def fit_mu_cells(
 
 
 def fit_stage_nuisance(
+    models: StageModels,
     histories: np.ndarray,
     z: np.ndarray,
     a: np.ndarray,
     y: np.ndarray,
     outcome_range: tuple[float, float],
     binary_outcome: bool,
-    clip: float = DEFAULT_CLIP,
 ) -> NuisanceSet:
-    """Fit all six conditional models for one stage.
+    """Outcome cells for y on top of one stage's instrument and treatment models.
 
     y must already lie inside outcome_range (up to 1e-9); callers clip
     pseudo-outcomes into their certified range before fitting.
     """
-    H = np.atleast_2d(np.asarray(histories, dtype=float))
-    z = np.asarray(z, dtype=float).ravel()
-    a = np.asarray(a, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    n = H.shape[0]
-    if n == 0:
-        raise ValueError("need at least one row")
-    if not (len(z) == len(a) == len(y) == n):
-        raise ValueError("histories, z, a, y must have equal length")
-    if not np.all(np.isin(z, (-1.0, 1.0))) or not np.all(np.isin(a, (-1.0, 1.0))):
-        raise ValueError("z and a must be +/-1")
     lo, hi = outcome_range
     if np.min(y) < lo - 1e-9 or np.max(y) > hi + 1e-9:
         raise ValueError(
             f"outcomes [{np.min(y)}, {np.max(y)}] outside declared range [{lo}, {hi}]"
         )
-
-    pz = fit_logistic(H, (z == 1.0).astype(float))
-    pa: dict = {}
-    empty: list = []
-    for z0 in (-1, 1):
-        rows = z == z0
-        if np.any(rows):
-            pa[z0] = fit_logistic(H[rows], (a[rows] == 1.0).astype(float))
-        else:
-            pa[z0] = ConstantModel(0.5)
-            empty.append(("pa", z0))
-    mu, mu_empty = fit_mu_cells(H, z, a, y, outcome_range, binary_outcome)
-    empty.extend(mu_empty)
-
-    models = [pz] + [pa[1], pa[-1]] + list(mu.values())
-    converged = all(getattr(m, "converged", True) for m in models)
+    mu, mu_empty = fit_mu_cells(histories, z, a, y, outcome_range, binary_outcome)
     return NuisanceSet(
-        pz=pz, pa=pa, mu=mu,
+        pz=models.pz, pa=models.pa, mu=mu,
         outcome_range=(float(lo), float(hi)),
         binary_outcome=binary_outcome,
-        clip=clip,
-        empty_cells=tuple(empty),
-        converged=converged,
+        empty_cells=models.empty_cells + mu_empty,
+        converged=models.converged and all(getattr(m, "converged", True) for m in mu.values()),
     )
 
 

@@ -30,7 +30,7 @@ from .crossfit import fit_ivoptimal_crossfit
 from .data import Dataset, dataset_from_arrays
 from .dtr_core import Dtr, backward_induct, constant_dtr, fit_weighted_tree, project_policy
 from .improve import fit_ivimproved
-from .nuisance import fit_linear, fit_logistic
+from .nuisance import DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models
 
 STD_BASELINE_RAW_VALUE = 1.0  # analytic: each stage reward is Bern(1/2) under all -1
 
@@ -53,7 +53,6 @@ class SimConfig:
     replications: int = 100
     n_eval: int = 100_000
     crossfit_m: int = 0
-    clip: float = 1e-3
     stage1_signal_threshold: float = 1.0
     threads: int = 1
 
@@ -62,6 +61,8 @@ class SimConfig:
             raise ValueError("c1 must be positive")
         if self.xi <= 0:
             raise ValueError("xi must be positive")
+        if self.n_eval < 1:
+            raise ValueError("n_eval must be >= 1")
 
 
 SIM_REWARD_BOUNDS = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
@@ -145,6 +146,8 @@ def true_value(
     else:
         x = np.asarray(x, dtype=float)
         n_eval = x.shape[0]
+    if n_eval < 1:
+        raise ValueError("n_eval must be >= 1")
     x1 = x[:, 0]
 
     a1 = policy.action_matrix(1, x).astype(float)
@@ -178,15 +181,15 @@ def true_value(
 # ------------------------------ SRA baseline ------------------------------
 
 
-def _aipw_contrast(H, a, y, mu_pos, mu_neg, prop_pos, clip):
+def _aipw_contrast(H, a, y, mu_pos, mu_neg, prop_pos):
     """Doubly robust per-sample contrast estimate, propensity clipped."""
     prop = np.where(a == 1.0, prop_pos, 1.0 - prop_pos)
-    prop = np.clip(prop, clip, 1.0)
+    prop = np.clip(prop, DEFAULT_CLIP, 1.0)
     mu_own = np.where(a == 1.0, mu_pos, mu_neg)
     return mu_pos - mu_neg + a * (y - mu_own) / prop
 
 
-def _dr_stage(h, a, y, fit_arm, predict_arm, depth, clip, stage):
+def _dr_stage(h, a, y, fit_arm, predict_arm, depth, stage):
     """One stage of doubly robust C-learning: per-arm outcome models, AIPW
     scores smoothed by a linear model, and a tree on the smoothed contrast.
 
@@ -197,13 +200,13 @@ def _dr_stage(h, a, y, fit_arm, predict_arm, depth, clip, stage):
     arm = {a0: fit_arm(h[a == a0], y[a == a0]) for a0 in (-1.0, 1.0)}
     prop = fit_logistic(h, (a == 1.0).astype(float))
     mu_pos, mu_neg = predict_arm(arm[1.0], h), predict_arm(arm[-1.0], h)
-    phi = _aipw_contrast(h, a, y, mu_pos, mu_neg, prop.predict(h, clip=clip), clip)
+    phi = _aipw_contrast(h, a, y, mu_pos, mu_neg, prop.predict(h))
     contrast = fit_linear(h, phi).predict(h)
     tree = fit_weighted_tree(h, np.where(contrast >= 0, 1, -1), np.abs(contrast), depth)
     return tree, mu_pos, mu_neg
 
 
-def fit_sra_baseline(dataset: Dataset, depth: int, clip: float = 1e-3) -> Dtr:
+def fit_sra_baseline(dataset: Dataset, depth: int) -> Dtr:
     """Backward doubly-robust C-learning that ignores the instrument.
 
     Stage outcome models are logistic for the binary stage-2 reward and linear
@@ -214,12 +217,12 @@ def fit_sra_baseline(dataset: Dataset, depth: int, clip: float = 1e-3) -> Dtr:
         raise ValueError("the SRA baseline fitter handles two-stage data")
     tree2, mu2_pos, mu2_neg = _dr_stage(
         dataset.histories(2), dataset.actions(2), dataset.rewards(2), fit_logistic,
-        lambda model, h: np.clip(model.predict(h, clip=clip), 0.0, 1.0), depth, clip, 2)
+        lambda model, h: np.clip(model.predict(h), 0.0, 1.0), depth, 2)
     # stage 1: pseudo-outcome r1 + max_a mu2(h2, a)
     tree1, _, _ = _dr_stage(
         dataset.histories(1), dataset.actions(1),
         dataset.rewards(1) + np.maximum(mu2_pos, mu2_neg), fit_linear,
-        lambda model, h: np.clip(model.predict(h), 0.0, 2.0), depth, clip, 1)
+        lambda model, h: np.clip(model.predict(h), 0.0, 2.0), depth, 1)
     return Dtr(stages=(tree1, tree2), kind="sra")
 
 
@@ -227,11 +230,13 @@ def fit_sra_baseline(dataset: Dataset, depth: int, clip: float = 1e-3) -> Dtr:
 
 
 def fit_all_regimes(dataset: Dataset, config: SimConfig) -> dict[str, Dtr]:
-    """Fit the nine regimes on one training set."""
+    """Fit the nine regimes on one training set; the full-sample ones share
+    one fit of each stage's instrument and treatment models."""
     regimes: dict[str, Dtr] = {}
     std = constant_dtr(-1, 2, kind="std")
     prosp = constant_dtr(1, 2, kind="prosp")
-    sra = fit_sra_baseline(dataset, config.depth, clip=config.clip)
+    sra = fit_sra_baseline(dataset, config.depth)
+    models = fit_stage_models(dataset)
     regimes["pi_b_std"] = std
     regimes["pi_b_prosp"] = prosp
     regimes["pi_b_sra"] = sra
@@ -242,7 +247,7 @@ def fit_all_regimes(dataset: Dataset, config: SimConfig) -> dict[str, Dtr]:
     ):
         improved, _ = fit_ivimproved(
             dataset, baseline, SIM_REWARD_BOUNDS, config.depth,
-            clip=config.clip, baseline_id=tag,
+            baseline_id=tag, models=models,
         )
         regimes[name] = improved
     for name, lam_value in (("pi_iv_1", 1.0), ("pi_iv_0", 0.0), ("pi_iv_half", 0.5)):
@@ -250,10 +255,10 @@ def fit_all_regimes(dataset: Dataset, config: SimConfig) -> dict[str, Dtr]:
         if config.crossfit_m >= 2:
             dtr = fit_ivoptimal_crossfit(
                 dataset, SIM_REWARD_BOUNDS, lam, config.depth,
-                m=config.crossfit_m, seed=config.seed, clip=config.clip,
+                m=config.crossfit_m, seed=config.seed,
             )
         else:
-            estimates, _ = backward_induct(dataset, SIM_REWARD_BOUNDS, lam, clip=config.clip)
+            estimates, _ = backward_induct(dataset, SIM_REWARD_BOUNDS, lam, models=models)
             dtr = project_policy(estimates, dataset, config.depth, lam=lam)
         regimes[name] = dtr
     return regimes

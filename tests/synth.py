@@ -2,8 +2,15 @@
 
 import numpy as np
 
+from ivdtr.bounds import Interval, mp_bounds_matrix
 from ivdtr.data import dataset_from_arrays
 from ivdtr.nuisance import synthetic_nuisance
+
+
+def interval_at(nuisance, h, a, tail):
+    """Interval for action a at one history: row 0 of the vectorized bounds."""
+    lower, upper, _ = mp_bounds_matrix(nuisance, np.atleast_2d(h), a, tail)
+    return Interval(float(lower[0]), float(upper[0]))
 
 
 def random_nuisance(rng, outcome_range=(0.0, 1.0)):

@@ -9,23 +9,28 @@ per session and are shared across criteria.
 import numpy as np
 import pytest
 from scipy.special import expit
-from synth import random_nuisance, random_single_stage_dataset, random_two_stage_dataset
+from synth import (
+    interval_at,
+    random_nuisance,
+    random_single_stage_dataset,
+    random_two_stage_dataset,
+)
 
-from ivdtr.bounds import Interval, RewardBounds, WeightSpec, mp_interval, weighted_q
+from ivdtr.bounds import Interval, RewardBounds, WeightSpec, weighted_q
 from ivdtr.crossfit import crossfit_stage_contrasts, ivoptimal_contrast_fitter
 from ivdtr.data import BatchAssignment, assign_batches
 from ivdtr.dtr_core import backward_induct, fit_weighted_tree, sign_with_tie, weighted_loss
-from ivdtr.improve import improve_rule_single, relative_contrast_stage_K, relative_contrast_stage_k
+from ivdtr.improve import relative_contrast_pieces
 from ivdtr.nuisance import (
     fit_linear,
     fit_logistic,
     loglik_gradient,
     penalized_loglik,
-    predict_prob,
     synthetic_nuisance,
 )
 from ivdtr.sim import REGIMES, SimConfig, generate, run_cell, true_value
 from test_dtr_core import oracle_best_loss, staircase_instance
+from test_improve import improve_rule_single
 from test_nuisance import ridge_normal_equation_oracle
 
 BOUNDS1 = RewardBounds(lows=(0.0,), highs=(1.0,))
@@ -127,7 +132,7 @@ def test_criterion_4_bound_property_suite():
     ns = synthetic_nuisance(0.5, {-1: 0.2, 1: 0.8},
                             {(-1, 1): 0.6, (1, 1): 0.7, (-1, -1): 0.5, (1, -1): 0.5},
                             (0.0, 1.0))
-    hand = mp_interval(ns, np.zeros(1), 1, (0.0, 1.0))
+    hand = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
     checks.append(("hand-derived example equals (0.34, 0.76) to 1e-12",
                    abs(hand.lower - 0.34) < 1e-12 and abs(hand.upper - 0.76) < 1e-12))
     lo, hi = oracle_interval(0.5, {-1: 0.2, 1: 0.8},
@@ -139,7 +144,7 @@ def test_criterion_4_bound_property_suite():
     for _ in range(1000):
         ns = random_nuisance(rng)
         a = int(rng.choice([-1, 1]))
-        interval = mp_interval(ns, np.zeros(1), a, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), a, (0.0, 1.0))
         validity &= 0.0 <= interval.lower <= interval.upper <= 1.0
 
         lam = float(rng.uniform())
@@ -158,7 +163,7 @@ def test_criterion_4_bound_property_suite():
         # property of the raw formula, so compare only uncrossed configurations
         if raw_in[0] <= raw_in[1] and raw_out[0] <= raw_out[1]:
             wide_ns = synthetic_nuisance(pz, pa, mu_cells, (-widen, 1.0 + widen))
-            outer = mp_interval(wide_ns, np.zeros(1), a, (-widen, 1.0 + widen))
+            outer = interval_at(wide_ns, np.zeros(1), a, (-widen, 1.0 + widen))
             monotone &= outer.lower <= interval.lower + 1e-12
             monotone &= outer.upper >= interval.upper - 1e-12
 
@@ -167,7 +172,7 @@ def test_criterion_4_bound_property_suite():
         tight = synthetic_nuisance(
             float(rng.uniform(0.05, 0.95)), {-1: 1.0 - clip, 1: 1.0 - clip},
             {(z, aa): mu_val for z in (-1, 1) for aa in (-1, 1)}, (0.0, 1.0))
-        collapsed = mp_interval(tight, np.zeros(1), 1, (0.0, 1.0))
+        collapsed = interval_at(tight, np.zeros(1), 1, (0.0, 1.0))
         collapse &= (collapsed.upper - collapsed.lower) <= 2 * clip * 1.0 + 1e-12
 
     checks.append(("interval validity on 1000 random configurations", validity))
@@ -191,8 +196,8 @@ def test_criterion_5_closed_form_reductions():
         H = ds.histories(1)
         rule_actions = q_rule.action_matrix(1, H)
         for i in range(ds.n):
-            plus = mp_interval(ns, H[i], +1, (0.0, 1.0))
-            minus = mp_interval(ns, H[i], -1, (0.0, 1.0))
+            plus = interval_at(ns, H[i], +1, (0.0, 1.0))
+            minus = interval_at(ns, H[i], -1, (0.0, 1.0))
             direct = sign_with_tie(
                 np.array([weighted_q(plus, 0.5) - weighted_q(minus, 0.5)]))[0]
             agree &= direct == rule_actions[i]
@@ -205,12 +210,13 @@ def test_criterion_5_closed_form_reductions():
     triples = 0
     for _ in range(250):
         ns = random_nuisance(rng)
-        plus = mp_interval(ns, np.zeros(1), +1, (0.0, 1.0))
-        minus = mp_interval(ns, np.zeros(1), -1, (0.0, 1.0))
+        plus = interval_at(ns, np.zeros(1), +1, (0.0, 1.0))
+        minus = interval_at(ns, np.zeros(1), -1, (0.0, 1.0))
         L = plus.lower - minus.upper
         U = plus.upper - minus.lower
         for b in (-1, 1):
-            contrast = relative_contrast_stage_K(ns, np.zeros(1), b, (0.0, 1.0))
+            contrast = relative_contrast_pieces(
+                np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0))[3][0]
             action = -b if contrast > 0 else b
             prop_agree &= action == improve_rule_single(L, U, b)
             triples += 1
@@ -225,11 +231,11 @@ def test_criterion_5_closed_form_reductions():
     for _ in range(500):
         ns = random_nuisance(rng)
         b = int(rng.choice([-1, 1]))
-        generic = relative_contrast_stage_k(
-            ns, ns, zero, np.zeros(1), b,
-            reward_tail=(0.0, 1.0), sum_tail=(0.0, 1.0), continuation_tail=(0.0, 0.0))
-        terminal &= abs(generic - relative_contrast_stage_K(
-            ns, np.zeros(1), b, (0.0, 1.0))) < 1e-12
+        generic = relative_contrast_pieces(
+            np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0),
+            (ns, (0.0, 1.0), zero, (0.0, 0.0)))[3][0]
+        terminal &= abs(generic - relative_contrast_pieces(
+            np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0))[3][0]) < 1e-12
     checks.append(("zero-continuation reduction exact to 1e-12", terminal))
     report_criterion(5, checks)
 
@@ -252,8 +258,8 @@ def test_criterion_6_oracle_equivalences():
     labels = np.concatenate([np.repeat([0.0, 1.0], [45, 15]),
                              np.repeat([0.0, 1.0], [15, 45])])
     model = fit_logistic(features, labels)
-    p0 = predict_prob(model, np.array([0.0]), clip=1e-9)
-    p1 = predict_prob(model, np.array([1.0]), clip=1e-9)
+    p0 = model.predict(np.array([[0.0]]), clip=1e-9)[0]
+    p1 = model.predict(np.array([[1.0]]), clip=1e-9)[0]
     checks.append(("saturated logistic matches closed form to 1e-6",
                    abs(p0 - 0.25) < 1e-6 and abs(p1 - 0.75) < 1e-6))
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from synth import interval_at
 
 from ivdtr.bounds import (
     Interval,
     RewardBounds,
     WeightSpec,
-    mp_interval,
+    mp_bounds_matrix,
     parse_weight_spec,
-    psi,
     weighted_q,
 )
 from ivdtr.nuisance import synthetic_nuisance
@@ -47,27 +47,38 @@ HAND_EXAMPLE = dict(
 )
 
 
+def psi_ends(ns, c_low, c_high):
+    """(psi(C_low), psi(C_high)) for action +1 from the vectorized bounds.
+
+    With P(A|Z) and E[Y|Z,A] equal in both instrument arms, psi does not
+    depend on z, so the interval ends are exactly psi at C_low and C_high.
+    """
+    lower, upper, _ = mp_bounds_matrix(ns, np.zeros((1, 1)), 1, (c_low, c_high))
+    return lower[0], upper[0]
+
+
 class TestPsi:
     def test_perfect_compliance_collapses(self):
         ns = make_nuisance(0.5, {-1: 1.0, 1: 1.0}, {(z, a): 0.7 for z in (-1, 1) for a in (-1, 1)})
-        for C in (0.0, 0.5, 1.0):
-            assert psi(ns, np.zeros(1), 1, 1, C) == pytest.approx(0.7)
+        for C in (0.0, 0.5):
+            assert psi_ends(ns, C, 1.0)[0] == pytest.approx(0.7)
+        assert psi_ends(ns, 0.0, 1.0)[1] == pytest.approx(0.7)
 
     def test_fully_counterfactual(self):
         ns = make_nuisance(0.5, {-1: 0.0, 1: 0.0}, {(z, a): 0.7 for z in (-1, 1) for a in (-1, 1)})
-        assert psi(ns, np.zeros(1), 1, 1, 0.25) == pytest.approx(0.25)
+        assert psi_ends(ns, 0.25, 1.0)[0] == pytest.approx(0.25)
 
     def test_direct_evaluation(self):
         ns = make_nuisance(0.5, {-1: 0.8, 1: 0.8}, {(z, a): 0.7 for z in (-1, 1) for a in (-1, 1)})
-        assert psi(ns, np.zeros(1), 1, 1, 0.0) == pytest.approx(0.56, abs=1e-12)
-        assert psi(ns, np.zeros(1), 1, 1, 1.0) == pytest.approx(0.76, abs=1e-12)
+        assert psi_ends(ns, 0.0, 1.0)[0] == pytest.approx(0.56, abs=1e-12)
+        assert psi_ends(ns, 0.0, 1.0)[1] == pytest.approx(0.76, abs=1e-12)
 
 
 class TestMpInterval:
     def test_hand_derived_example(self):
         # independent-oracle value computed from the displayed formulas
         ns = make_nuisance(**HAND_EXAMPLE)
-        interval = mp_interval(ns, np.zeros(1), 1, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
         assert interval.lower == pytest.approx(0.34, abs=1e-12)
         assert interval.upper == pytest.approx(0.76, abs=1e-12)
         lo, hi = oracle_bounds(0.5, HAND_EXAMPLE["pa_pos"], HAND_EXAMPLE["mu"], 1, 0.0, 1.0)
@@ -77,21 +88,21 @@ class TestMpInterval:
     def test_perfect_compliance_point_identifies(self):
         mu = {(z, a): 0.42 for z in (-1, 1) for a in (-1, 1)}
         ns = make_nuisance(0.5, {-1: 1.0, 1: 1.0}, mu)
-        interval = mp_interval(ns, np.zeros(1), 1, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
         assert interval.lower == pytest.approx(0.42)
         assert interval.upper == pytest.approx(0.42)
 
     def test_vacuous_when_action_never_seen(self):
         mu = {(z, a): 0.9 for z in (-1, 1) for a in (-1, 1)}
         ns = make_nuisance(0.5, {-1: 0.0, 1: 0.0}, mu)
-        interval = mp_interval(ns, np.zeros(1), 1, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
         assert interval == Interval(0.0, 1.0)
 
     def test_crossed_interval_is_repaired(self):
         # contradictory z arms under near-perfect compliance force a crossing
         mu = {(-1, 1): 0.9, (1, 1): 0.1, (-1, -1): 0.5, (1, -1): 0.5}
         ns = make_nuisance(0.5, {-1: 1.0, 1: 1.0}, mu)
-        interval = mp_interval(ns, np.zeros(1), 1, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
         assert interval.lower <= interval.upper
         assert interval.lower == pytest.approx(interval.upper)  # collapsed to midpoint
 
@@ -108,7 +119,7 @@ class TestMpInterval:
         pa = {-1: pa_neg, 1: pa_pos}
         mu = {(-1, a): mu_neg, (1, a): mu_pos, (-1, -a): 0.5, (1, -a): 0.5}
         ns = make_nuisance(pz, pa, mu)
-        interval = mp_interval(ns, np.zeros(1), a, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), a, (0.0, 1.0))
         lo, hi = oracle_bounds(pz, pa, mu, a, 0.0, 1.0)
         # oracle ends may cross; the implementation repairs but must agree otherwise
         lo_c, hi_c = np.clip(lo, 0, 1), np.clip(hi, 0, 1)
@@ -131,10 +142,10 @@ class TestMpInterval:
         # widening [C_low, C_high] never shrinks the interval
         mu = {(z, a): mu_val for z in (-1, 1) for a in (-1, 1)}
         ns = make_nuisance(pz, {-1: pa_neg, 1: pa_pos}, mu)
-        inner = mp_interval(ns, np.zeros(1), 1, (0.0, 1.0))
+        inner = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
         wide_ns = make_nuisance(pz, {-1: pa_neg, 1: pa_pos}, mu,
                                 outcome_range=(-widen, 1.0 + widen))
-        outer = mp_interval(wide_ns, np.zeros(1), 1, (-widen, 1.0 + widen))
+        outer = interval_at(wide_ns, np.zeros(1), 1, (-widen, 1.0 + widen))
         assert outer.lower <= inner.lower + 1e-12
         assert outer.upper >= inner.upper - 1e-12
 

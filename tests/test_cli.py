@@ -41,6 +41,20 @@ BOUNDS_DOC = [[0.0, 1.0], [0.0, 1.0]]
 REPO = Path(__file__).resolve().parent.parent
 
 
+def write_contrast_sign_policy(path):
+    """A two-stage policy file whose stages are sign-of-contrast rules with
+    their conditional models written out; policy files hold trees and
+    constants only, so this format is no longer read."""
+    const = {"kind": "constant", "value": 0.5}
+    stage = {"type": "contrast_sign", "lambda": 0.5, "tail": [0.0, 1.0], "tie_sign": 1,
+             "nuisance": {"pz": const, "pa": {"-1": const, "1": const},
+                          "mu": {f"{z},{a}": const for z in (-1, 1) for a in (-1, 1)},
+                          "outcome_range": [0.0, 1.0], "binary_outcome": False,
+                          "clip": 0.001, "empty_cells": []}}
+    path.write_text(json.dumps({"kind": "iv_optimal", "lambda": 0.5, "stages": [stage, stage]}))
+    return path
+
+
 class TestFit:
     def test_writes_depth_limited_trees(self, tmp_path, sim_csv):
         out = tmp_path / "policy.json"
@@ -286,6 +300,31 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "fit", boom)
         assert run(["fit"]) == 3
         assert read_error(capsys)["code"] == 3
+
+    def test_contrast_sign_policy_file_is_malformed(self, tmp_path, sim_csv, capsys):
+        policy = write_contrast_sign_policy(tmp_path / "sign.json")
+        out = tmp_path / "out.json"
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "out": str(out),
+        })
+        assert run(["improve", "--config", str(config), "--baseline", str(policy)]) == 2
+        assert "malformed baseline policy JSON" in read_error(capsys)["error"]
+        assert run(["evaluate", "--policy", str(policy), "--out", str(out)]) == 2
+        assert "malformed policy JSON" in read_error(capsys)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("evaluate", {"policy": "std", "n_eval": 0}),
+        ("simulate", {"replications": 1, "n_train": 200, "n_eval": 0}),
+    ])
+    def test_zero_n_eval_exits_2_without_nan(self, tmp_path, capsys, command, doc):
+        out = tmp_path / "out.json"
+        config = write_config(tmp_path, "cfg.json", {**doc, "out": str(out)})
+        assert run([command, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert "n_eval must be >= 1" in json.loads(captured.err)["error"]
+        assert "NaN" not in captured.out
+        assert not out.exists()
 
     def test_missing_data_file(self, tmp_path, capsys):
         config = write_config(tmp_path, "cfg.json", {

@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from synth import interval_at
 
-from ivdtr.bounds import RewardBounds, WeightSpec, mp_interval, weighted_q
+from ivdtr.bounds import RewardBounds, WeightSpec, weighted_q
 from ivdtr.data import dataset_from_arrays
 from ivdtr.dtr_core import (
     ConstantRule,
@@ -19,14 +20,13 @@ from ivdtr.dtr_core import (
     constant_dtr,
     dtr_from_json,
     dtr_to_json,
-    evaluate_policy_stage,
     fit_weighted_tree,
     project_policy,
     pseudo_outcomes,
     sign_with_tie,
     weighted_loss,
 )
-from ivdtr.nuisance import synthetic_nuisance
+from ivdtr.nuisance import fit_stage_models, synthetic_nuisance
 
 
 # --------------------------- exhaustive tree oracle ---------------------------
@@ -173,25 +173,23 @@ class TestFitWeightedTree:
 
 class TestPolicyStages:
     def test_constant_rule(self):
-        assert evaluate_policy_stage(ConstantRule(-1), np.array([3.0, 4.0])) == -1
+        assert ConstantRule(-1).decide(np.array([3.0, 4.0]))[0] == -1
 
     def test_tree_rule_example(self):
         tree = TreeRule(root=TreeNode(feature=0, threshold=0.5,
                                       left=Leaf(-1), right=Leaf(1)), max_depth=1)
-        assert evaluate_policy_stage(tree, np.array([0.7, 0.0])) == 1
-        assert evaluate_policy_stage(tree, np.array([0.2, 0.0])) == -1
+        assert tree.decide(np.array([0.7, 0.0]))[0] == 1
+        assert tree.decide(np.array([0.2, 0.0]))[0] == -1
 
     def test_sign_of_contrast_tie_is_positive(self):
         mu = {(z, a): 0.5 for z in (-1, 1) for a in (-1, 1)}
         ns = synthetic_nuisance(0.5, {-1: 0.5, 1: 0.5}, mu, (0.0, 1.0))
         stage = SignOfContrast(StageContrastEvaluator(ns, (0.0, 1.0), 0.5))
-        assert evaluate_policy_stage(stage, np.zeros(2)) == 1
+        assert stage.decide(np.zeros(2))[0] == 1
 
     def test_sign_with_tie(self):
         np.testing.assert_array_equal(
             sign_with_tie(np.array([-0.5, 0.0, 2.0])), [-1, 1, 1])
-        np.testing.assert_array_equal(
-            sign_with_tie(np.array([0.0]), tie_sign=-1), [-1])
 
 
 class TestPseudoOutcomes:
@@ -290,10 +288,20 @@ class TestBackwardInduct:
         H = k1.histories(1)
         # decision-for-decision equal to the min-max rule from the same intervals
         for i in range(k1.n):
-            plus = mp_interval(est.nuisance, H[i], +1, (0.0, 1.0))
-            minus = mp_interval(est.nuisance, H[i], -1, (0.0, 1.0))
+            plus = interval_at(est.nuisance, H[i], +1, (0.0, 1.0))
+            minus = interval_at(est.nuisance, H[i], -1, (0.0, 1.0))
             direct = weighted_q(plus, 0.5) - weighted_q(minus, 0.5)
             assert sign_with_tie(np.array([direct]))[0] == est.action[i]
+
+    def test_shared_stage_models_give_identical_estimates(self):
+        ds = simulate_two_stage(seed=8)
+        own, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
+        shared, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax(),
+                                    models=fit_stage_models(ds))
+        for a, b in zip(own, shared):
+            np.testing.assert_array_equal(a.contrast, b.contrast)
+            np.testing.assert_array_equal(a.lower_pos, b.lower_pos)
+            np.testing.assert_array_equal(a.upper_neg, b.upper_neg)
 
     def test_reward_outside_bounds_rejected(self):
         ds = simulate_two_stage(seed=9)
@@ -328,8 +336,8 @@ class TestBackwardInduct:
         mu_pos, mu_neg = 0.65, 0.35
         mu = {(1, 1): mu_pos, (-1, 1): mu_pos, (1, -1): mu_neg, (-1, -1): mu_neg}
         ns = synthetic_nuisance(0.5, {-1: 0.0, 1: 1.0}, mu, (0.0, 1.0))
-        plus = mp_interval(ns, np.zeros(1), +1, (0.0, 1.0))
-        minus = mp_interval(ns, np.zeros(1), -1, (0.0, 1.0))
+        plus = interval_at(ns, np.zeros(1), +1, (0.0, 1.0))
+        minus = interval_at(ns, np.zeros(1), -1, (0.0, 1.0))
         contrast = weighted_q(plus, 0.5) - weighted_q(minus, 0.5)
         assert contrast == pytest.approx(0.75 * (mu_pos - mu_neg) - 0.25, abs=1e-12)
 
@@ -385,19 +393,16 @@ class TestSerialization:
         np.testing.assert_array_equal(back.action_matrix(2, H),
                                       dtr.action_matrix(2, H))
 
-    def test_contrast_sign_roundtrip_lossless(self):
+    def test_sign_rule_is_not_serialized(self):
+        # the sign rule holds fitted models; only trees and constants are files
         ds = simulate_two_stage(seed=17)
         _, q_rule = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
-        doc = json.loads(json.dumps(dtr_to_json(q_rule)))
-        back = dtr_from_json(doc)
-        for k in (1, 2):
-            H = ds.histories(k)
-            np.testing.assert_array_equal(back.action_matrix(k, H),
-                                          q_rule.action_matrix(k, H))
-            np.testing.assert_allclose(
-                back.stages[k - 1].evaluator.contrast(H),
-                q_rule.stages[k - 1].evaluator.contrast(H),
-                rtol=0, atol=0)
+        with pytest.raises(TypeError, match="cannot serialize stage"):
+            dtr_to_json(q_rule)
+        doc = {"kind": "iv_optimal", "lambda": 0.5,
+               "stages": [{"type": "contrast_sign"}, {"type": "constant", "label": 1}]}
+        with pytest.raises(ValueError, match="unknown stage type 'contrast_sign'"):
+            dtr_from_json(doc)
 
     def test_constant_dtr_kind(self):
         dtr = constant_dtr(-1, 2, kind="std")

@@ -2,22 +2,33 @@
 
 import numpy as np
 import pytest
-from synth import random_nuisance, random_two_stage_dataset
+from synth import interval_at, random_nuisance, random_two_stage_dataset
 
-from ivdtr.bounds import RewardBounds, WeightSpec, mp_interval
+from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.data import dataset_from_arrays
 from ivdtr.dtr_core import Leaf, backward_induct, constant_dtr
-from ivdtr.improve import (
-    fit_ivimproved,
-    improve_rule_single,
-    relative_contrast_stage_K,
-    relative_contrast_stage_k,
-    relative_stage_estimates,
-)
+from ivdtr.improve import fit_ivimproved, relative_contrast_pieces, relative_stage_estimates
 from ivdtr.nuisance import synthetic_nuisance
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
 BOUNDS1 = RewardBounds(lows=(0.0,), highs=(1.0,))
+ONE_ROW = np.zeros((1, 1))
+
+
+def improve_rule_single(L: float, U: float, baseline_action: int) -> int:
+    """Independent reference: the single-stage improved action from a
+    contrast interval [L, U].
+
+    +1 when the interval is strictly positive, -1 when strictly negative,
+    the baseline action when the interval straddles zero.
+    """
+    if L > U:
+        raise ValueError(f"contrast interval [{L}, {U}] has L > U")
+    if L > 0:
+        return 1
+    if U < 0:
+        return -1
+    return int(baseline_action)
 
 
 class TestImproveRuleSingle:
@@ -48,9 +59,9 @@ class TestRelativeContrastStageK:
             ns = random_nuisance(rng)
             h = np.zeros(1)
             for a_base in (-1, 1):
-                got = relative_contrast_stage_K(ns, h, a_base, (0.0, 1.0))
-                flip = mp_interval(ns, h, -a_base, (0.0, 1.0))
-                base = mp_interval(ns, h, a_base, (0.0, 1.0))
+                got = relative_contrast_pieces(ONE_ROW, np.array([a_base]), ns, (0.0, 1.0))[3][0]
+                flip = interval_at(ns, h, -a_base, (0.0, 1.0))
+                base = interval_at(ns, h, a_base, (0.0, 1.0))
                 assert got == pytest.approx(flip.lower - base.upper, abs=1e-12)
 
     def test_positive_contrast_means_flip_is_safe(self):
@@ -62,18 +73,18 @@ class TestRelativeContrastStageK:
             mu_by_cell={(1, 1): 0.9, (-1, 1): 1.0, (1, -1): 0.2, (-1, -1): 0.2},
             outcome_range=(0.0, 1.0),
         )
-        flip = mp_interval(ns, np.zeros(1), +1, (0.0, 1.0))
+        flip = interval_at(ns, np.zeros(1), +1, (0.0, 1.0))
         assert (flip.lower, flip.upper) == pytest.approx((0.7, 0.9), abs=1e-12)
-        base = mp_interval(ns, np.zeros(1), -1, (0.0, 1.0))
-        got = relative_contrast_stage_K(ns, np.zeros(1), -1, (0.0, 1.0))
+        base = interval_at(ns, np.zeros(1), -1, (0.0, 1.0))
+        got = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns, (0.0, 1.0))[3][0]
         assert got == pytest.approx(flip.lower - base.upper, abs=1e-12)
 
     def test_identical_arms_keep_baseline(self):
         ns = synthetic_nuisance(
             0.5, {-1: 0.5, 1: 0.5},
             {(z, a): 0.6 for z in (-1, 1) for a in (-1, 1)}, (0.0, 1.0))
-        contrast = relative_contrast_stage_K(ns, np.zeros(1), 1, (0.0, 1.0))
-        arm = mp_interval(ns, np.zeros(1), 1, (0.0, 1.0))
+        contrast = relative_contrast_pieces(ONE_ROW, np.array([1]), ns, (0.0, 1.0))[3][0]
+        arm = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
         assert contrast == pytest.approx(arm.lower - arm.upper, abs=1e-12)
         assert contrast < 0
 
@@ -83,9 +94,9 @@ class TestRelativeContrastStageK:
         ns = synthetic_nuisance(
             0.5, {-1: 0.0, 1: 1.0},
             {(1, 1): 1.0, (-1, 1): 0.0, (-1, -1): 0.0, (1, -1): 0.0}, (0.0, 1.0))
-        assert mp_interval(ns, np.zeros(1), +1, (0.0, 1.0)) == pytest.approx((0.5, 1.0))
-        assert mp_interval(ns, np.zeros(1), -1, (0.0, 1.0)) == pytest.approx((0.0, 0.5))
-        contrast = relative_contrast_stage_K(ns, np.zeros(1), -1, (0.0, 1.0))
+        assert interval_at(ns, np.zeros(1), +1, (0.0, 1.0)) == pytest.approx((0.5, 1.0))
+        assert interval_at(ns, np.zeros(1), -1, (0.0, 1.0)) == pytest.approx((0.0, 0.5))
+        contrast = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns, (0.0, 1.0))[3][0]
         assert contrast == pytest.approx(0.0, abs=1e-12)
         # tie -> keep: a strictly positive contrast is required for a flip
         assert not contrast > 0
@@ -100,11 +111,11 @@ class TestRelativeContrastStagek:
         for _ in range(100):
             ns = random_nuisance(rng)
             for a_base in (-1, 1):
-                generic = relative_contrast_stage_k(
-                    ns, ns, zero, np.zeros(1), a_base,
-                    reward_tail=(0.0, 1.0), sum_tail=(0.0, 1.0),
-                    continuation_tail=(0.0, 0.0))
-                terminal = relative_contrast_stage_K(ns, np.zeros(1), a_base, (0.0, 1.0))
+                generic = relative_contrast_pieces(
+                    ONE_ROW, np.array([a_base]), ns, (0.0, 1.0),
+                    (ns, (0.0, 1.0), zero, (0.0, 0.0)))[3][0]
+                terminal = relative_contrast_pieces(
+                    ONE_ROW, np.array([a_base]), ns, (0.0, 1.0))[3][0]
                 assert generic == pytest.approx(terminal, abs=1e-12)
 
     def test_constant_rewards_keep_baseline(self):
@@ -116,10 +127,9 @@ class TestRelativeContrastStagek:
             0.5, {-1: 0.5, 1: 0.5},
             {(z, a): 0.0 for z in (-1, 1) for a in (-1, 1)}, (0.0, 0.0))
         for a_base in (-1, 1):
-            c = relative_contrast_stage_k(
-                ns, ns, zero, np.zeros(1), a_base,
-                reward_tail=(0.0, 1.0), sum_tail=(0.0, 1.0),
-                continuation_tail=(0.0, 0.0))
+            c = relative_contrast_pieces(
+                ONE_ROW, np.array([a_base]), ns, (0.0, 1.0),
+                (ns, (0.0, 1.0), zero, (0.0, 0.0)))[3][0]
             assert c <= 0.0
 
 
@@ -131,12 +141,12 @@ class TestSingleStageAgreement:
         for _ in range(200):
             ns = random_nuisance(rng)
             h = np.zeros(1)
-            plus = mp_interval(ns, h, +1, (0.0, 1.0))
-            minus = mp_interval(ns, h, -1, (0.0, 1.0))
+            plus = interval_at(ns, h, +1, (0.0, 1.0))
+            minus = interval_at(ns, h, -1, (0.0, 1.0))
             L = plus.lower - minus.upper
             U = plus.upper - minus.lower
             for b in (-1, 1):
-                contrast = relative_contrast_stage_K(ns, h, b, (0.0, 1.0))
+                contrast = relative_contrast_pieces(ONE_ROW, np.array([b]), ns, (0.0, 1.0))[3][0]
                 action = -b if contrast > 0 else b
                 assert action == improve_rule_single(L, U, b)
 
@@ -153,8 +163,8 @@ class TestSingleStageAgreement:
             nuisance_fit, _ = backward_induct(ds, BOUNDS1, WeightSpec.minmax())
             ns = nuisance_fit[0].nuisance
             for i in range(ds.n):
-                plus = mp_interval(ns, H[i], +1, (0.0, 1.0))
-                minus = mp_interval(ns, H[i], -1, (0.0, 1.0))
+                plus = interval_at(ns, H[i], +1, (0.0, 1.0))
+                minus = interval_at(ns, H[i], -1, (0.0, 1.0))
                 L = plus.lower - minus.upper
                 U = plus.upper - minus.lower
                 assert est.improved_action[i] == improve_rule_single(L, U, b)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from ivdtr.data import dataset_from_arrays
 from ivdtr.nuisance import (
     RIDGE,
     ConstantModel,
     fit_linear,
     fit_logistic,
+    fit_stage_models,
     fit_stage_nuisance,
     loglik_gradient,
     penalized_loglik,
-    predict_prob,
 )
 
 
@@ -41,7 +42,7 @@ class TestFitLogistic:
         labels = np.array([0.0, 1.0] * 20)
         model = fit_logistic(features, labels)
         assert abs(model.intercept) < 1e-6
-        assert abs(predict_prob(model, np.array([0.0])) - 0.5) < 1e-6
+        assert abs(model.predict(np.array([[0.0]]))[0] - 0.5) < 1e-6
 
     def test_saturated_two_cell_design(self):
         # empirical cell rates 0.2 and 0.8 recovered to 1e-6
@@ -49,15 +50,15 @@ class TestFitLogistic:
         labels = np.concatenate([np.repeat([0.0, 1.0], [40, 10]),
                                  np.repeat([0.0, 1.0], [10, 40])])
         model = fit_logistic(features, labels)
-        p0 = predict_prob(model, np.array([0.0]), clip=1e-9)
-        p1 = predict_prob(model, np.array([1.0]), clip=1e-9)
+        p0 = model.predict(np.array([[0.0]]), clip=1e-9)[0]
+        p1 = model.predict(np.array([[1.0]]), clip=1e-9)[0]
         assert abs(p0 - 0.2) < 1e-6
         assert abs(p1 - 0.8) < 1e-6
 
     def test_all_one_labels_finite_via_ridge(self):
         model = fit_logistic(np.zeros((30, 1)), np.ones(30))
         assert np.isfinite(model.intercept)
-        assert predict_prob(model, np.array([0.0]), clip=1e-3) == pytest.approx(0.999)
+        assert model.predict(np.array([[0.0]]), clip=1e-3)[0] == pytest.approx(0.999)
 
     def test_gradient_at_optimum_near_zero(self):
         rng = np.random.default_rng(3)
@@ -106,16 +107,18 @@ class TestFitLogistic:
 
 
 class TestPredictProb:
+    """Clipped probability predictions at one history."""
+
     def test_null_model(self):
-        assert predict_prob(ConstantModel(0.5), np.zeros(1)) == 0.5
+        assert ConstantModel(0.5).predict(np.zeros((1, 1)), clip=1e-3)[0] == 0.5
         model = fit_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]))
-        assert predict_prob(model, np.array([0.0])) == pytest.approx(0.5, abs=1e-9)
+        assert model.predict(np.array([[0.0]]))[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_expit_four(self):
         from ivdtr.nuisance import LogisticModel
 
         model = LogisticModel(intercept=4.0, coefficients=np.zeros(1))
-        value = predict_prob(model, np.array([0.0]), clip=0.01)
+        value = model.predict(np.array([[0.0]]), clip=0.01)[0]
         assert value == pytest.approx(min(expit(4.0), 0.99), abs=1e-10)
         assert value == pytest.approx(0.98201, abs=5e-6)
 
@@ -123,12 +126,7 @@ class TestPredictProb:
         from ivdtr.nuisance import LogisticModel
 
         model = LogisticModel(intercept=-100.0, coefficients=np.zeros(1))
-        assert predict_prob(model, np.array([0.0]), clip=0.001) == 0.001
-
-    def test_clip_range_validated(self):
-        model = ConstantModel(0.5)
-        with pytest.raises(ValueError, match="clip"):
-            predict_prob(model, np.zeros(1), clip=0.7)
+        assert model.predict(np.array([[0.0]]), clip=0.001)[0] == 0.001
 
 
 class TestFitLinear:
@@ -170,6 +168,12 @@ class TestFitLinear:
             fit_linear(np.array([[1.0]]), np.array([np.inf]))
 
 
+def fit_stage_nuisance_on(H, z, a, y, **kwargs):
+    """Outcome cells for y on the stage models of the one-stage dataset (H, z, a, y)."""
+    models = fit_stage_models(dataset_from_arrays([H], [z], [a], [y]))[0]
+    return fit_stage_nuisance(models, H, z, a, y, **kwargs)
+
+
 class TestFitStageNuisance:
     @staticmethod
     def compliant_data(n=400, seed=0):
@@ -182,7 +186,7 @@ class TestFitStageNuisance:
 
     def test_perfect_compliance_structure(self):
         H, z, a, y = self.compliant_data()
-        ns = fit_stage_nuisance(H, z, a, y, outcome_range=(0.0, 1.0), binary_outcome=True)
+        ns = fit_stage_nuisance_on(H, z, a, y, outcome_range=(0.0, 1.0), binary_outcome=True)
         probe = np.zeros((1, 2))
         assert ns.pa_pos(probe, +1)[0] > 0.99
         assert ns.pa_pos(probe, -1)[0] < 0.01
@@ -195,8 +199,8 @@ class TestFitStageNuisance:
         H = rng.normal(size=(n, 1))
         z = rng.choice([-1.0, 1.0], size=n)
         a = rng.choice([-1.0, 1.0], size=n)
-        ns = fit_stage_nuisance(H, z, a, np.ones(n), outcome_range=(0.0, 1.0),
-                                binary_outcome=True)
+        ns = fit_stage_nuisance_on(H, z, a, np.ones(n), outcome_range=(0.0, 1.0),
+                                   binary_outcome=True)
         val = ns.mu_val(np.zeros((1, 1)), 1, 1)[0]
         assert val == pytest.approx(1.0 - ns.clip, abs=1e-6)
 
@@ -205,15 +209,24 @@ class TestFitStageNuisance:
         z = np.array([1.0, 1.0, -1.0, -1.0])
         a = np.array([1.0, 1.0, -1.0, 1.0])   # cell (+1, -1) empty
         y = np.array([0.2, 0.4, 0.6, 0.8])
-        ns = fit_stage_nuisance(H, z, a, y, outcome_range=(0.0, 1.0), binary_outcome=False)
+        ns = fit_stage_nuisance_on(H, z, a, y, outcome_range=(0.0, 1.0), binary_outcome=False)
         assert (1, -1) in ns.empty_cells
         assert ns.mu_val(np.zeros((1, 1)), 1, -1)[0] == pytest.approx(0.5)
+
+    def test_empty_instrument_arm_listed_before_cells(self):
+        H = np.zeros((4, 1))
+        z = -np.ones(4)                        # instrument arm z=+1 never occurs
+        a = np.array([1.0, -1.0, 1.0, -1.0])
+        ns = fit_stage_nuisance_on(H, z, a, np.full(4, 0.5), outcome_range=(0.0, 1.0),
+                                   binary_outcome=False)
+        assert ns.empty_cells == (("pa", 1), (1, -1), (1, 1))
+        assert ns.pa_pos(np.zeros((1, 1)), 1)[0] == 0.5
 
     def test_outcomes_outside_range_rejected(self):
         H, z, a, y = self.compliant_data()
         with pytest.raises(ValueError, match="outside declared range"):
-            fit_stage_nuisance(H, z, a, y + 5.0, outcome_range=(0.0, 1.0),
-                               binary_outcome=False)
+            fit_stage_nuisance_on(H, z, a, y + 5.0, outcome_range=(0.0, 1.0),
+                                  binary_outcome=False)
 
     def test_mu_predictions_clipped_to_range(self):
         rng = np.random.default_rng(2)
@@ -222,7 +235,7 @@ class TestFitStageNuisance:
         z = rng.choice([-1.0, 1.0], size=n)
         a = rng.choice([-1.0, 1.0], size=n)
         y = rng.uniform(0.0, 2.0, size=n)
-        ns = fit_stage_nuisance(H, z, a, y, outcome_range=(0.0, 2.0), binary_outcome=False)
+        ns = fit_stage_nuisance_on(H, z, a, y, outcome_range=(0.0, 2.0), binary_outcome=False)
         probe = rng.normal(size=(50, 1)) * 20
         for z0 in (-1, 1):
             for a0 in (-1, 1):

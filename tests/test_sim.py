@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import ivdtr.nuisance
+import ivdtr.sim
 from ivdtr.dtr_core import Leaf, TreeNode, TreeRule, Dtr, constant_dtr
 from ivdtr.sim import (
     REGIMES,
@@ -87,6 +89,8 @@ class TestGenerate:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             SimConfig(c1=0.0)
+        with pytest.raises(ValueError, match="n_eval"):
+            SimConfig(n_eval=0)
         cfg = SimConfig()
         with pytest.raises(ValueError):
             generate(cfg, 0, np.random.default_rng(0))
@@ -126,6 +130,13 @@ class TestTrueValue:
         ratio = small.monte_carlo_se / large.monte_carlo_se
         assert 2.8 < ratio < 5.7  # ~sqrt(16) = 4
         assert abs(small.raw_value - large.raw_value) < 4 * small.monte_carlo_se
+
+    def test_zero_points_rejected(self):
+        with pytest.raises(ValueError, match="n_eval"):
+            true_value(constant_dtr(1, 2), SimConfig(), 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n_eval"):
+            true_value(constant_dtr(1, 2), SimConfig(), 5, np.random.default_rng(0),
+                       x=np.empty((0, 2)))
 
     def test_common_random_numbers(self):
         cfg = SimConfig(c1=4.0, xi=1.0)
@@ -189,3 +200,21 @@ class TestRunCell:
         assert set(regimes) == set(REGIMES)
         for dtr in regimes.values():
             assert dtr.num_stages == 2
+
+    def test_stage_models_fit_once_per_dataset(self, monkeypatch):
+        # logistic fits: 3 instrument/treatment models per stage, fitted once;
+        # 4 in the SRA baseline; 8 binary reward cells per improved regime;
+        # 4 binary stage-2 cells per IV regime (stage 1 bounds a pseudo-outcome)
+        calls = []
+        original = ivdtr.nuisance.fit_logistic
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (ivdtr.nuisance, ivdtr.sim):
+            monkeypatch.setattr(module, "fit_logistic", counted)
+        cfg = SimConfig(c1=4.0, xi=1.0, n_train=1000, seed=5)
+        ds, _ = generate(cfg, 1000, np.random.default_rng(12))
+        fit_all_regimes(ds, cfg)
+        assert len(calls) == 2 * 3 + 4 + 3 * 8 + 3 * 4 == 46
