@@ -170,6 +170,8 @@ def cmd_fit(config: dict) -> int:
     lam = _weight_spec(config, dataset.num_stages)
     depth = int(config.get("depth", 2))
     m = int(config.get("crossfit", 0))
+    if m < 0:
+        raise ConfigError("crossfit must be >= 0")
     seed = int(config.get("seed", 0))
 
     estimates, _ = backward_induct(dataset, bounds, lam)

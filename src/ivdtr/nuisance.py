@@ -6,8 +6,12 @@ quantity the partial-identification bounds need:
 
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
-included, so separated or single-class designs stay finite). Linear fits are
-ridge least squares with the penalty on slopes only.
+included, so separated or single-class designs stay finite). The
+log-likelihood takes one logaddexp per row, the fitted means of the gradient
+are reused for the Hessian, and a step that leaves theta bitwise unchanged
+ends the loop with converged=False, as the remaining iterations would repeat
+it exactly. Linear fits are ridge least squares with the penalty on slopes
+only.
 """
 
 from __future__ import annotations
@@ -84,14 +88,17 @@ class ConstantModel:
 def penalized_loglik(theta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     """Weighted Bernoulli log-likelihood minus RIDGE * ||theta||^2."""
     eta = X @ theta
-    # log expit / log(1-expit) via logaddexp for numerical stability
-    ll = np.sum(w * (y * -np.logaddexp(0.0, -eta) + (1.0 - y) * -np.logaddexp(0.0, eta)))
+    # log expit(eta) for y=1, log(1-expit(eta)) for y=0: one stable logaddexp per row
+    ll = np.sum(w * -np.logaddexp(0.0, (1.0 - 2.0 * y) * eta))
     return float(ll - RIDGE * theta @ theta)
 
 
-def loglik_gradient(theta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+def loglik_gradient(
+    theta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score of penalized_loglik at theta, and the fitted means it used."""
     mu = expit(X @ theta)
-    return X.T @ (w * (y - mu)) - 2.0 * RIDGE * theta
+    return X.T @ (w * (y - mu)) - 2.0 * RIDGE * theta, mu
 
 
 def fit_logistic(
@@ -113,16 +120,16 @@ def fit_logistic(
 
     p = X.shape[1]
     theta = np.zeros(p)
+    ridge = 2.0 * RIDGE * np.eye(p)
     ll = penalized_loglik(theta, X, y, w)
     converged = False
     for _ in range(MAX_ITER):
-        grad = loglik_gradient(theta, X, y, w)
+        grad, mu = loglik_gradient(theta, X, y, w)
         if np.linalg.norm(grad) <= GRAD_TOL:
             converged = True
             break
-        mu = expit(X @ theta)
         s = w * mu * (1.0 - mu)
-        hess = X.T @ (s[:, None] * X) + 2.0 * RIDGE * np.eye(p)
+        hess = X.T @ (s[:, None] * X) + ridge
         step = np.linalg.solve(hess, grad)
         # step-halving: Newton step can overshoot when probabilities saturate
         scale = 1.0
@@ -130,13 +137,16 @@ def fit_logistic(
             candidate = theta + scale * step
             cand_ll = penalized_loglik(candidate, X, y, w)
             if cand_ll >= ll - 1e-14:
-                theta, ll = candidate, cand_ll
                 break
             scale *= 0.5
         else:
             break
+        if np.array_equal(candidate, theta):
+            # fixed point: every later iteration would repeat this one exactly
+            break
+        theta, ll = candidate, cand_ll
     else:
-        converged = np.linalg.norm(loglik_gradient(theta, X, y, w)) <= GRAD_TOL
+        converged = np.linalg.norm(loglik_gradient(theta, X, y, w)[0]) <= GRAD_TOL
 
     return LogisticModel(intercept=float(theta[0]), coefficients=theta[1:], converged=converged)
 

@@ -63,6 +63,8 @@ class SimConfig:
             raise ValueError("xi must be positive")
         if self.n_eval < 1:
             raise ValueError("n_eval must be >= 1")
+        if self.crossfit_m < 0:
+            raise ValueError("crossfit must be >= 0")
 
 
 SIM_REWARD_BOUNDS = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))

@@ -280,7 +280,7 @@ def test_criterion_6_oracle_equivalences():
     w = rng.uniform(0.5, 1.5, 80)
     design = np.hstack([np.ones((80, 1)), X])
     theta = rng.normal(size=3) * 0.5
-    analytic = loglik_gradient(theta, design, y, w)
+    analytic = loglik_gradient(theta, design, y, w)[0]
     eps = 1e-6
     numeric = np.empty(3)
     for j in range(3):

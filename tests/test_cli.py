@@ -326,6 +326,16 @@ class TestExitCodes:
         assert "NaN" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_negative_crossfit_exits_2(self, tmp_path, sim_csv, capsys, command):
+        doc = {"fit": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC},
+               "simulate": {"replications": 1, "n_train": 200, "n_eval": 100}}[command]
+        out = tmp_path / "out.json"
+        config = write_config(tmp_path, "cfg.json", {**doc, "out": str(out), "crossfit": -1})
+        assert run([command, "--config", str(config)]) == 2
+        assert "crossfit must be >= 0" in read_error(capsys)["error"]
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         config = write_config(tmp_path, "cfg.json", {
             "data": str(tmp_path / "nope.csv"), "reward_bounds": BOUNDS_DOC,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import ivdtr.nuisance
 from ivdtr.data import dataset_from_arrays
 from ivdtr.nuisance import (
     RIDGE,
@@ -15,6 +16,7 @@ from ivdtr.nuisance import (
     loglik_gradient,
     penalized_loglik,
 )
+from ivdtr.sim import SimConfig, generate
 
 
 def ridge_normal_equation_oracle(X, y, w=None):
@@ -27,6 +29,119 @@ def ridge_normal_equation_oracle(X, y, w=None):
     lhs = design.T @ (w[:, None] * design) + penalty
     rhs = design.T @ (w * y)
     return np.linalg.solve(lhs, rhs)
+
+
+def two_term_loglik(theta, X, y, w):
+    """The penalized log-likelihood with both Bernoulli terms written out per row."""
+    eta = X @ theta
+    ll = np.sum(w * (y * -np.logaddexp(0.0, -eta) + (1.0 - y) * -np.logaddexp(0.0, eta)))
+    return float(ll - RIDGE * theta @ theta)
+
+
+def reference_fit_logistic(features, labels, weights=None):
+    """Independent Newton/IRLS with step-halving in its longest form: two
+    logaddexp terms per row, the means recomputed for the Hessian, and all
+    100 iterations run even when a step leaves theta unchanged."""
+    X = np.hstack([np.ones((features.shape[0], 1)), features])
+    y = np.asarray(labels, dtype=float)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    p = X.shape[1]
+    theta = np.zeros(p)
+    ll = two_term_loglik(theta, X, y, w)
+    converged = False
+    for _ in range(100):
+        grad = X.T @ (w * (y - expit(X @ theta))) - 2.0 * RIDGE * theta
+        if np.linalg.norm(grad) <= 1e-8:
+            converged = True
+            break
+        mu = expit(X @ theta)
+        s = w * mu * (1.0 - mu)
+        hess = X.T @ (s[:, None] * X) + 2.0 * RIDGE * np.eye(p)
+        step = np.linalg.solve(hess, grad)
+        scale = 1.0
+        for _ in range(40):
+            candidate = theta + scale * step
+            cand_ll = two_term_loglik(candidate, X, y, w)
+            if cand_ll >= ll - 1e-14:
+                theta, ll = candidate, cand_ll
+                break
+            scale *= 0.5
+        else:
+            break
+    else:
+        grad = X.T @ (w * (y - expit(X @ theta))) - 2.0 * RIDGE * theta
+        converged = np.linalg.norm(grad) <= 1e-8
+    return theta[0], theta[1:], converged
+
+
+def pinned_stuck_design(xi, rep, stage, model):
+    """A simulated stage fit (c1=4, seed 0, replication rep) that reaches its
+    optimum without meeting the absolute gradient tolerance: model "pz" is
+    P(Z=+1|H), model "pa-" is P(A=+1|H,Z=-1)."""
+    train_seed, _ = np.random.SeedSequence(entropy=0, spawn_key=(rep,)).spawn(2)
+    dataset, _ = generate(SimConfig(c1=4.0, xi=xi), 1000, np.random.default_rng(train_seed))
+    H, z, a = dataset.histories(stage), dataset.instruments(stage), dataset.actions(stage)
+    if model == "pz":
+        return H, (z == 1.0).astype(float)
+    rows = z == -1.0
+    return H[rows], (a[rows] == 1.0).astype(float)
+
+
+PINNED_STUCK = [(1.0, 4, 1, "pa-"), (3.0, 2, 2, "pz"), (3.0, 3, 2, "pa-"), (3.0, 16, 2, "pa-")]
+
+
+def random_weighted_design(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(5, 400)), int(rng.integers(1, 5))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
+    y = (rng.random(n) < expit(X @ rng.normal(size=d) * rng.uniform(0.0, 4.0))).astype(float)
+    w = rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.9)
+    return X, y, w
+
+
+def newton_designs():
+    two_cell = np.concatenate([np.zeros(50), np.ones(50)])[:, None]
+    yield from (pinned_stuck_design(*spec) + (None,) for spec in PINNED_STUCK)
+    yield (np.concatenate([np.full(50, -1.0), np.full(50, 1.0)])[:, None],
+           np.repeat([0.0, 1.0], 50), None)
+    yield np.zeros((30, 1)), np.ones(30), None
+    yield two_cell, np.repeat([0.0, 1.0, 0.0, 1.0], [40, 10, 10, 40]), None
+    yield from (random_weighted_design(seed) for seed in range(20))
+
+
+class TestNewtonLoop:
+    @pytest.mark.parametrize("design", list(newton_designs()))
+    def test_matches_reference_bit_for_bit(self, design):
+        features, labels, weights = design
+        model = fit_logistic(features, labels, weights)
+        intercept, coefficients, converged = reference_fit_logistic(features, labels, weights)
+        assert model.intercept == intercept
+        np.testing.assert_array_equal(model.coefficients, coefficients)
+        assert model.converged == converged
+
+    @pytest.mark.parametrize("spec", PINNED_STUCK)
+    def test_pinned_stuck_fits_stop_at_their_fixed_point(self, spec, monkeypatch):
+        # reference_fit_logistic makes 2,446-2,755 evaluations on these fits
+        calls = []
+
+        def counting_loglik(*args):
+            calls.append(1)
+            return penalized_loglik(*args)
+
+        monkeypatch.setattr(ivdtr.nuisance, "penalized_loglik", counting_loglik)
+        model = fit_logistic(*pinned_stuck_design(*spec))
+        assert not model.converged
+        assert len(calls) <= 900
+
+    def test_loglik_equals_two_term_formula_exactly(self):
+        # eta = X @ theta spreads over +-700, where exp(eta) nearly overflows
+        rng = np.random.default_rng(17)
+        for n, p in [(500, 1), (300, 3), (1, 2)]:
+            X = rng.uniform(-700.0, 700.0, size=(n, p)) / p
+            theta = rng.choice([-1.0, 1.0], size=p)
+            y = (rng.random(n) < 0.5).astype(float)
+            w = rng.uniform(0.0, 3.0, size=n)
+            assert penalized_loglik(theta, X, y, w) == two_term_loglik(theta, X, y, w)
 
 
 class TestFitLogistic:
@@ -67,7 +182,7 @@ class TestFitLogistic:
         model = fit_logistic(X, y)
         design = np.hstack([np.ones((200, 1)), X])
         theta = np.concatenate([[model.intercept], model.coefficients])
-        grad = loglik_gradient(theta, design, y, np.ones(200))
+        grad = loglik_gradient(theta, design, y, np.ones(200))[0]
         assert np.linalg.norm(grad) <= 1e-8
 
     def test_score_matches_finite_difference(self):
@@ -78,7 +193,7 @@ class TestFitLogistic:
         w = rng.uniform(0.5, 2.0, size=60)
         design = np.hstack([np.ones((60, 1)), X])
         theta = np.array([0.3, -0.7, 0.4])
-        analytic = loglik_gradient(theta, design, y, w)
+        analytic = loglik_gradient(theta, design, y, w)[0]
         eps = 1e-6
         numeric = np.empty_like(theta)
         for j in range(len(theta)):

@@ -91,6 +91,8 @@ class TestGenerate:
             SimConfig(c1=0.0)
         with pytest.raises(ValueError, match="n_eval"):
             SimConfig(n_eval=0)
+        with pytest.raises(ValueError, match="crossfit"):
+            SimConfig(crossfit_m=-1)
         cfg = SimConfig()
         with pytest.raises(ValueError):
             generate(cfg, 0, np.random.default_rng(0))
