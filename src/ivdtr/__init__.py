@@ -25,7 +25,7 @@ from .dtr_core import (
     pseudo_outcomes,
 )
 from .improve import fit_ivimproved, relative_stage_estimates
-from .crossfit import CrossfitContrasts, crossfit_stage_contrasts, fit_ivoptimal_crossfit
+from .crossfit import crossfit_stage_contrasts, fit_ivoptimal_crossfit
 from .nuisance import (
     LinearModel,
     LogisticModel,

@@ -274,9 +274,6 @@ def _as_list(value) -> list:
 
 
 def cmd_simulate(config: dict) -> int:
-    replications = int(config.get("replications", 100))
-    if replications < 1:
-        raise ConfigError("replications must be >= 1")
     try:
         lam = _weight_spec(config, 2)
         cells = [
@@ -287,7 +284,7 @@ def cmd_simulate(config: dict) -> int:
                 seed=int(config.get("seed", 0)),
                 lam=lam,
                 depth=int(config.get("depth", 2)),
-                replications=replications,
+                replications=int(config.get("replications", 100)),
                 n_eval=int(config.get("n_eval", 100_000)),
                 crossfit_m=int(config.get("crossfit", 0)),
                 threads=int(config.get("threads", 1)),
@@ -297,6 +294,8 @@ def cmd_simulate(config: dict) -> int:
         ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not cells:
+        raise ConfigError("c1 and xi need at least one value each")
 
     results = [run_cell(cell) for cell in cells]
 

@@ -3,16 +3,11 @@
 Each sample's classification weight is a contrast estimated with models that
 never saw the sample's own batch (Chernozhukov et al., 2018, "Double/debiased
 machine learning"). For every batch the whole backward induction, value
-propagation included, runs on the batch complement; the fitted stage
-evaluators then score the held-out batch's histories. crossfit_stage_contrasts
-is agnostic to what the per-batch fitting procedure returns, as long as it can
-evaluate contrasts on held-out histories.
+propagation included, runs on the batch complement; the fitted stage rules
+then score the held-out batch's histories.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,55 +18,24 @@ from .dtr_core import Dtr, backward_induct, fit_weighted_tree, sign_with_tie
 MIN_BATCH_SIZE = 10
 
 
-@dataclass(frozen=True)
-class CrossfitContrasts:
-    """Per-sample, per-stage contrasts fitted without the sample's own batch."""
-
-    contrasts: tuple[np.ndarray, ...]   # entry k-1: (n,) stage-k contrasts
-    batches: BatchAssignment
-
-
 def crossfit_stage_contrasts(
     dataset: Dataset,
     batches: BatchAssignment,
-    fit_fn: Callable[[Dataset], Callable[[int, np.ndarray], np.ndarray]],
-) -> CrossfitContrasts:
-    """Fit on each batch complement, evaluate contrasts on the held-out batch.
-
-    fit_fn(train_subset) must return evaluate(stage, histories) -> contrasts.
-    The training subset never contains held-out trajectories, so the returned
-    contrasts are out-of-batch by construction.
-    """
-    if batches.m < 2:
-        raise ValueError("cross-fitting needs at least 2 batches")
-    K = dataset.num_stages
-    n = dataset.n
-    out = [np.zeros(n) for _ in range(K)]
-    for j in range(batches.m):
-        held = batches.members(j)
-        train = dataset.subset(batches.complement(j))
-        evaluate = fit_fn(train)
-        held_set = dataset.subset(held)
-        for k in range(1, K + 1):
-            out[k - 1][held] = evaluate(k, held_set.histories(k))
-    return CrossfitContrasts(contrasts=tuple(out), batches=batches)
-
-
-def ivoptimal_contrast_fitter(
     reward_bounds: RewardBounds,
     lam: WeightSpec,
-) -> Callable[[Dataset], Callable[[int, np.ndarray], np.ndarray]]:
-    """fit_fn running the full backward induction on the training subset."""
-
-    def fit(train: Dataset):
-        estimates, _ = backward_induct(train, reward_bounds, lam)
-
-        def evaluate(k: int, histories: np.ndarray) -> np.ndarray:
-            return estimates[k - 1].evaluator.contrast(histories)
-
-        return evaluate
-
-    return fit
+) -> tuple[np.ndarray, ...]:
+    """Per-stage contrasts (entry k-1: (n,) at stage k); a sample's come from
+    a backward induction on the complement of its own batch."""
+    if batches.m < 2:
+        raise ValueError("cross-fitting needs at least 2 batches")
+    out = [np.zeros(dataset.n) for _ in range(dataset.num_stages)]
+    for j in range(batches.m):
+        held = batches.members(j)
+        _, rule = backward_induct(dataset.subset(batches.complement(j)), reward_bounds, lam)
+        held_set = dataset.subset(held)
+        for k, contrast in enumerate(out, start=1):
+            contrast[held] = rule.stages[k - 1].contrast(held_set.histories(k))
+    return tuple(out)
 
 
 def fit_ivoptimal_crossfit(
@@ -94,11 +58,9 @@ def fit_ivoptimal_crossfit(
         raise ValueError(
             f"cross-fitting with m={m} leaves batches below {MIN_BATCH_SIZE} samples"
         )
-    cf = crossfit_stage_contrasts(
-        dataset, batches, ivoptimal_contrast_fitter(reward_bounds, lam)
-    )
+    contrasts = crossfit_stage_contrasts(dataset, batches, reward_bounds, lam)
     stages = tuple(
         fit_weighted_tree(dataset.histories(k), sign_with_tie(contrast), np.abs(contrast), depth)
-        for k, contrast in enumerate(cf.contrasts, start=1)
+        for k, contrast in enumerate(contrasts, start=1)
     )
     return Dtr(stages=stages, kind="iv_optimal", lam=lam)

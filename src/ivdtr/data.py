@@ -97,10 +97,6 @@ class Dataset:
         self._check_stage(k)
         return self.r[:, k - 1].copy()
 
-    def history_dim(self, k: int) -> int:
-        self._check_stage(k)
-        return sum(self.covariate_dims[:k]) + 2 * (k - 1)
-
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """Dataset restricted to the given trajectory indices (order kept)."""
         idx = np.asarray(indices, dtype=int)

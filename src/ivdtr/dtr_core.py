@@ -11,12 +11,13 @@ Sign ties resolve to +1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import Interval, RewardBounds, WeightSpec, arm_intervals, weighted_q
+from .bounds import RewardBounds, WeightSpec, arm_intervals, weighted_q
 from .data import Dataset
 from .nuisance import (
     NuisanceSet,
@@ -66,6 +67,8 @@ class TreeRule:
         if isinstance(node, Leaf):
             out[idx] = node.label
             return
+        if node.feature >= H.shape[1]:
+            raise ValueError(f"tree feature {node.feature} is past a {H.shape[1]}-column history")
         go_left = H[idx, node.feature] < node.threshold
         self._fill(node.left, H, idx[go_left], out)
         self._fill(node.right, H, idx[~go_left], out)
@@ -188,28 +191,19 @@ class ConstantRule:
 
 
 @dataclass(frozen=True)
-class StageContrastEvaluator:
-    """Weighted-Q contrast at a fitted stage, evaluable on new histories."""
+class SignOfContrast:
+    """A fitted stage's weighted-Q contrast; decides by its sign on new histories."""
 
     nuisance: NuisanceSet
     tail: tuple[float, float]
     lam: float
 
-    def intervals(self, H: np.ndarray) -> tuple[Interval, Interval, int]:
-        """Per-row intervals for actions +1 and -1, and the total repair count."""
-        return arm_intervals(self.nuisance, H, self.tail)
-
     def contrast(self, H: np.ndarray) -> np.ndarray:
-        plus, minus, _ = self.intervals(H)
+        plus, minus, _ = arm_intervals(self.nuisance, H, self.tail)
         return weighted_q(plus, self.lam) - weighted_q(minus, self.lam)
 
-
-@dataclass(frozen=True)
-class SignOfContrast:
-    evaluator: StageContrastEvaluator
-
     def decide(self, H: np.ndarray) -> np.ndarray:
-        return sign_with_tie(self.evaluator.contrast(H))
+        return sign_with_tie(self.contrast(H))
 
 
 PolicyStage = Union[TreeRule, ConstantRule, SignOfContrast]
@@ -248,7 +242,7 @@ def constant_dtr(label: int, num_stages: int, kind: str = "constant") -> Dtr:
 
 @dataclass(frozen=True)
 class StageQEstimate:
-    """Per-sample fit results at one stage, plus the evaluator behind them."""
+    """Per-sample fit results at one stage, plus the sign rule behind them."""
 
     stage: int
     lower_pos: np.ndarray
@@ -260,12 +254,12 @@ class StageQEstimate:
     contrast: np.ndarray
     action: np.ndarray
     value: np.ndarray
-    evaluator: StageContrastEvaluator
+    rule: SignOfContrast
     n_repaired: int
 
     @property
     def nuisance(self) -> NuisanceSet:
-        return self.evaluator.nuisance
+        return self.rule.nuisance
 
     @property
     def converged(self) -> bool:
@@ -300,9 +294,9 @@ def fit_stage(
         models, histories, z, a, outcomes, outcome_range=tail,
         binary_outcome=is_binary_outcome(outcomes, tail),
     )
-    evaluator = StageContrastEvaluator(nuisance=nuisance, tail=tail, lam=float(lambda_k))
-    plus, minus, n_repaired = evaluator.intervals(histories)
-    q_pos, q_neg = weighted_q(plus, evaluator.lam), weighted_q(minus, evaluator.lam)
+    rule = SignOfContrast(nuisance=nuisance, tail=tail, lam=float(lambda_k))
+    plus, minus, n_repaired = arm_intervals(nuisance, histories, tail)
+    q_pos, q_neg = weighted_q(plus, rule.lam), weighted_q(minus, rule.lam)
     contrast = q_pos - q_neg
     action = sign_with_tie(contrast)
     value = np.where(action == 1, q_pos, q_neg)
@@ -310,7 +304,7 @@ def fit_stage(
         stage=stage,
         lower_pos=plus.lower, upper_pos=plus.upper, lower_neg=minus.lower, upper_neg=minus.upper,
         q_pos=q_pos, q_neg=q_neg, contrast=contrast, action=action, value=value,
-        evaluator=evaluator, n_repaired=n_repaired,
+        rule=rule, n_repaired=n_repaired,
     )
 
 
@@ -341,8 +335,7 @@ def backward_induct(
         )
         estimates[k - 1] = est
         next_value = est.value
-    stages = tuple(SignOfContrast(evaluator=est.evaluator) for est in estimates)
-    q_rule = Dtr(stages=stages, kind="iv_optimal", lam=lam)
+    q_rule = Dtr(stages=tuple(est.rule for est in estimates), kind="iv_optimal", lam=lam)
     return list(estimates), q_rule
 
 
@@ -376,15 +369,26 @@ def _tree_nodes_to_json(node, nodes: list) -> dict:
     return {"node": index}
 
 
-def _tree_from_json(doc: dict, ref: dict, nodes: list):
+def _label_from_json(label) -> int:
+    if label not in (-1, 1):
+        raise ValueError(f"label must be +/-1, got {label!r}")
+    return int(label)
+
+
+def _tree_from_json(ref: dict, nodes: list):
     if "leaf" in ref:
-        return Leaf(int(ref["leaf"]))
+        return Leaf(_label_from_json(ref["leaf"]))
     entry = nodes[ref["node"]]
+    feature, threshold = entry["feature"], float(entry["threshold"])
+    if not isinstance(feature, int) or isinstance(feature, bool) or feature < 0:
+        raise ValueError(f"feature must be a nonnegative integer, got {feature!r}")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     return TreeNode(
-        feature=int(entry["feature"]),
-        threshold=float(entry["threshold"]),
-        left=_tree_from_json(doc, entry["left"], nodes),
-        right=_tree_from_json(doc, entry["right"], nodes),
+        feature=feature,
+        threshold=threshold,
+        left=_tree_from_json(entry["left"], nodes),
+        right=_tree_from_json(entry["right"], nodes),
     )
 
 
@@ -407,9 +411,9 @@ def _stage_to_json(stage: PolicyStage) -> dict:
 def _stage_from_json(doc: dict) -> PolicyStage:
     kind = doc["type"]
     if kind == "constant":
-        return ConstantRule(label=int(doc["label"]))
+        return ConstantRule(label=_label_from_json(doc["label"]))
     if kind == "tree":
-        root = _tree_from_json(doc, doc["root"], doc["nodes"])
+        root = _tree_from_json(doc["root"], doc["nodes"])
         return TreeRule(
             root=root,
             max_depth=int(doc["max_depth"]),

@@ -63,8 +63,12 @@ class SimConfig:
             raise ValueError("xi must be positive")
         if self.n_eval < 1:
             raise ValueError("n_eval must be >= 1")
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
         if self.crossfit_m < 0:
             raise ValueError("crossfit must be >= 0")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 SIM_REWARD_BOUNDS = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
@@ -306,11 +310,10 @@ def _summarize(rows: Sequence[tuple[int, str, float]]) -> dict:
 
 def run_cell(config: SimConfig) -> CellResult:
     """Run all replications of one factorial cell and summarize."""
-    if config.replications < 1:
-        raise ValueError("replications must be >= 1")
     reps = range(config.replications)
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    workers = min(config.threads, config.replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             all_values = list(pool.map(run_replication, [config] * config.replications, reps))
     else:
         all_values = [run_replication(config, rep) for rep in reps]

@@ -17,7 +17,7 @@ from synth import (
 )
 
 from ivdtr.bounds import Interval, RewardBounds, WeightSpec, weighted_q
-from ivdtr.crossfit import crossfit_stage_contrasts, ivoptimal_contrast_fitter
+from ivdtr.crossfit import crossfit_stage_contrasts
 from ivdtr.data import BatchAssignment, assign_batches
 from ivdtr.dtr_core import backward_induct, fit_weighted_tree, sign_with_tie, weighted_loss
 from ivdtr.improve import relative_contrast_pieces
@@ -325,19 +325,19 @@ def test_criterion_8_crossfit_leakage():
     from test_crossfit import scramble_batch
 
     rng = np.random.default_rng(9)
-    fit_fn = ivoptimal_contrast_fitter(BOUNDS2, WeightSpec.minmax())
+    lam = WeightSpec.minmax()
     clean = True
     for trial in range(20):
         ds = random_two_stage_dataset(rng, n=80)
         m = int(rng.integers(2, 5))
         batches = assign_batches(ds.n, m, rng)
-        base = crossfit_stage_contrasts(ds, batches, fit_fn)
+        base = crossfit_stage_contrasts(ds, batches, BOUNDS2, lam)
         j = int(rng.integers(0, m))
         held = batches.members(j)
         scrambled = scramble_batch(ds, held, rng)
-        refit = fit_fn(scrambled.subset(batches.complement(j)))
+        _, refit = backward_induct(scrambled.subset(batches.complement(j)), BOUNDS2, lam)
         held_set = ds.subset(held)
         for k in (1, 2):
             clean &= bool(np.array_equal(
-                base.contrasts[k - 1][held], refit(k, held_set.histories(k))))
+                base[k - 1][held], refit.stages[k - 1].contrast(held_set.histories(k))))
     report_criterion(8, [("out-of-batch contrasts bit-identical on 20 trials", clean)])

@@ -55,6 +55,15 @@ def write_contrast_sign_policy(path):
     return path
 
 
+def split_policy(feature=0, threshold=0.0, leaf=1):
+    """A two-stage policy document whose stage 1 is one split and stage 2 a
+    constant +1."""
+    tree = {"type": "tree", "max_depth": 1, "root": {"node": 0},
+            "nodes": [{"feature": feature, "threshold": threshold,
+                       "left": {"leaf": -1}, "right": {"leaf": leaf}}]}
+    return {"kind": "iv_optimal", "stages": [tree, {"type": "constant", "label": 1}]}
+
+
 class TestFit:
     def test_writes_depth_limited_trees(self, tmp_path, sim_csv):
         out = tmp_path / "policy.json"
@@ -202,6 +211,21 @@ class TestSimulate:
         assert run(["simulate", "--config", str(config)]) == 2
         assert "replications" in read_error(capsys)["error"]
 
+    @pytest.mark.parametrize("doc", [{"c1": []}, {"xi": [], "replications": 0}])
+    def test_empty_grid_rejected(self, tmp_path, capsys, doc):
+        config = write_config(tmp_path, "cfg.json", doc)
+        assert run(["simulate", "--config", str(config)]) == 2
+        assert "c1 and xi need at least one value" in read_error(capsys)["error"]
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        out = tmp_path / "out.json"
+        config = write_config(tmp_path, "cfg.json", {"replications": 1, "n_train": 200,
+                                                     "n_eval": 100, "out": str(out)})
+        assert run(["simulate", "--config", str(config), "--threads", str(threads)]) == 2
+        assert "threads must be >= 1" in read_error(capsys)["error"]
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_builtin_std_is_exactly_one(self, tmp_path):
@@ -276,6 +300,24 @@ class TestConfigSurface:
         assert namespace["data"].n == 500
         assert namespace["action"] in (-1, 1)
 
+    def test_readme_report_keys_match_reports(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["make_example_data.py", "--n", "500",
+                                          "--out", "train.csv"])
+        runpy.run_path(str(REPO / "scripts" / "make_example_data.py"))["main"]()
+        readme = (REPO / "README.md").read_text()
+        for command, extra in (("fit", ["--crossfit", "2"]), ("improve", ["--baseline", "std"])):
+            row = re.search(rf"^\| `{command}` \|(.*)\|(.*)\|$", readme, re.M)
+            top, per_stage = (re.findall(r"`(\w+)`", cell) for cell in row.groups())
+            config = write_config(tmp_path, f"{command}.json", {
+                "data": "train.csv", "reward_bounds": BOUNDS_DOC,
+                "out": f"{command}-policy.json", "report": f"{command}-report.json",
+            })
+            assert run([command, "--config", str(config), *extra]) == 0
+            report = json.loads((tmp_path / f"{command}-report.json").read_text())
+            assert sorted(report) == sorted(top)
+            assert [sorted(stage) for stage in report["stages"]] == [sorted(per_stage)] * 2
+
     @pytest.mark.parametrize("command", ["fit", "improve"])
     def test_strict_nonconvergence_exits_3(self, tmp_path, sim_csv, capsys,
                                            monkeypatch, command):
@@ -301,16 +343,32 @@ class TestExitCodes:
         assert run(["fit"]) == 3
         assert read_error(capsys)["code"] == 3
 
-    def test_contrast_sign_policy_file_is_malformed(self, tmp_path, sim_csv, capsys):
-        policy = write_contrast_sign_policy(tmp_path / "sign.json")
+    @pytest.mark.parametrize("policy, error", [
+        ("contrast_sign", "malformed {what} JSON"),
+        (split_policy(feature=-1), "malformed {what} JSON: feature"),
+        (split_policy(feature=1.5), "malformed {what} JSON: feature"),
+        (split_policy(threshold=float("nan")), "malformed {what} JSON: threshold"),
+        (split_policy(threshold=float("inf")), "malformed {what} JSON: threshold"),
+        (split_policy(leaf=0), "malformed {what} JSON: label"),
+        ({"kind": "constant", "stages": [{"type": "constant", "label": 4}] * 2},
+         "malformed {what} JSON: label"),
+        (split_policy(feature=7), "feature 7 is past a 2-column history"),
+    ], ids=["contrast_sign", "negative_feature", "fractional_feature", "nan_threshold",
+            "inf_threshold", "leaf_label_0", "constant_label_4", "feature_past_history"])
+    def test_malformed_policy_file_exits_2(self, tmp_path, sim_csv, capsys, policy, error):
+        path = tmp_path / "policy.json"
+        if policy == "contrast_sign":
+            write_contrast_sign_policy(path)
+        else:
+            path.write_text(json.dumps(policy))
         out = tmp_path / "out.json"
         config = write_config(tmp_path, "cfg.json", {
             "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "out": str(out),
         })
-        assert run(["improve", "--config", str(config), "--baseline", str(policy)]) == 2
-        assert "malformed baseline policy JSON" in read_error(capsys)["error"]
-        assert run(["evaluate", "--policy", str(policy), "--out", str(out)]) == 2
-        assert "malformed policy JSON" in read_error(capsys)["error"]
+        assert run(["improve", "--config", str(config), "--baseline", str(path)]) == 2
+        assert error.format(what="baseline policy") in read_error(capsys)["error"]
+        assert run(["evaluate", "--policy", str(path), "--out", str(out)]) == 2
+        assert error.format(what="policy") in read_error(capsys)["error"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command, doc", [

@@ -9,11 +9,7 @@ from synth import random_two_stage_dataset
 
 import ivdtr.crossfit
 from ivdtr.bounds import RewardBounds, WeightSpec
-from ivdtr.crossfit import (
-    crossfit_stage_contrasts,
-    fit_ivoptimal_crossfit,
-    ivoptimal_contrast_fitter,
-)
+from ivdtr.crossfit import crossfit_stage_contrasts, fit_ivoptimal_crossfit
 from ivdtr.data import BatchAssignment, Dataset, assign_batches
 from ivdtr.dtr_core import backward_induct, dtr_to_json, project_policy
 
@@ -55,16 +51,15 @@ class TestCrossfitStageContrasts:
         rng = np.random.default_rng(0)
         ds = random_two_stage_dataset(rng, n=120)
         batches = BatchAssignment(batch_index=np.arange(120) % 2, m=2)
-        fit_fn = ivoptimal_contrast_fitter(BOUNDS2, LAM)
-        base = crossfit_stage_contrasts(ds, batches, fit_fn)
+        base = crossfit_stage_contrasts(ds, batches, BOUNDS2, LAM)
         for j in (0, 1):
             held = batches.members(j)
             scrambled = scramble_batch(ds, held, rng)
-            refit = fit_fn(scrambled.subset(batches.complement(j)))
+            _, refit = backward_induct(scrambled.subset(batches.complement(j)), BOUNDS2, LAM)
             held_set = ds.subset(held)
             for k in (1, 2):
                 np.testing.assert_array_equal(
-                    base.contrasts[k - 1][held], refit(k, held_set.histories(k)))
+                    base[k - 1][held], refit.stages[k - 1].contrast(held_set.histories(k)))
 
     def test_identical_halves_match_in_sample(self):
         rng = np.random.default_rng(1)
@@ -72,20 +67,17 @@ class TestCrossfitStageContrasts:
         doubled = half.subset(np.tile(np.arange(100), 2))
         batches = BatchAssignment(
             batch_index=np.concatenate([np.zeros(100, int), np.ones(100, int)]), m=2)
-        cf = crossfit_stage_contrasts(doubled, batches,
-                                      ivoptimal_contrast_fitter(BOUNDS2, LAM))
+        cf = crossfit_stage_contrasts(doubled, batches, BOUNDS2, LAM)
         estimates, _ = backward_induct(half, BOUNDS2, LAM)
         for k in (1, 2):
-            np.testing.assert_allclose(
-                cf.contrasts[k - 1][:100], estimates[k - 1].contrast, atol=1e-9)
-            np.testing.assert_allclose(
-                cf.contrasts[k - 1][100:], estimates[k - 1].contrast, atol=1e-9)
+            np.testing.assert_allclose(cf[k - 1][:100], estimates[k - 1].contrast, atol=1e-9)
+            np.testing.assert_allclose(cf[k - 1][100:], estimates[k - 1].contrast, atol=1e-9)
 
     def test_single_batch_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(2), n=40)
         batches = BatchAssignment(batch_index=np.zeros(40, int), m=1)
         with pytest.raises(ValueError, match="at least 2"):
-            crossfit_stage_contrasts(ds, batches, ivoptimal_contrast_fitter(BOUNDS2, LAM))
+            crossfit_stage_contrasts(ds, batches, BOUNDS2, LAM)
 
 
 class TestFitIvoptimalCrossfit:

@@ -174,10 +174,9 @@ class TestDataset:
         with pytest.raises(DataError, match="share n rows"):
             Dataset(covariates=(ds.covariates[0], ds.covariates[1][:2]), z=ds.z, a=ds.a, r=ds.r)
 
-    def test_history_dim(self):
+    def test_history_width(self):
         ds = loads_csv(TWO_STAGE_CSV)
-        assert ds.history_dim(1) == 1
-        assert ds.history_dim(2) == 4
+        assert ds.histories(1).shape == (3, 1)
         assert ds.histories(2).shape == (3, 4)
 
     def test_from_arrays(self):

@@ -13,7 +13,6 @@ from ivdtr.dtr_core import (
     Dtr,
     Leaf,
     SignOfContrast,
-    StageContrastEvaluator,
     TreeNode,
     TreeRule,
     backward_induct,
@@ -184,7 +183,7 @@ class TestPolicyStages:
     def test_sign_of_contrast_tie_is_positive(self):
         mu = {(z, a): 0.5 for z in (-1, 1) for a in (-1, 1)}
         ns = synthetic_nuisance(0.5, {-1: 0.5, 1: 0.5}, mu, (0.0, 1.0))
-        stage = SignOfContrast(StageContrastEvaluator(ns, (0.0, 1.0), 0.5))
+        stage = SignOfContrast(ns, (0.0, 1.0), 0.5)
         assert stage.decide(np.zeros(2))[0] == 1
 
     def test_sign_with_tie(self):
@@ -251,9 +250,11 @@ class TestBackwardInduct:
             np.testing.assert_allclose(est.contrast, est.q_pos - est.q_neg)
             np.testing.assert_array_equal(
                 est.value, np.where(est.action == 1, est.q_pos, est.q_neg))
-        # q-rule agrees with training-sample signs at every history
+        # q-rule agrees with training-sample contrasts and signs at every history
         for k in (1, 2):
             H = ds.histories(k)
+            np.testing.assert_array_equal(
+                q_rule.stages[k - 1].contrast(H), estimates[k - 1].contrast)
             np.testing.assert_array_equal(
                 q_rule.action_matrix(k, H), estimates[k - 1].action)
 

@@ -93,6 +93,10 @@ class TestGenerate:
             SimConfig(n_eval=0)
         with pytest.raises(ValueError, match="crossfit"):
             SimConfig(crossfit_m=-1)
+        with pytest.raises(ValueError, match="threads"):
+            SimConfig(threads=0)
+        with pytest.raises(ValueError, match="replications"):
+            SimConfig(replications=0)
         cfg = SimConfig()
         with pytest.raises(ValueError):
             generate(cfg, 0, np.random.default_rng(0))
@@ -194,6 +198,35 @@ class TestRunCell:
         par = run_cell(SimConfig(c1=3.0, xi=1.0, n_train=300, seed=3, n_eval=5000,
                                  replications=2, threads=2))
         assert seq.rows == par.rows
+
+    @pytest.mark.parametrize("threads, replications, max_workers", [
+        (4, 2, 2), (3, 5, 3), (4, 1, None), (1, 3, None),
+    ])
+    def test_worker_pool_capped_at_replications(self, monkeypatch, threads, replications,
+                                                max_workers):
+        # no process starts: the executor maps in-process and only records
+        # the pool size it was asked for (None: no pool opened)
+        opened = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(ivdtr.sim, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(ivdtr.sim, "run_replication",
+                            lambda config, rep: {name: float(rep) for name in REGIMES})
+        result = run_cell(SimConfig(replications=replications, threads=threads))
+        assert opened == ([] if max_workers is None else [max_workers])
+        assert [rep for rep, _, _ in result.rows[::len(REGIMES)]] == list(range(replications))
 
     def test_all_regimes_fit(self):
         cfg = SimConfig(c1=4.0, xi=1.0, n_train=400, seed=5)
