@@ -19,14 +19,7 @@ import numpy as np
 from .bounds import RewardBounds, WeightSpec, parse_weight_spec
 from .crossfit import fit_ivoptimal_crossfit
 from .data import DataError, Dataset, load_csv
-from .dtr_core import (
-    Dtr,
-    backward_induct,
-    constant_dtr,
-    dtr_from_json,
-    dtr_to_json,
-    project_policy,
-)
+from .dtr_core import Dtr, constant_dtr, dtr_from_json, dtr_to_json
 from .improve import fit_ivimproved
 from .nuisance import NumericalError
 from .sim import SimConfig, fit_sra_baseline, run_cell, true_value
@@ -43,7 +36,7 @@ _ALLOWED_KEYS = {
     "improve": _DATA_KEYS | {"baseline"},
     "simulate": {
         "c1", "xi", "n_train", "replications", "n_eval", "lambda", "depth",
-        "crossfit", "seed", "out", "out_csv", "out_json", "threads",
+        "crossfit", "seed", "out", "out_csv", "threads",
     },
     "evaluate": {"policy", "c1", "xi", "n_eval", "seed", "out"},
 }
@@ -136,14 +129,13 @@ def _load_dataset(config: dict) -> Dataset:
         raise ConfigError(f"data file not found: {path}") from None
 
 
-def _check_converged(config: dict, fitted) -> None:
+def _check_converged(config: dict, fits) -> None:
+    """Under strict, raise on the first (name, converged) pair that did not converge."""
     if not config.get("strict", False):
         return
-    for est in fitted:
-        if not est.converged:
-            raise NumericalError(
-                f"stage {est.stage} nuisance fit did not converge within limits"
-            )
+    for name, converged in fits:
+        if not converged:
+            raise NumericalError(f"{name} nuisance fit did not converge within limits")
 
 
 def _dump_json(doc: dict, path: Optional[str]) -> None:
@@ -155,13 +147,28 @@ def _dump_json(doc: dict, path: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _interval_quantiles(est) -> dict:
-    widths = np.concatenate([est.upper_pos - est.lower_pos, est.upper_neg - est.lower_neg])
-    return {
-        "q10": float(np.quantile(widths, 0.10)),
-        "q50": float(np.quantile(widths, 0.50)),
-        "q90": float(np.quantile(widths, 0.90)),
-    }
+def _pooled_fit_stages(estimates) -> list[dict]:
+    """Report entries per stage, pooled over every backward induction behind
+    the policy: interval widths concatenated, empty cells united, repairs
+    summed, converged only if every fit converged."""
+    stages = []
+    for k in sorted({est.stage for est in estimates}):
+        fits = [est for est in estimates if est.stage == k]
+        widths = np.concatenate([est.upper_pos - est.lower_pos for est in fits]
+                                + [est.upper_neg - est.lower_neg for est in fits])
+        empty = dict.fromkeys(cell for est in fits for cell in est.nuisance.empty_cells)
+        stages.append({
+            "stage": k,
+            "interval_width_quantiles": {
+                "q10": float(np.quantile(widths, 0.10)),
+                "q50": float(np.quantile(widths, 0.50)),
+                "q90": float(np.quantile(widths, 0.90)),
+            },
+            "empty_cells": [list(map(str, cell)) for cell in empty],
+            "n_repaired": sum(est.n_repaired for est in fits),
+            "converged": all(est.converged for est in fits),
+        })
+    return stages
 
 
 def cmd_fit(config: dict) -> int:
@@ -170,35 +177,22 @@ def cmd_fit(config: dict) -> int:
     lam = _weight_spec(config, dataset.num_stages)
     depth = int(config.get("depth", 2))
     m = int(config.get("crossfit", 0))
-    if m < 0:
-        raise ConfigError("crossfit must be >= 0")
     seed = int(config.get("seed", 0))
 
-    estimates, _ = backward_induct(dataset, bounds, lam)
-    _check_converged(config, estimates)
-    if m >= 2:
-        policy = fit_ivoptimal_crossfit(dataset, bounds, lam, depth, m=m, seed=seed)
-    else:
-        policy = project_policy(estimates, dataset, depth, lam=lam)
+    policy, estimates = fit_ivoptimal_crossfit(dataset, bounds, lam, depth, m=m, seed=seed)
+    stages = _pooled_fit_stages(estimates)
+    _check_converged(config, ((f"stage {s['stage']}", s["converged"]) for s in stages))
 
     policy_doc = dtr_to_json(policy)
     _dump_json(policy_doc, config.get("out"))
+    for s in stages:
+        s["tree"] = policy_doc["stages"][s["stage"] - 1]
     report = {
         "command": "fit",
         "n": dataset.n,
         "num_stages": dataset.num_stages,
         "crossfit": m,
-        "stages": [
-            {
-                "stage": est.stage,
-                "interval_width_quantiles": _interval_quantiles(est),
-                "empty_cells": [list(map(str, c)) for c in est.nuisance.empty_cells],
-                "n_repaired": est.n_repaired,
-                "converged": est.nuisance.converged,
-                "tree": policy_doc["stages"][est.stage - 1],
-            }
-            for est in estimates
-        ],
+        "stages": stages,
     }
     if config.get("report"):
         _dump_json(report, config["report"])
@@ -230,7 +224,8 @@ def cmd_improve(config: dict) -> int:
     depth = int(config.get("depth", 2))
     tag = str(_require(config, "baseline"))
     if tag == "sra":
-        baseline = fit_sra_baseline(dataset, depth)
+        baseline, converged = fit_sra_baseline(dataset, depth)
+        _check_converged(config, [("SRA baseline", converged)])
     else:
         baseline = _load_policy(tag, dataset.num_stages, "baseline policy")
     if baseline.num_stages != dataset.num_stages:
@@ -241,7 +236,7 @@ def cmd_improve(config: dict) -> int:
     policy, estimates = fit_ivimproved(
         dataset, baseline, bounds, depth, baseline_id=tag
     )
-    _check_converged(config, estimates)
+    _check_converged(config, ((f"stage {est.stage}", est.converged) for est in estimates))
     policy_doc = dtr_to_json(policy)
     _dump_json(policy_doc, config.get("out"))
     report = {
@@ -313,7 +308,7 @@ def cmd_simulate(config: dict) -> int:
             for cell, result in zip(cells, results)
         ]
     }
-    _dump_json(summary_doc, config.get("out_json") or config.get("out"))
+    _dump_json(summary_doc, config.get("out"))
     return 0
 
 

@@ -344,14 +344,13 @@ def project_policy(
     dataset: Dataset,
     depth: int,
     lam: Optional[WeightSpec] = None,
-    kind: str = "iv_optimal",
 ) -> Dtr:
     """Step II: fit one depth-limited tree per stage to the contrast signs."""
     stages = tuple(
         fit_weighted_tree(dataset.histories(est.stage), est.action, np.abs(est.contrast), depth)
         for est in stage_estimates
     )
-    return Dtr(stages=stages, kind=kind, lam=lam)
+    return Dtr(stages=stages, kind="iv_optimal", lam=lam)
 
 
 # ------------------------------ serialization ------------------------------

@@ -40,10 +40,8 @@ class RelativeStageEstimate:
 
     stage: int
     baseline_action: np.ndarray   # a'_i
-    flip_lower: np.ndarray        # lower end of reward(+continuation) on arm -a'
-    baseline_upper: np.ndarray    # upper end of reward-only on arm a'
     keep_lower: np.ndarray        # lower end of continuation-only on arm a' (0 at stage K)
-    contrast: np.ndarray          # flip_lower - baseline_upper - keep_lower
+    contrast: np.ndarray          # flipped-arm lower end - baseline-arm upper end - keep_lower
     improved_action: np.ndarray   # flip where contrast > 0, else baseline
     relative_value: np.ndarray    # keep_lower + max(0, contrast)
     n_repaired: int
@@ -134,7 +132,7 @@ def relative_stage_estimates(
             sum_ns = fit_stage_nuisance(models[k - 1], H, z, a, sum_y, sum_tail, False)
             continuation = (sum_ns, sum_tail, cont_ns, cont_tail)
 
-        flip_lower, baseline_upper, keep_lower, contrast, n_rep = relative_contrast_pieces(
+        _, _, keep_lower, contrast, n_rep = relative_contrast_pieces(
             H, base_action, reward_ns, reward_tail, continuation)
         improved = np.where(contrast > 0, -base_action, base_action).astype(int)
         relative_value = keep_lower + np.maximum(contrast, 0.0)
@@ -142,8 +140,6 @@ def relative_stage_estimates(
         estimates[k - 1] = RelativeStageEstimate(
             stage=k,
             baseline_action=base_action.astype(int),
-            flip_lower=flip_lower,
-            baseline_upper=baseline_upper,
             keep_lower=keep_lower,
             contrast=contrast,
             improved_action=improved,

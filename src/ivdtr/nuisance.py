@@ -188,7 +188,6 @@ class NuisanceSet:
     pa: dict          # keys -1, +1
     mu: dict          # keys (z, a) for z, a in {-1, +1}
     outcome_range: tuple[float, float]
-    binary_outcome: bool
     clip: float = DEFAULT_CLIP
     empty_cells: tuple = ()
     converged: bool = True
@@ -299,7 +298,6 @@ def fit_stage_nuisance(
     return NuisanceSet(
         pz=models.pz, pa=models.pa, mu=mu,
         outcome_range=(float(lo), float(hi)),
-        binary_outcome=binary_outcome,
         empty_cells=models.empty_cells + mu_empty,
         converged=models.converged and all(getattr(m, "converged", True) for m in mu.values()),
     )
@@ -319,6 +317,5 @@ def synthetic_nuisance(
         pa={z: ConstantModel(p) for z, p in pa_pos_by_z.items()},
         mu={cell: ConstantModel(v) for cell, v in mu_by_cell.items()},
         outcome_range=(float(outcome_range[0]), float(outcome_range[1])),
-        binary_outcome=False,
         clip=clip,
     )

@@ -28,7 +28,7 @@ from scipy.special import expit
 from .bounds import RewardBounds, WeightSpec
 from .crossfit import fit_ivoptimal_crossfit
 from .data import Dataset, dataset_from_arrays
-from .dtr_core import Dtr, backward_induct, constant_dtr, fit_weighted_tree, project_policy
+from .dtr_core import Dtr, constant_dtr, fit_weighted_tree
 from .improve import fit_ivimproved
 from .nuisance import DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models
 
@@ -199,7 +199,8 @@ def _dr_stage(h, a, y, fit_arm, predict_arm, depth, stage):
     """One stage of doubly robust C-learning: per-arm outcome models, AIPW
     scores smoothed by a linear model, and a tree on the smoothed contrast.
 
-    Returns (tree, arm +1 predictions, arm -1 predictions).
+    Returns (tree, arm +1 predictions, arm -1 predictions, whether every
+    logistic fit converged).
     """
     if np.all(a == a[0]):
         raise ValueError(f"no treatment variation at stage {stage}")
@@ -209,27 +210,29 @@ def _dr_stage(h, a, y, fit_arm, predict_arm, depth, stage):
     phi = _aipw_contrast(h, a, y, mu_pos, mu_neg, prop.predict(h))
     contrast = fit_linear(h, phi).predict(h)
     tree = fit_weighted_tree(h, np.where(contrast >= 0, 1, -1), np.abs(contrast), depth)
-    return tree, mu_pos, mu_neg
+    converged = all(getattr(model, "converged", True) for model in (prop, *arm.values()))
+    return tree, mu_pos, mu_neg, converged
 
 
-def fit_sra_baseline(dataset: Dataset, depth: int) -> Dtr:
+def fit_sra_baseline(dataset: Dataset, depth: int) -> tuple[Dtr, bool]:
     """Backward doubly-robust C-learning that ignores the instrument.
 
     Stage outcome models are logistic for the binary stage-2 reward and linear
     for the continuous stage-1 pseudo-outcome; contrasts are smoothed with a
     linear model of the per-sample doubly robust scores before the tree fit.
+    Returns the policy and whether all four of its logistic fits converged.
     """
     if dataset.num_stages != 2:
         raise ValueError("the SRA baseline fitter handles two-stage data")
-    tree2, mu2_pos, mu2_neg = _dr_stage(
+    tree2, mu2_pos, mu2_neg, converged2 = _dr_stage(
         dataset.histories(2), dataset.actions(2), dataset.rewards(2), fit_logistic,
         lambda model, h: np.clip(model.predict(h), 0.0, 1.0), depth, 2)
     # stage 1: pseudo-outcome r1 + max_a mu2(h2, a)
-    tree1, _, _ = _dr_stage(
+    tree1, _, _, converged1 = _dr_stage(
         dataset.histories(1), dataset.actions(1),
         dataset.rewards(1) + np.maximum(mu2_pos, mu2_neg), fit_linear,
         lambda model, h: np.clip(model.predict(h), 0.0, 2.0), depth, 1)
-    return Dtr(stages=(tree1, tree2), kind="sra")
+    return Dtr(stages=(tree1, tree2), kind="sra"), converged1 and converged2
 
 
 # ------------------------------ cell runner ------------------------------
@@ -241,7 +244,7 @@ def fit_all_regimes(dataset: Dataset, config: SimConfig) -> dict[str, Dtr]:
     regimes: dict[str, Dtr] = {}
     std = constant_dtr(-1, 2, kind="std")
     prosp = constant_dtr(1, 2, kind="prosp")
-    sra = fit_sra_baseline(dataset, config.depth)
+    sra, _ = fit_sra_baseline(dataset, config.depth)
     models = fit_stage_models(dataset)
     regimes["pi_b_std"] = std
     regimes["pi_b_prosp"] = prosp
@@ -257,16 +260,10 @@ def fit_all_regimes(dataset: Dataset, config: SimConfig) -> dict[str, Dtr]:
         )
         regimes[name] = improved
     for name, lam_value in (("pi_iv_1", 1.0), ("pi_iv_0", 0.0), ("pi_iv_half", 0.5)):
-        lam = WeightSpec(lam_value)
-        if config.crossfit_m >= 2:
-            dtr = fit_ivoptimal_crossfit(
-                dataset, SIM_REWARD_BOUNDS, lam, config.depth,
-                m=config.crossfit_m, seed=config.seed,
-            )
-        else:
-            estimates, _ = backward_induct(dataset, SIM_REWARD_BOUNDS, lam, models=models)
-            dtr = project_policy(estimates, dataset, config.depth, lam=lam)
-        regimes[name] = dtr
+        regimes[name], _ = fit_ivoptimal_crossfit(
+            dataset, SIM_REWARD_BOUNDS, WeightSpec(lam_value), config.depth,
+            m=config.crossfit_m, seed=config.seed, models=models,
+        )
     return regimes
 
 

@@ -331,7 +331,7 @@ def test_criterion_8_crossfit_leakage():
         ds = random_two_stage_dataset(rng, n=80)
         m = int(rng.integers(2, 5))
         batches = assign_batches(ds.n, m, rng)
-        base = crossfit_stage_contrasts(ds, batches, BOUNDS2, lam)
+        base, _ = crossfit_stage_contrasts(ds, batches, BOUNDS2, lam)
         j = int(rng.integers(0, m))
         held = batches.members(j)
         scrambled = scramble_batch(ds, held, rng)

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
+import dataclasses
 import json
 import re
 import runpy
@@ -9,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ivdtr.crossfit
 import ivdtr.nuisance
+import ivdtr.sim
 from ivdtr.cli import run
 from ivdtr.data import save_csv
 from ivdtr.dtr_core import dtr_from_json
@@ -190,14 +193,14 @@ class TestImprove:
 class TestSimulate:
     def test_grid_shapes_and_determinism(self, tmp_path):
         out_csv = tmp_path / "values.csv"
-        out_json = tmp_path / "summary.json"
+        out = tmp_path / "summary.json"
         config = write_config(tmp_path, "cfg.json", {
             "c1": [3.0, 4.0], "xi": [1.0], "n_train": 200,
             "replications": 1, "n_eval": 2000, "seed": 4,
-            "out_csv": str(out_csv), "out_json": str(out_json),
+            "out_csv": str(out_csv), "out": str(out),
         })
         assert run(["simulate", "--config", str(config)]) == 0
-        doc = json.loads(out_json.read_text())
+        doc = json.loads(out.read_text())
         assert len(doc["cells"]) == 2
         first = out_csv.read_bytes()
         assert run(["simulate", "--config", str(config)]) == 0
@@ -330,6 +333,58 @@ class TestConfigSurface:
         assert run([command, "--config", str(config), *extra]) == 3
         assert "did not converge" in read_error(capsys)["error"]
         assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("strict, code", [(True, 3), (False, 0)])
+    def test_strict_covers_the_sra_baseline(self, tmp_path, sim_csv, capsys, monkeypatch,
+                                            strict, code):
+        # only the SRA baseline's logistic fits report non-convergence
+        original = ivdtr.sim.fit_logistic
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(original(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(ivdtr.sim, "fit_logistic", unconverged)
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "strict": strict,
+            "baseline": "sra", "out": str(tmp_path / "p.json"),
+        })
+        assert run(["improve", "--config", str(config)]) == code
+        if strict:
+            assert "SRA baseline nuisance fit did not converge" in read_error(capsys)["error"]
+        assert (tmp_path / "p.json").exists() == (not strict)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_strict_and_report_see_each_crossfit_complement(self, tmp_path, sim_csv, capsys,
+                                                            monkeypatch, strict):
+        # one of the two batch-complement inductions reports a non-converged
+        # stage-2 fit; the full data are never fitted under crossfit
+        original = ivdtr.crossfit.backward_induct
+        calls = []
+
+        def first_unconverged(dataset, *args, **kwargs):
+            estimates, rule = original(dataset, *args, **kwargs)
+            calls.append(dataset.n)
+            if len(calls) == 1:
+                est = estimates[1]
+                nuisance = dataclasses.replace(est.nuisance, converged=False)
+                estimates[1] = dataclasses.replace(
+                    est, rule=dataclasses.replace(est.rule, nuisance=nuisance))
+            return estimates, rule
+
+        monkeypatch.setattr(ivdtr.crossfit, "backward_induct", first_unconverged)
+        report = tmp_path / "r.json"
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "strict": strict,
+            "crossfit": 2, "out": str(tmp_path / "p.json"), "report": str(report),
+        })
+        assert run(["fit", "--config", str(config)]) == (3 if strict else 0)
+        assert calls == [200, 200]
+        if strict:
+            assert "stage 2 nuisance fit did not converge" in read_error(capsys)["error"]
+            assert not report.exists()
+        else:
+            stages = json.loads(report.read_text())["stages"]
+            assert [s["converged"] for s in stages] == [True, False]
 
 
 class TestExitCodes:

@@ -51,7 +51,7 @@ class TestCrossfitStageContrasts:
         rng = np.random.default_rng(0)
         ds = random_two_stage_dataset(rng, n=120)
         batches = BatchAssignment(batch_index=np.arange(120) % 2, m=2)
-        base = crossfit_stage_contrasts(ds, batches, BOUNDS2, LAM)
+        base, _ = crossfit_stage_contrasts(ds, batches, BOUNDS2, LAM)
         for j in (0, 1):
             held = batches.members(j)
             scrambled = scramble_batch(ds, held, rng)
@@ -67,11 +67,16 @@ class TestCrossfitStageContrasts:
         doubled = half.subset(np.tile(np.arange(100), 2))
         batches = BatchAssignment(
             batch_index=np.concatenate([np.zeros(100, int), np.ones(100, int)]), m=2)
-        cf = crossfit_stage_contrasts(doubled, batches, BOUNDS2, LAM)
+        cf, fits = crossfit_stage_contrasts(doubled, batches, BOUNDS2, LAM)
         estimates, _ = backward_induct(half, BOUNDS2, LAM)
         for k in (1, 2):
             np.testing.assert_allclose(cf[k - 1][:100], estimates[k - 1].contrast, atol=1e-9)
             np.testing.assert_allclose(cf[k - 1][100:], estimates[k - 1].contrast, atol=1e-9)
+        # the complement inductions' stage estimates come back, K per batch
+        assert [est.stage for est in fits] == [1, 2, 1, 2]
+        for est in fits:
+            np.testing.assert_allclose(est.contrast, estimates[est.stage - 1].contrast,
+                                       atol=1e-9)
 
     def test_single_batch_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(2), n=40)
@@ -83,8 +88,8 @@ class TestCrossfitStageContrasts:
 class TestFitIvoptimalCrossfit:
     def test_deterministic_under_seed(self):
         ds = random_two_stage_dataset(np.random.default_rng(3), n=120)
-        one = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=2, seed=5)
-        two = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=2, seed=5)
+        one, _ = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=2, seed=5)
+        two, _ = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=2, seed=5)
         assert dtr_to_json(one) == dtr_to_json(two)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -120,10 +125,21 @@ class TestFitIvoptimalCrossfit:
                 np.testing.assert_array_equal(
                     weights1[held], weights0[held], err_msg=f"stage {k} weights, batch {j}")
 
-    def test_fewer_than_two_batches_rejected(self):
+    def test_zero_or_one_batch_is_the_plain_fit(self):
+        # m of 0 or 1 is the plain fit, bit for bit; a negative m is rejected
         ds = random_two_stage_dataset(np.random.default_rng(4), n=150)
-        with pytest.raises(ValueError, match=">= 2"):
-            fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=1, seed=0)
+        estimates, _ = backward_induct(ds, BOUNDS2, LAM)
+        plain = dtr_to_json(project_policy(estimates, ds, depth=2, lam=LAM))
+        for m in (0, 1):
+            policy, fits = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=m, seed=0)
+            assert dtr_to_json(policy) == plain
+            assert [est.stage for est in fits] == [1, 2]
+            for est, expected in zip(fits, estimates):
+                np.testing.assert_array_equal(est.contrast, expected.contrast)
+                np.testing.assert_array_equal(est.lower_pos, expected.lower_pos)
+                np.testing.assert_array_equal(est.upper_neg, expected.upper_neg)
+        with pytest.raises(ValueError, match="crossfit must be >= 0"):
+            fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=-1, seed=0)
 
     def test_small_batches_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(5), n=30)
@@ -140,7 +156,7 @@ class TestFitIvoptimalCrossfit:
         ds, _ = generate(cfg, 500, rng)
         plain_estimates, _ = backward_induct(ds, BOUNDS2, LAM)
         plain = project_policy(plain_estimates, ds, depth=2, lam=LAM)
-        crossed = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=5, seed=1)
+        crossed, _ = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=5, seed=1)
         eval_rng = np.random.default_rng(7)
         x = eval_rng.uniform(-1, 1, size=(40000, 2))
         v_plain = true_value(plain, cfg, 40000, eval_rng, x=x).normalized_value

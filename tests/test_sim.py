@@ -8,9 +8,12 @@ from scipy.special import expit
 
 import ivdtr.nuisance
 import ivdtr.sim
+from ivdtr.bounds import WeightSpec
+from ivdtr.crossfit import fit_ivoptimal_crossfit
 from ivdtr.dtr_core import Leaf, TreeNode, TreeRule, Dtr, constant_dtr
 from ivdtr.sim import (
     REGIMES,
+    SIM_REWARD_BOUNDS,
     SimConfig,
     _r1_prob,
     _r2_prob,
@@ -166,8 +169,9 @@ class TestSraBaseline:
     def test_learns_valuable_policy_at_low_confounding(self):
         cfg = SimConfig(c1=4.0, xi=1.0, n_train=1000)
         ds, _ = generate(cfg, 1000, np.random.default_rng(9))
-        sra = fit_sra_baseline(ds, depth=2)
+        sra, converged = fit_sra_baseline(ds, depth=2)
         assert sra.kind == "sra"
+        assert converged
         report = true_value(sra, cfg, 50_000, np.random.default_rng(10))
         assert report.normalized_value > 1.05
 
@@ -227,6 +231,24 @@ class TestRunCell:
         result = run_cell(SimConfig(replications=replications, threads=threads))
         assert opened == ([] if max_workers is None else [max_workers])
         assert [rep for rep, _, _ in result.rows[::len(REGIMES)]] == list(range(replications))
+
+    def test_crossfit_replication_runs_the_crossfit_fit(self):
+        # with crossfit_m >= 2 each IV regime is the cross-fitted policy on the
+        # replication's own training draw, evaluated on its evaluation draw
+        cfg = SimConfig(c1=4.0, xi=1.0, n_train=200, n_eval=2000, seed=3, crossfit_m=2)
+        values = run_replication(cfg, 0)
+        assert set(values) == set(REGIMES)
+        assert all(np.isfinite(v) for v in values.values())
+        assert values["pi_b_std"] == 1.0
+        train_seed, eval_seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)).spawn(2)
+        ds, _ = generate(cfg, cfg.n_train, np.random.default_rng(train_seed))
+        eval_rng = np.random.default_rng(eval_seed)
+        x = eval_rng.uniform(-1.0, 1.0, size=(cfg.n_eval, 2))
+        for name, lam in (("pi_iv_1", 1.0), ("pi_iv_0", 0.0), ("pi_iv_half", 0.5)):
+            policy, _ = fit_ivoptimal_crossfit(ds, SIM_REWARD_BOUNDS, WeightSpec(lam),
+                                               cfg.depth, m=2, seed=cfg.seed)
+            expected = true_value(policy, cfg, cfg.n_eval, eval_rng, x=x).normalized_value
+            assert values[name] == expected
 
     def test_all_regimes_fit(self):
         cfg = SimConfig(c1=4.0, xi=1.0, n_train=400, seed=5)
