@@ -126,8 +126,7 @@ def _check_unit(v: float) -> None:
 
 def parse_weight_spec(text: str, num_stages: int) -> WeightSpec:
     """Parse 'w' | 'b' | 'm' | a bare float | 'const:STAGE:VALUE[,...]'."""
-    named = {"w": WeightSpec.worst, "b": WeightSpec.best, "m": WeightSpec.minmax,
-             "worst": WeightSpec.worst, "best": WeightSpec.best, "minmax": WeightSpec.minmax}
+    named = {"w": WeightSpec.worst, "b": WeightSpec.best, "m": WeightSpec.minmax}
     text = text.strip()
     if text in named:
         return named[text]()

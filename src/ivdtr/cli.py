@@ -30,7 +30,7 @@ class ConfigError(ValueError):
 
 
 # each command accepts only the config keys it reads
-_DATA_KEYS = {"data", "schema", "reward_bounds", "depth", "out", "report", "strict"}
+_DATA_KEYS = {"data", "reward_bounds", "depth", "out", "report", "strict"}
 _ALLOWED_KEYS = {
     "fit": _DATA_KEYS | {"lambda", "crossfit", "seed"},
     "improve": _DATA_KEYS | {"baseline"},
@@ -116,15 +116,8 @@ def _weight_spec(config: dict, num_stages: int) -> WeightSpec:
 
 def _load_dataset(config: dict) -> Dataset:
     path = _require(config, "data")
-    schema = None
-    if config.get("schema") is not None:
-        doc = config["schema"]
-        try:
-            schema = (int(doc["num_stages"]), tuple(int(d) for d in doc["covariate_dims"]))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad schema: {exc}") from None
     try:
-        return load_csv(path, schema=schema)
+        return load_csv(path)
     except FileNotFoundError:
         raise ConfigError(f"data file not found: {path}") from None
 
@@ -256,6 +249,7 @@ def cmd_improve(config: dict) -> int:
                     np.mean(est.improved_action != est.baseline_action)
                 ),
                 "n_repaired": est.n_repaired,
+                "converged": est.converged,
                 "tree": policy_doc["stages"][est.stage - 1],
             }
         )

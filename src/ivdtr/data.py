@@ -10,7 +10,6 @@ Conventions baked in here and relied on everywhere else:
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,34 +169,19 @@ def _parse_header(header: list[str]) -> tuple[int, tuple[int, ...]]:
     return k, tuple(dims)
 
 
-def load_csv(path, schema: tuple[int, Sequence[int]] | None = None) -> Dataset:
-    """Load a trajectory dataset from CSV.
-
-    schema, when given, is (num_stages, covariate_dims) and must match the
-    file header; when None the schema is inferred from the header.
-    """
+def load_csv(path) -> Dataset:
+    """Load a trajectory dataset from CSV; the header fixes the schema."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return _load_csv_file(fh, schema)
+        return _load_csv_file(fh)
 
 
-def loads_csv(text: str, schema: tuple[int, Sequence[int]] | None = None) -> Dataset:
-    return _load_csv_file(io.StringIO(text), schema)
-
-
-def _load_csv_file(fh, schema) -> Dataset:
+def _load_csv_file(fh) -> Dataset:
     reader = csv.reader(fh)
     try:
         header = [c.strip() for c in next(reader)]
     except StopIteration:
         raise DataError("empty dataset") from None
-    num_stages, dims = _parse_header(header)
-    if schema is not None:
-        want_k, want_dims = schema
-        if (num_stages, dims) != (int(want_k), tuple(int(d) for d in want_dims)):
-            raise DataError(
-                f"header schema K={num_stages}, dims={dims} does not match "
-                f"declared K={want_k}, dims={tuple(want_dims)}"
-            )
+    _, dims = _parse_header(header)
     width = len(header)
 
     values = []
@@ -227,12 +211,6 @@ def _load_csv_file(fh, schema) -> Dataset:
 def save_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _save_csv_file(dataset, fh)
-
-
-def dumps_csv(dataset: Dataset) -> str:
-    buf = io.StringIO()
-    _save_csv_file(dataset, buf)
-    return buf.getvalue()
 
 
 def _save_csv_file(dataset: Dataset, fh) -> None:

@@ -82,11 +82,6 @@ class TreeRule:
         return _d(self.root)
 
 
-def weighted_loss(tree: TreeRule, X: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
-    pred = tree.decide(X)
-    return float(np.sum(weights * (pred != labels)))
-
-
 def _leaf_stats(labels: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
     """Weighted-majority leaf label (tie -> +1) and its misclassified mass."""
     w_pos = float(np.sum(weights[labels > 0]))
@@ -278,22 +273,13 @@ def pseudo_outcomes(rewards_k: np.ndarray, next_values: np.ndarray) -> np.ndarra
 
 
 def fit_stage(
-    models: StageModels,
+    nuisance: NuisanceSet,
     histories: np.ndarray,
-    z: np.ndarray,
-    a: np.ndarray,
-    outcomes: np.ndarray,
-    tail_bounds: tuple[float, float],
+    tail: tuple[float, float],
     lambda_k: float,
     stage: int = 0,
 ) -> StageQEstimate:
-    """One stage of Step I: outcome cells, intervals at +/-1, contrast, value."""
-    tail = (float(tail_bounds[0]), float(tail_bounds[1]))
-    outcomes = np.asarray(outcomes, dtype=float).ravel()
-    nuisance = fit_stage_nuisance(
-        models, histories, z, a, outcomes, outcome_range=tail,
-        binary_outcome=is_binary_outcome(outcomes, tail),
-    )
+    """One stage of Step I: intervals at +/-1 from the stage's fitted cells, contrast, value."""
     rule = SignOfContrast(nuisance=nuisance, tail=tail, lam=float(lambda_k))
     plus, minus, n_repaired = arm_intervals(nuisance, histories, tail)
     q_pos, q_neg = weighted_q(plus, rule.lam), weighted_q(minus, rule.lam)
@@ -316,23 +302,25 @@ def backward_induct(
 ) -> tuple[list[StageQEstimate], Dtr]:
     """Step I over k = K..1; returns stage estimates and the sign-rule policy.
 
-    models (entry k-1 for stage k) are fit from dataset when not given.
+    models (entry k-1 for stage k) are fit_stage_models(dataset, reward_bounds),
+    fitted here when not given; stage K bounds the reward with their reward cells.
     """
     reward_bounds.check(dataset)
     if models is None:
-        models = fit_stage_models(dataset)
+        models = fit_stage_models(dataset, reward_bounds)
     K = dataset.num_stages
     estimates: list[Optional[StageQEstimate]] = [None] * K
     next_value: Optional[np.ndarray] = None
     for k in range(K, 0, -1):
-        rewards = dataset.rewards(k)
-        outcomes = rewards if k == K else pseudo_outcomes(rewards, next_value)
+        stage = models[k - 1]
         tail = reward_bounds.tail(k)
-        outcomes = np.clip(outcomes, tail[0], tail[1])
-        est = fit_stage(
-            models[k - 1], dataset.histories(k), dataset.instruments(k), dataset.actions(k),
-            outcomes, tail, lam.at(k), stage=k,
-        )
+        if k == K:
+            nuisance = stage.reward
+        else:
+            outcomes = np.clip(pseudo_outcomes(stage.r, next_value), tail[0], tail[1])
+            nuisance = fit_stage_nuisance(stage, outcomes, tail,
+                                          is_binary_outcome(outcomes, tail))
+        est = fit_stage(nuisance, stage.H, tail, lam.at(k), stage=k)
         estimates[k - 1] = est
         next_value = est.value
     q_rule = Dtr(stages=tuple(est.rule for est in estimates), kind="iv_optimal", lam=lam)

@@ -13,9 +13,9 @@ baseline. The relative value propagated backwards is
 
   V(h) = keep(h) + max(0, C(h)),   keep_K = 0,  keep_k = lower_V(h, a').
 
-A single set of instrument/treatment fits per stage is shared by the three
-outcome regressions (reward-only, relative-continuation-only, their sum),
-which are bounded separately before the interval ends are combined.
+The stage models supply each stage's instrument, treatment and reward-cell
+fits; a pass fits only the cells of the relative continuation and of the sum,
+and the three outcomes are bounded separately before the ends are combined.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import Interval, RewardBounds, arm_intervals
 from .data import Dataset
 from .dtr_core import Dtr, fit_weighted_tree
-from .nuisance import StageModels, fit_stage_models, fit_stage_nuisance, is_binary_outcome
+from .nuisance import StageModels, fit_stage_models, fit_stage_nuisance
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def relative_stage_estimates(
 ) -> list[RelativeStageEstimate]:
     """Backward pass of the improvement operator over all stages.
 
-    Returns estimates indexed by stage (entry k-1 is stage k). models (entry
-    k-1 for stage k) are fit from dataset when not given.
+    Returns estimates indexed by stage (entry k-1 is stage k); models, in the
+    same order, are fit_stage_models(dataset, reward_bounds), fitted if not given.
     """
     K = dataset.num_stages
     if baseline.num_stages != K:
@@ -103,22 +103,15 @@ def relative_stage_estimates(
         )
     reward_bounds.check(dataset)
     if models is None:
-        models = fit_stage_models(dataset)
+        models = fit_stage_models(dataset, reward_bounds)
 
     estimates: list[Optional[RelativeStageEstimate]] = [None] * K
     next_relative: Optional[np.ndarray] = None
 
     for k in range(K, 0, -1):
-        H = dataset.histories(k)
-        z = dataset.instruments(k)
-        a = dataset.actions(k)
-        r = dataset.rewards(k)
+        stage = models[k - 1]
         reward_tail = reward_bounds.stage(k)
-        base_action = baseline.action_matrix(k, H)
-        reward_ns = fit_stage_nuisance(
-            models[k - 1], H, z, a, r, outcome_range=reward_tail,
-            binary_outcome=is_binary_outcome(r, reward_tail),
-        )
+        base_action = baseline.action_matrix(k, stage.H)
 
         continuation = None
         if k < K:
@@ -126,14 +119,14 @@ def relative_stage_estimates(
             cont_tail = (0.0, cont_width)
             sum_tail = (reward_tail[0], reward_tail[1] + cont_width)
             cont_y = np.clip(next_relative, cont_tail[0], cont_tail[1])
-            sum_y = np.clip(r + cont_y, sum_tail[0], sum_tail[1])
+            sum_y = np.clip(stage.r + cont_y, sum_tail[0], sum_tail[1])
 
-            cont_ns = fit_stage_nuisance(models[k - 1], H, z, a, cont_y, cont_tail, False)
-            sum_ns = fit_stage_nuisance(models[k - 1], H, z, a, sum_y, sum_tail, False)
+            cont_ns = fit_stage_nuisance(stage, cont_y, cont_tail, False)
+            sum_ns = fit_stage_nuisance(stage, sum_y, sum_tail, False)
             continuation = (sum_ns, sum_tail, cont_ns, cont_tail)
 
         _, _, keep_lower, contrast, n_rep = relative_contrast_pieces(
-            H, base_action, reward_ns, reward_tail, continuation)
+            stage.H, base_action, stage.reward, reward_tail, continuation)
         improved = np.where(contrast > 0, -base_action, base_action).astype(int)
         relative_value = keep_lower + np.maximum(contrast, 0.0)
 
@@ -145,7 +138,7 @@ def relative_stage_estimates(
             improved_action=improved,
             relative_value=relative_value,
             n_repaired=n_rep,
-            converged=reward_ns.converged,
+            converged=stage.reward.converged,
         )
         next_relative = relative_value
 

@@ -4,6 +4,10 @@ These are the "simple parametric models" used to estimate every conditional
 quantity the partial-identification bounds need:
   P(Z=+1|H), P(A=+1|H,Z=z) for z in {-1,+1}, and E[Y|H,Z=z,A=a] per (z,a) cell.
 
+StageModels holds one stage's data and its data-only fits, P(Z|H), P(A|H,Z)
+and the reward cells on [low_k, high_k] (these on first read), so a backward
+pass fits only the cells of its pseudo-outcomes.
+
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
 included, so separated or single-class designs stay finite). The
@@ -17,6 +21,7 @@ only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -214,18 +219,30 @@ class NuisanceSet:
 
 @dataclass(frozen=True)
 class StageModels:
-    """The instrument and treatment models of one stage: pz models P(Z=+1|H),
-    pa[z] models P(A=+1|H,Z=z). They depend on the data alone, so every
-    outcome vector bounded at the stage shares one fit."""
+    """Stage k's histories H, instruments z, actions a, rewards r and reward
+    range [low_k, high_k], with pz modelling P(Z=+1|H) and pa[z] P(A=+1|H,Z=z).
+    They depend on the data alone, so every outcome vector bounded at the stage shares them."""
 
+    H: np.ndarray
+    z: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+    reward_range: tuple[float, float]
     pz: object
     pa: dict          # keys -1, +1
     empty_cells: tuple
     converged: bool
 
+    @cached_property
+    def reward(self) -> NuisanceSet:
+        """The reward cells E[R|H,Z,A] on reward_range, fitted on first read."""
+        r = np.clip(self.r, *self.reward_range)
+        return fit_stage_nuisance(self, r, self.reward_range,
+                                  is_binary_outcome(r, self.reward_range))
 
-def fit_stage_models(dataset) -> tuple[StageModels, ...]:
-    """Fit StageModels for every stage of a dataset; entry k-1 is stage k."""
+
+def fit_stage_models(dataset, reward_bounds) -> tuple[StageModels, ...]:
+    """StageModels for every stage of a dataset; entry k-1 is stage k."""
     out = []
     for k in range(1, dataset.num_stages + 1):
         H, z, a = dataset.histories(k), dataset.instruments(k), dataset.actions(k)
@@ -240,7 +257,9 @@ def fit_stage_models(dataset) -> tuple[StageModels, ...]:
                 pa[z0] = ConstantModel(0.5)
                 empty.append(("pa", z0))
         converged = all(getattr(m, "converged", True) for m in (pz, pa[1], pa[-1]))
-        out.append(StageModels(pz=pz, pa=pa, empty_cells=tuple(empty), converged=converged))
+        out.append(StageModels(H=H, z=z, a=a, r=dataset.rewards(k),
+                               reward_range=reward_bounds.stage(k), pz=pz, pa=pa,
+                               empty_cells=tuple(empty), converged=converged))
     return tuple(out)
 
 
@@ -250,35 +269,30 @@ def is_binary_outcome(y: np.ndarray, outcome_range: tuple[float, float]) -> bool
 
 
 def fit_mu_cells(
-    histories: np.ndarray,
-    z: np.ndarray,
-    a: np.ndarray,
+    models: StageModels,
     y: np.ndarray,
     outcome_range: tuple[float, float],
     binary_outcome: bool,
 ) -> tuple[dict, tuple]:
-    """Per-(z,a)-cell outcome regressions; empty cells fall back to midpoint."""
+    """Per-(z,a)-cell outcome regressions on the stage's data; empty cells fall back to midpoint."""
     mu: dict = {}
     empty = []
     midpoint = 0.5 * (outcome_range[0] + outcome_range[1])
     for z0 in (-1, 1):
         for a0 in (-1, 1):
-            rows = (z == z0) & (a == a0)
+            rows = (models.z == z0) & (models.a == a0)
             if not np.any(rows):
                 mu[(z0, a0)] = ConstantModel(midpoint)
                 empty.append((z0, a0))
             elif binary_outcome:
-                mu[(z0, a0)] = fit_logistic(histories[rows], y[rows])
+                mu[(z0, a0)] = fit_logistic(models.H[rows], y[rows])
             else:
-                mu[(z0, a0)] = fit_linear(histories[rows], y[rows])
+                mu[(z0, a0)] = fit_linear(models.H[rows], y[rows])
     return mu, tuple(empty)
 
 
 def fit_stage_nuisance(
     models: StageModels,
-    histories: np.ndarray,
-    z: np.ndarray,
-    a: np.ndarray,
     y: np.ndarray,
     outcome_range: tuple[float, float],
     binary_outcome: bool,
@@ -294,28 +308,10 @@ def fit_stage_nuisance(
         raise ValueError(
             f"outcomes [{np.min(y)}, {np.max(y)}] outside declared range [{lo}, {hi}]"
         )
-    mu, mu_empty = fit_mu_cells(histories, z, a, y, outcome_range, binary_outcome)
+    mu, mu_empty = fit_mu_cells(models, y, outcome_range, binary_outcome)
     return NuisanceSet(
         pz=models.pz, pa=models.pa, mu=mu,
         outcome_range=(float(lo), float(hi)),
         empty_cells=models.empty_cells + mu_empty,
         converged=models.converged and all(getattr(m, "converged", True) for m in mu.values()),
-    )
-
-
-def synthetic_nuisance(
-    pz_pos: float,
-    pa_pos_by_z: dict,
-    mu_by_cell: dict,
-    outcome_range: tuple[float, float],
-    clip: float = 0.0,
-) -> NuisanceSet:
-    """NuisanceSet with constant conditional quantities, unclipped by default;
-    used to pin population-level formula values in tests."""
-    return NuisanceSet(
-        pz=ConstantModel(pz_pos),
-        pa={z: ConstantModel(p) for z, p in pa_pos_by_z.items()},
-        mu={cell: ConstantModel(v) for cell, v in mu_by_cell.items()},
-        outcome_range=(float(outcome_range[0]), float(outcome_range[1])),
-        clip=clip,
     )

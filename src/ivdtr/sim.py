@@ -240,12 +240,12 @@ def fit_sra_baseline(dataset: Dataset, depth: int) -> tuple[Dtr, bool]:
 
 def fit_all_regimes(dataset: Dataset, config: SimConfig) -> dict[str, Dtr]:
     """Fit the nine regimes on one training set; the full-sample ones share
-    one fit of each stage's instrument and treatment models."""
+    one fit of each stage's instrument, treatment and reward models."""
     regimes: dict[str, Dtr] = {}
     std = constant_dtr(-1, 2, kind="std")
     prosp = constant_dtr(1, 2, kind="prosp")
     sra, _ = fit_sra_baseline(dataset, config.depth)
-    models = fit_stage_models(dataset)
+    models = fit_stage_models(dataset, SIM_REWARD_BOUNDS)
     regimes["pi_b_std"] = std
     regimes["pi_b_prosp"] = prosp
     regimes["pi_b_sra"] = sra

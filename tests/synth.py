@@ -1,10 +1,50 @@
-"""Shared generators for randomized nuisance configurations and datasets."""
+"""Shared generators for randomized nuisance configurations and datasets,
+and the test-only helpers built on the shipped code."""
+
+import os
+import tempfile
 
 import numpy as np
 
 from ivdtr.bounds import Interval, mp_bounds_matrix
-from ivdtr.data import dataset_from_arrays
-from ivdtr.nuisance import synthetic_nuisance
+from ivdtr.data import dataset_from_arrays, load_csv, save_csv
+from ivdtr.nuisance import ConstantModel, NuisanceSet
+
+
+def synthetic_nuisance(pz_pos, pa_pos_by_z, mu_by_cell, outcome_range, clip=0.0):
+    """NuisanceSet with constant conditional quantities, unclipped by default;
+    used to pin population-level formula values."""
+    return NuisanceSet(
+        pz=ConstantModel(pz_pos),
+        pa={z: ConstantModel(p) for z, p in pa_pos_by_z.items()},
+        mu={cell: ConstantModel(v) for cell, v in mu_by_cell.items()},
+        outcome_range=(float(outcome_range[0]), float(outcome_range[1])),
+        clip=clip,
+    )
+
+
+def weighted_loss(tree, X, labels, weights):
+    """Weighted 0/1 loss of a tree's decisions against labels."""
+    pred = tree.decide(X)
+    return float(np.sum(weights * (pred != labels)))
+
+
+def loads_csv(text):
+    """load_csv on CSV text, through a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return load_csv(path)
+
+
+def dumps_csv(dataset):
+    """The text save_csv writes for a dataset."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        save_csv(dataset, path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
 
 
 def interval_at(nuisance, h, a, tail):

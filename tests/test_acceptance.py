@@ -14,20 +14,16 @@ from synth import (
     random_nuisance,
     random_single_stage_dataset,
     random_two_stage_dataset,
+    synthetic_nuisance,
+    weighted_loss,
 )
 
 from ivdtr.bounds import Interval, RewardBounds, WeightSpec, weighted_q
 from ivdtr.crossfit import crossfit_stage_contrasts
 from ivdtr.data import BatchAssignment, assign_batches
-from ivdtr.dtr_core import backward_induct, fit_weighted_tree, sign_with_tie, weighted_loss
+from ivdtr.dtr_core import backward_induct, fit_weighted_tree, sign_with_tie
 from ivdtr.improve import relative_contrast_pieces
-from ivdtr.nuisance import (
-    fit_linear,
-    fit_logistic,
-    loglik_gradient,
-    penalized_loglik,
-    synthetic_nuisance,
-)
+from ivdtr.nuisance import fit_linear, fit_logistic, loglik_gradient, penalized_loglik
 from ivdtr.sim import REGIMES, SimConfig, generate, run_cell, true_value
 from test_dtr_core import oracle_best_loss, staircase_instance
 from test_improve import improve_rule_single

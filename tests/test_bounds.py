@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synth import interval_at
+from synth import interval_at, synthetic_nuisance
 
 from ivdtr.bounds import (
     Interval,
@@ -14,7 +14,6 @@ from ivdtr.bounds import (
     parse_weight_spec,
     weighted_q,
 )
-from ivdtr.nuisance import synthetic_nuisance
 
 
 def oracle_bounds(pz_pos, pa_pos, mu, a, c_low, c_high):
@@ -206,3 +205,5 @@ class TestWeightSpec:
         assert spec.at(1) == 0.3 and spec.at(2) == 0.7
         with pytest.raises(ValueError):
             parse_weight_spec("nope", 2)
+        with pytest.raises(ValueError):
+            parse_weight_spec("worst", 2)

@@ -283,9 +283,12 @@ class TestConfigSurface:
         assert run(["fit", "--config", str(config)]) == 0
         assert run(["improve", "--config", str(config), "--baseline", "std"]) == 0
 
-    @pytest.mark.parametrize("command, doc", [("simulate", {"strict": True}),
-                                              ("evaluate", {"report": "x.json"}),
-                                              ("improve", {"seed": 1})])
+    @pytest.mark.parametrize("command, doc", [
+        ("simulate", {"strict": True}),
+        ("evaluate", {"report": "x.json"}),
+        ("improve", {"seed": 1}),
+        ("fit", {"schema": {"num_stages": 2, "covariate_dims": [2, 0]}}),
+    ])
     def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, doc):
         config = write_config(tmp_path, "cfg.json", doc)
         assert run([command, "--config", str(config)]) == 2
@@ -333,6 +336,14 @@ class TestConfigSurface:
         assert run([command, "--config", str(config), *extra]) == 3
         assert "did not converge" in read_error(capsys)["error"]
         assert not (tmp_path / "p.json").exists()
+        if command == "improve":
+            config = write_config(tmp_path, "cfg.json", {
+                "data": str(sim_csv), "reward_bounds": BOUNDS_DOC,
+                "out": str(tmp_path / "p.json"), "report": str(tmp_path / "r.json"),
+            })
+            assert run([command, "--config", str(config), *extra]) == 0
+            report = json.loads((tmp_path / "r.json").read_text())
+            assert [stage["converged"] for stage in report["stages"]] == [False, False]
 
     @pytest.mark.parametrize("strict, code", [(True, 3), (False, 0)])
     def test_strict_covers_the_sra_baseline(self, tmp_path, sim_csv, capsys, monkeypatch,

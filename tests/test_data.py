@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from synth import dumps_csv, loads_csv
 
 from ivdtr.data import (
     BatchAssignment,
@@ -13,9 +14,7 @@ from ivdtr.data import (
     Dataset,
     assign_batches,
     dataset_from_arrays,
-    dumps_csv,
     expected_header,
-    loads_csv,
 )
 
 TWO_STAGE_CSV = (
@@ -49,12 +48,6 @@ class TestLoadCsv:
         assert ds.covariate_dims == (1, 1)
         assert ds.r[0, 0] == 1.0
         assert ds.a[2, 1] == -1
-
-    def test_schema_validated_against_header(self):
-        ds = loads_csv(TWO_STAGE_CSV, schema=(2, (1, 1)))
-        assert ds.n == 3
-        with pytest.raises(DataError, match="does not match"):
-            loads_csv(TWO_STAGE_CSV, schema=(2, (2, 1)))
 
     def test_action_not_pm1(self):
         bad = "x1_1,z1,a1,r1\n0.3,1,0,1.0\n"

@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
-from synth import interval_at
+from synth import interval_at, synthetic_nuisance, weighted_loss
 
+import ivdtr.nuisance
 from ivdtr.bounds import RewardBounds, WeightSpec, weighted_q
 from ivdtr.data import dataset_from_arrays
 from ivdtr.dtr_core import (
@@ -23,9 +24,9 @@ from ivdtr.dtr_core import (
     project_policy,
     pseudo_outcomes,
     sign_with_tie,
-    weighted_loss,
 )
-from ivdtr.nuisance import fit_stage_models, synthetic_nuisance
+from ivdtr.improve import relative_stage_estimates
+from ivdtr.nuisance import fit_stage_models
 
 
 # --------------------------- exhaustive tree oracle ---------------------------
@@ -296,13 +297,34 @@ class TestBackwardInduct:
 
     def test_shared_stage_models_give_identical_estimates(self):
         ds = simulate_two_stage(seed=8)
+        models = fit_stage_models(ds, BOUNDS2)
         own, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
-        shared, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax(),
-                                    models=fit_stage_models(ds))
+        shared, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax(), models=models)
         for a, b in zip(own, shared):
             np.testing.assert_array_equal(a.contrast, b.contrast)
             np.testing.assert_array_equal(a.lower_pos, b.lower_pos)
             np.testing.assert_array_equal(a.upper_neg, b.upper_neg)
+        # the improvement pass reads the reward cells the induction left on the models
+        baseline = constant_dtr(-1, 2)
+        own_rel = relative_stage_estimates(ds, baseline, BOUNDS2)
+        shared_rel = relative_stage_estimates(ds, baseline, BOUNDS2, models=models)
+        for a, b in zip(own_rel, shared_rel):
+            np.testing.assert_array_equal(a.contrast, b.contrast)
+            np.testing.assert_array_equal(a.relative_value, b.relative_value)
+
+    def test_plain_induction_fits_no_stage1_reward_cells(self, monkeypatch):
+        # logistic fits: 3 instrument/treatment models per stage and the 4
+        # binary stage-2 reward cells; stage 1 bounds a pseudo-outcome
+        calls = []
+        original = ivdtr.nuisance.fit_logistic
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ivdtr.nuisance, "fit_logistic", counted)
+        backward_induct(simulate_two_stage(seed=8), BOUNDS2, WeightSpec.minmax())
+        assert len(calls) == 2 * 3 + 4 == 10
 
     def test_reward_outside_bounds_rejected(self):
         ds = simulate_two_stage(seed=9)

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from synth import interval_at, random_nuisance, random_two_stage_dataset
+from synth import interval_at, random_nuisance, random_two_stage_dataset, synthetic_nuisance
 
 from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.data import dataset_from_arrays
 from ivdtr.dtr_core import Leaf, backward_induct, constant_dtr
 from ivdtr.improve import fit_ivimproved, relative_contrast_pieces, relative_stage_estimates
-from ivdtr.nuisance import synthetic_nuisance
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
 BOUNDS1 = RewardBounds(lows=(0.0,), highs=(1.0,))

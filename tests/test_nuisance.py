@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 import ivdtr.nuisance
+from ivdtr.bounds import RewardBounds
 from ivdtr.data import dataset_from_arrays
 from ivdtr.nuisance import (
     RIDGE,
@@ -283,10 +284,11 @@ class TestFitLinear:
             fit_linear(np.array([[1.0]]), np.array([np.inf]))
 
 
-def fit_stage_nuisance_on(H, z, a, y, **kwargs):
+def fit_stage_nuisance_on(H, z, a, y, outcome_range, binary_outcome):
     """Outcome cells for y on the stage models of the one-stage dataset (H, z, a, y)."""
-    models = fit_stage_models(dataset_from_arrays([H], [z], [a], [y]))[0]
-    return fit_stage_nuisance(models, H, z, a, y, **kwargs)
+    bounds = RewardBounds(lows=(outcome_range[0],), highs=(outcome_range[1],))
+    models = fit_stage_models(dataset_from_arrays([H], [z], [a], [y]), bounds)[0]
+    return fit_stage_nuisance(models, y, outcome_range, binary_outcome)
 
 
 class TestFitStageNuisance:

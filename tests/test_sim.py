@@ -259,9 +259,9 @@ class TestRunCell:
             assert dtr.num_stages == 2
 
     def test_stage_models_fit_once_per_dataset(self, monkeypatch):
-        # logistic fits: 3 instrument/treatment models per stage, fitted once;
-        # 4 in the SRA baseline; 8 binary reward cells per improved regime;
-        # 4 binary stage-2 cells per IV regime (stage 1 bounds a pseudo-outcome)
+        # logistic fits: 3 instrument/treatment models per stage and the 4
+        # binary reward cells of each stage, all fitted once; 4 in the SRA
+        # baseline. The regimes' own cells bound continuous pseudo-outcomes.
         calls = []
         original = ivdtr.nuisance.fit_logistic
 
@@ -274,4 +274,4 @@ class TestRunCell:
         cfg = SimConfig(c1=4.0, xi=1.0, n_train=1000, seed=5)
         ds, _ = generate(cfg, 1000, np.random.default_rng(12))
         fit_all_regimes(ds, cfg)
-        assert len(calls) == 2 * 3 + 4 + 3 * 8 + 3 * 4 == 46
+        assert len(calls) == 2 * 3 + 4 + 2 * 4 == 18
