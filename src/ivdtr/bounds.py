@@ -61,10 +61,6 @@ class RewardBounds:
         """(sum_{t>=k} C_low_t, sum_{t>=k} C_high_t)."""
         return sum(self.lows[k - 1:]), sum(self.highs[k - 1:])
 
-    def tail_width(self, k: int) -> float:
-        lo, hi = self.tail(k)
-        return hi - lo
-
     def check(self, dataset) -> None:
         """Raise ValueError unless there is one pair per stage of the dataset and
         every stage-k reward lies in [low_k, high_k]; names the first bad row of

@@ -21,7 +21,7 @@ from .crossfit import fit_ivoptimal_crossfit
 from .data import DataError, Dataset, load_csv
 from .dtr_core import Dtr, constant_dtr, dtr_from_json, dtr_to_json
 from .improve import fit_ivimproved
-from .nuisance import NumericalError
+from .nuisance import NumericalError, fit_stage_models
 from .sim import SimConfig, fit_sra_baseline, run_cell, true_value
 
 
@@ -172,7 +172,8 @@ def cmd_fit(config: dict) -> int:
     m = int(config.get("crossfit", 0))
     seed = int(config.get("seed", 0))
 
-    policy, estimates = fit_ivoptimal_crossfit(dataset, bounds, lam, depth, m=m, seed=seed)
+    models = fit_stage_models(dataset, bounds)
+    policy, estimates = fit_ivoptimal_crossfit(models, lam, depth, m=m, seed=seed)
     stages = _pooled_fit_stages(estimates)
     _check_converged(config, ((f"stage {s['stage']}", s["converged"]) for s in stages))
 
@@ -226,9 +227,8 @@ def cmd_improve(config: dict) -> int:
             f"baseline has {baseline.num_stages} stages, data has {dataset.num_stages}"
         )
 
-    policy, estimates = fit_ivimproved(
-        dataset, baseline, bounds, depth, baseline_id=tag
-    )
+    models = fit_stage_models(dataset, bounds)
+    policy, estimates = fit_ivimproved(models, baseline, depth, baseline_id=tag)
     _check_converged(config, ((f"stage {est.stage}", est.converged) for est in estimates))
     policy_doc = dtr_to_json(policy)
     _dump_json(policy_doc, config.get("out"))
@@ -239,8 +239,7 @@ def cmd_improve(config: dict) -> int:
         "stages": [],
     }
     for est in estimates:
-        H = dataset.histories(est.stage)
-        projected = policy.action_matrix(est.stage, H)
+        projected = policy.action_matrix(est.stage, models[est.stage - 1].H)
         report["stages"].append(
             {
                 "stage": est.stage,

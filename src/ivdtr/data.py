@@ -172,30 +172,26 @@ def _parse_header(header: list[str]) -> tuple[int, tuple[int, ...]]:
 def load_csv(path) -> Dataset:
     """Load a trajectory dataset from CSV; the header fixes the schema."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return _load_csv_file(fh)
-
-
-def _load_csv_file(fh) -> Dataset:
-    reader = csv.reader(fh)
-    try:
-        header = [c.strip() for c in next(reader)]
-    except StopIteration:
-        raise DataError("empty dataset") from None
-    _, dims = _parse_header(header)
-    width = len(header)
-
-    values = []
-    for idx, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != width:
-            raise DataError(f"row {idx}: expected {width} cells, got {len(row)}")
+        reader = csv.reader(fh)
         try:
-            values.append([float(cell) for cell in row])
-        except ValueError as exc:
-            if any(cell.strip() == "" for cell in row):
-                raise DataError(f"row {idx}: missing cell") from None
-            raise DataError(f"row {idx}: non-numeric cell ({exc})") from None
+            header = [c.strip() for c in next(reader)]
+        except StopIteration:
+            raise DataError("empty dataset") from None
+        _, dims = _parse_header(header)
+        width = len(header)
+
+        values = []
+        for idx, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DataError(f"row {idx}: expected {width} cells, got {len(row)}")
+            try:
+                values.append([float(cell) for cell in row])
+            except ValueError as exc:
+                if any(cell.strip() == "" for cell in row):
+                    raise DataError(f"row {idx}: missing cell") from None
+                raise DataError(f"row {idx}: non-numeric cell ({exc})") from None
     if not values:
         raise DataError("empty dataset")
 
@@ -210,20 +206,16 @@ def _load_csv_file(fh) -> Dataset:
 
 def save_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        _save_csv_file(dataset, fh)
-
-
-def _save_csv_file(dataset: Dataset, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(expected_header(dataset.num_stages, dataset.covariate_dims))
-    covariates = [c.tolist() for c in dataset.covariates]
-    z, a, r = dataset.z.tolist(), dataset.a.tolist(), dataset.r.tolist()
-    for i in range(dataset.n):
-        row: list = []
-        for k, x in enumerate(covariates):
-            row.extend(map(repr, x[i]))
-            row.extend([int(z[i][k]), int(a[i][k]), repr(r[i][k])])
-        writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(expected_header(dataset.num_stages, dataset.covariate_dims))
+        covariates = [c.tolist() for c in dataset.covariates]
+        z, a, r = dataset.z.tolist(), dataset.a.tolist(), dataset.r.tolist()
+        for i in range(dataset.n):
+            row: list = []
+            for k, x in enumerate(covariates):
+                row.extend(map(repr, x[i]))
+                row.extend([int(z[i][k]), int(a[i][k]), repr(r[i][k])])
+            writer.writerow(row)
 
 
 def dataset_from_arrays(

@@ -4,7 +4,8 @@ Step I fits, stage by stage from the last to the first, partial-identification
 intervals for each action's (pseudo-)outcome, combines them with the stage
 weight into a scalar Q value, and records the contrast between the two
 actions. Step II projects each stage's sign-of-contrast rule onto depth-limited
-classification trees by weighted 0/1 loss.
+classification trees by weighted 0/1 loss. Both steps read the stage models
+(fit_stage_models) as their only data.
 
 Sign ties resolve to +1.
 """
@@ -17,15 +18,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import RewardBounds, WeightSpec, arm_intervals, weighted_q
-from .data import Dataset
-from .nuisance import (
-    NuisanceSet,
-    StageModels,
-    fit_stage_models,
-    fit_stage_nuisance,
-    is_binary_outcome,
-)
+from .bounds import WeightSpec, arm_intervals, weighted_q
+from .nuisance import NuisanceSet, StageModels, fit_stage_nuisance, is_binary_outcome
 
 MIN_LEAF_WEIGHT_FRACTION = 0.01
 
@@ -295,25 +289,20 @@ def fit_stage(
 
 
 def backward_induct(
-    dataset: Dataset,
-    reward_bounds: RewardBounds,
+    models: Sequence[StageModels],
     lam: WeightSpec,
-    models: Optional[Sequence[StageModels]] = None,
 ) -> tuple[list[StageQEstimate], Dtr]:
-    """Step I over k = K..1; returns stage estimates and the sign-rule policy.
+    """Step I over k = K..1 on fit_stage_models(dataset, reward_bounds) (entry
+    k-1 for stage k); returns stage estimates and the sign-rule policy.
 
-    models (entry k-1 for stage k) are fit_stage_models(dataset, reward_bounds),
-    fitted here when not given; stage K bounds the reward with their reward cells.
+    Stage K bounds the reward with the models' reward cells.
     """
-    reward_bounds.check(dataset)
-    if models is None:
-        models = fit_stage_models(dataset, reward_bounds)
-    K = dataset.num_stages
+    K = len(models)
     estimates: list[Optional[StageQEstimate]] = [None] * K
     next_value: Optional[np.ndarray] = None
     for k in range(K, 0, -1):
         stage = models[k - 1]
-        tail = reward_bounds.tail(k)
+        tail = stage.tail
         if k == K:
             nuisance = stage.reward
         else:
@@ -329,13 +318,13 @@ def backward_induct(
 
 def project_policy(
     stage_estimates: Sequence[StageQEstimate],
-    dataset: Dataset,
+    models: Sequence[StageModels],
     depth: int,
     lam: Optional[WeightSpec] = None,
 ) -> Dtr:
     """Step II: fit one depth-limited tree per stage to the contrast signs."""
     stages = tuple(
-        fit_weighted_tree(dataset.histories(est.stage), est.action, np.abs(est.contrast), depth)
+        fit_weighted_tree(models[est.stage - 1].H, est.action, np.abs(est.contrast), depth)
         for est in stage_estimates
     )
     return Dtr(stages=stages, kind="iv_optimal", lam=lam)

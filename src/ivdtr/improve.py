@@ -13,9 +13,11 @@ baseline. The relative value propagated backwards is
 
   V(h) = keep(h) + max(0, C(h)),   keep_K = 0,  keep_k = lower_V(h, a').
 
-The stage models supply each stage's instrument, treatment and reward-cell
-fits; a pass fits only the cells of the relative continuation and of the sum,
-and the three outcomes are bounded separately before the ends are combined.
+The pass reads the stage models (fit_stage_models) as its only data: they
+supply each stage's histories, ranges and instrument, treatment and
+reward-cell fits. It fits only the cells of the relative continuation and of
+the sum, and the three outcomes are bounded separately before the ends are
+combined.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import Interval, RewardBounds, arm_intervals
-from .data import Dataset
+from .bounds import Interval, arm_intervals
 from .dtr_core import Dtr, fit_weighted_tree
-from .nuisance import StageModels, fit_stage_models, fit_stage_nuisance
+from .nuisance import StageModels, fit_stage_nuisance
 
 
 @dataclass(frozen=True)
@@ -86,36 +87,32 @@ def relative_contrast_pieces(
 
 
 def relative_stage_estimates(
-    dataset: Dataset,
+    models: Sequence[StageModels],
     baseline: Dtr,
-    reward_bounds: RewardBounds,
-    models: Optional[Sequence[StageModels]] = None,
 ) -> list[RelativeStageEstimate]:
     """Backward pass of the improvement operator over all stages.
 
-    Returns estimates indexed by stage (entry k-1 is stage k); models, in the
-    same order, are fit_stage_models(dataset, reward_bounds), fitted if not given.
+    models are fit_stage_models(dataset, reward_bounds); the returned
+    estimates are in the same order (entry k-1 is stage k).
     """
-    K = dataset.num_stages
+    K = len(models)
     if baseline.num_stages != K:
         raise ValueError(
             f"baseline has {baseline.num_stages} stages, dataset has {K}"
         )
-    reward_bounds.check(dataset)
-    if models is None:
-        models = fit_stage_models(dataset, reward_bounds)
 
     estimates: list[Optional[RelativeStageEstimate]] = [None] * K
     next_relative: Optional[np.ndarray] = None
 
     for k in range(K, 0, -1):
         stage = models[k - 1]
-        reward_tail = reward_bounds.stage(k)
+        reward_tail = stage.reward_range
         base_action = baseline.action_matrix(k, stage.H)
 
         continuation = None
         if k < K:
-            cont_width = reward_bounds.tail_width(k + 1)
+            next_tail = models[k].tail
+            cont_width = next_tail[1] - next_tail[0]
             cont_tail = (0.0, cont_width)
             sum_tail = (reward_tail[0], reward_tail[1] + cont_width)
             cont_y = np.clip(next_relative, cont_tail[0], cont_tail[1])
@@ -146,17 +143,15 @@ def relative_stage_estimates(
 
 
 def fit_ivimproved(
-    dataset: Dataset,
+    models: Sequence[StageModels],
     baseline: Dtr,
-    reward_bounds: RewardBounds,
     depth: int,
     baseline_id: str = "baseline",
-    models: Optional[Sequence[StageModels]] = None,
 ) -> tuple[Dtr, list[RelativeStageEstimate]]:
     """Estimate the IV-improved policy over a baseline, projected onto trees."""
-    estimates = relative_stage_estimates(dataset, baseline, reward_bounds, models=models)
+    estimates = relative_stage_estimates(models, baseline)
     stages = tuple(
-        fit_weighted_tree(dataset.histories(est.stage), est.improved_action,
+        fit_weighted_tree(models[est.stage - 1].H, est.improved_action,
                           np.abs(est.contrast), depth)
         for est in estimates
     )

@@ -4,9 +4,11 @@ These are the "simple parametric models" used to estimate every conditional
 quantity the partial-identification bounds need:
   P(Z=+1|H), P(A=+1|H,Z=z) for z in {-1,+1}, and E[Y|H,Z=z,A=a] per (z,a) cell.
 
-StageModels holds one stage's data and its data-only fits, P(Z|H), P(A|H,Z)
-and the reward cells on [low_k, high_k] (these on first read), so a backward
-pass fits only the cells of its pseudo-outcomes.
+StageModels holds one stage's data, reward range and tail range, and fits
+P(Z|H), P(A|H,Z) and the reward cells on [low_k, high_k] on first read. The
+backward passes read the stage models as their only data, so each fits only
+the cells of its pseudo-outcomes, and a row subset of the models (one
+cross-fitting complement) fits its own.
 
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -39,7 +40,7 @@ class NumericalError(RuntimeError):
 
 def _check_finite(*arrays) -> None:
     for arr in arrays:
-        if arr is not None and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite values in model input")
 
 
@@ -106,11 +107,7 @@ def loglik_gradient(
     return X.T @ (w * (y - mu)) - 2.0 * RIDGE * theta, mu
 
 
-def fit_logistic(
-    features: np.ndarray,
-    labels: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> LogisticModel:
+def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     """Ridge-penalized logistic regression via Newton/IRLS with step-halving."""
     X = _design(features)
     y = np.asarray(labels, dtype=float).ravel()
@@ -118,10 +115,8 @@ def fit_logistic(
         raise ValueError("need at least one row")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0/1")
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float).ravel()
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    _check_finite(X, y, w)
+    _check_finite(X, y)
+    w = np.ones_like(y)
 
     p = X.shape[1]
     theta = np.zeros(p)
@@ -156,27 +151,19 @@ def fit_logistic(
     return LogisticModel(intercept=float(theta[0]), coefficients=theta[1:], converged=converged)
 
 
-def fit_linear(
-    features: np.ndarray,
-    targets: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> LinearModel:
+def fit_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
     """Ridge least squares (penalty RIDGE on slopes, intercept unpenalized)."""
     X = _design(features)
     y = np.asarray(targets, dtype=float).ravel()
     if X.shape[0] < 1:
         raise ValueError("need at least one row")
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float).ravel()
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    _check_finite(X, y, w)
+    _check_finite(X, y)
 
-    sw = np.sqrt(w)
     p = X.shape[1]
     # augmented least squares encodes the slope-only ridge penalty
     penalty = np.sqrt(RIDGE) * np.eye(p)[1:]
-    aug_X = np.vstack([sw[:, None] * X, penalty])
-    aug_y = np.concatenate([sw * y, np.zeros(p - 1)])
+    aug_X = np.vstack([X, penalty])
+    aug_y = np.concatenate([y, np.zeros(p - 1)])
     theta, *_ = np.linalg.lstsq(aug_X, aug_y, rcond=None)
     return LinearModel(intercept=float(theta[0]), coefficients=theta[1:])
 
@@ -219,48 +206,60 @@ class NuisanceSet:
 
 @dataclass(frozen=True)
 class StageModels:
-    """Stage k's histories H, instruments z, actions a, rewards r and reward
-    range [low_k, high_k], with pz modelling P(Z=+1|H) and pa[z] P(A=+1|H,Z=z).
-    They depend on the data alone, so every outcome vector bounded at the stage shares them."""
+    """Stage k's histories H, instruments z, actions a, rewards r, reward range
+    [low_k, high_k] and tail range (sums of the ranges of stages k..K).
+
+    pz models P(Z=+1|H), pa[z] models P(A=+1|H,Z=z) and reward holds the reward
+    cells on reward_range; each is fitted on first read. They depend on the data
+    alone, so every outcome vector bounded at the stage shares them."""
 
     H: np.ndarray
     z: np.ndarray
     a: np.ndarray
     r: np.ndarray
     reward_range: tuple[float, float]
-    pz: object
-    pa: dict          # keys -1, +1
-    empty_cells: tuple
-    converged: bool
+    tail: tuple[float, float]
+
+    @cached_property
+    def pz(self):
+        return fit_logistic(self.H, (self.z == 1.0).astype(float))
+
+    @cached_property
+    def pa(self) -> dict:
+        """Keys -1, +1; an instrument arm without rows gets ConstantModel(0.5)."""
+        pa: dict = {}
+        for z0 in (-1, 1):
+            rows = self.z == z0
+            pa[z0] = (fit_logistic(self.H[rows], (self.a[rows] == 1.0).astype(float))
+                      if np.any(rows) else ConstantModel(0.5))
+        return pa
+
+    @property
+    def empty_cells(self) -> tuple:
+        return tuple(("pa", z0) for z0 in (-1, 1) if not np.any(self.z == z0))
+
+    @property
+    def converged(self) -> bool:
+        return all(getattr(m, "converged", True) for m in (self.pz, self.pa[1], self.pa[-1]))
 
     @cached_property
     def reward(self) -> NuisanceSet:
-        """The reward cells E[R|H,Z,A] on reward_range, fitted on first read."""
+        """The reward cells E[R|H,Z,A] on reward_range."""
         r = np.clip(self.r, *self.reward_range)
         return fit_stage_nuisance(self, r, self.reward_range,
                                   is_binary_outcome(r, self.reward_range))
 
 
 def fit_stage_models(dataset, reward_bounds) -> tuple[StageModels, ...]:
-    """StageModels for every stage of a dataset; entry k-1 is stage k."""
-    out = []
-    for k in range(1, dataset.num_stages + 1):
-        H, z, a = dataset.histories(k), dataset.instruments(k), dataset.actions(k)
-        pz = fit_logistic(H, (z == 1.0).astype(float))
-        pa: dict = {}
-        empty: list = []
-        for z0 in (-1, 1):
-            rows = z == z0
-            if np.any(rows):
-                pa[z0] = fit_logistic(H[rows], (a[rows] == 1.0).astype(float))
-            else:
-                pa[z0] = ConstantModel(0.5)
-                empty.append(("pa", z0))
-        converged = all(getattr(m, "converged", True) for m in (pz, pa[1], pa[-1]))
-        out.append(StageModels(H=H, z=z, a=a, r=dataset.rewards(k),
-                               reward_range=reward_bounds.stage(k), pz=pz, pa=pa,
-                               empty_cells=tuple(empty), converged=converged))
-    return tuple(out)
+    """StageModels for every stage of a dataset (entry k-1 is stage k), after
+    reward_bounds.check(dataset); the fits wait for their first read."""
+    reward_bounds.check(dataset)
+    return tuple(
+        StageModels(H=dataset.histories(k), z=dataset.instruments(k), a=dataset.actions(k),
+                    r=dataset.rewards(k), reward_range=reward_bounds.stage(k),
+                    tail=reward_bounds.tail(k))
+        for k in range(1, dataset.num_stages + 1)
+    )
 
 
 def is_binary_outcome(y: np.ndarray, outcome_range: tuple[float, float]) -> bool:

@@ -254,15 +254,10 @@ def fit_all_regimes(dataset: Dataset, config: SimConfig) -> dict[str, Dtr]:
         ("pi_up_prosp", prosp, "prosp"),
         ("pi_up_sra", sra, "sra"),
     ):
-        improved, _ = fit_ivimproved(
-            dataset, baseline, SIM_REWARD_BOUNDS, config.depth,
-            baseline_id=tag, models=models,
-        )
-        regimes[name] = improved
+        regimes[name], _ = fit_ivimproved(models, baseline, config.depth, baseline_id=tag)
     for name, lam_value in (("pi_iv_1", 1.0), ("pi_iv_0", 0.0), ("pi_iv_half", 0.5)):
         regimes[name], _ = fit_ivoptimal_crossfit(
-            dataset, SIM_REWARD_BOUNDS, WeightSpec(lam_value), config.depth,
-            m=config.crossfit_m, seed=config.seed, models=models,
+            models, WeightSpec(lam_value), config.depth, m=config.crossfit_m, seed=config.seed,
         )
     return regimes
 

@@ -23,7 +23,13 @@ from ivdtr.crossfit import crossfit_stage_contrasts
 from ivdtr.data import BatchAssignment, assign_batches
 from ivdtr.dtr_core import backward_induct, fit_weighted_tree, sign_with_tie
 from ivdtr.improve import relative_contrast_pieces
-from ivdtr.nuisance import fit_linear, fit_logistic, loglik_gradient, penalized_loglik
+from ivdtr.nuisance import (
+    fit_linear,
+    fit_logistic,
+    fit_stage_models,
+    loglik_gradient,
+    penalized_loglik,
+)
 from ivdtr.sim import REGIMES, SimConfig, generate, run_cell, true_value
 from test_dtr_core import oracle_best_loss, staircase_instance
 from test_improve import improve_rule_single
@@ -187,7 +193,7 @@ def test_criterion_5_closed_form_reductions():
     decisions = 0
     for _ in range(5):
         ds = random_single_stage_dataset(rng, n=100)
-        estimates, q_rule = backward_induct(ds, BOUNDS1, WeightSpec.minmax())
+        estimates, q_rule = backward_induct(fit_stage_models(ds, BOUNDS1), WeightSpec.minmax())
         ns = estimates[0].nuisance
         H = ds.histories(1)
         rule_actions = q_rule.action_matrix(1, H)
@@ -327,11 +333,12 @@ def test_criterion_8_crossfit_leakage():
         ds = random_two_stage_dataset(rng, n=80)
         m = int(rng.integers(2, 5))
         batches = assign_batches(ds.n, m, rng)
-        base, _ = crossfit_stage_contrasts(ds, batches, BOUNDS2, lam)
+        base, _ = crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), batches, lam)
         j = int(rng.integers(0, m))
         held = batches.members(j)
         scrambled = scramble_batch(ds, held, rng)
-        _, refit = backward_induct(scrambled.subset(batches.complement(j)), BOUNDS2, lam)
+        _, refit = backward_induct(
+            fit_stage_models(scrambled.subset(batches.complement(j)), BOUNDS2), lam)
         held_set = ds.subset(held)
         for k in (1, 2):
             clean &= bool(np.array_equal(

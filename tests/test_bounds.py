@@ -174,7 +174,6 @@ class TestRewardBounds:
         assert rb.stage(2) == (-0.5, 2.0)
         assert rb.tail(1) == (-0.5, 3.0)
         assert rb.tail(2) == (-0.5, 2.0)
-        assert rb.tail_width(1) == pytest.approx(3.5)
 
     def test_crossed_pair_rejected(self):
         with pytest.raises(ValueError, match="lower > upper"):

@@ -372,9 +372,9 @@ class TestConfigSurface:
         original = ivdtr.crossfit.backward_induct
         calls = []
 
-        def first_unconverged(dataset, *args, **kwargs):
-            estimates, rule = original(dataset, *args, **kwargs)
-            calls.append(dataset.n)
+        def first_unconverged(models, *args, **kwargs):
+            estimates, rule = original(models, *args, **kwargs)
+            calls.append(len(models[0].r))
             if len(calls) == 1:
                 est = estimates[1]
                 nuisance = dataclasses.replace(est.nuisance, converged=False)

@@ -12,6 +12,7 @@ from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.crossfit import crossfit_stage_contrasts, fit_ivoptimal_crossfit
 from ivdtr.data import BatchAssignment, Dataset, assign_batches
 from ivdtr.dtr_core import backward_induct, dtr_to_json, project_policy
+from ivdtr.nuisance import fit_stage_models
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
 LAM = WeightSpec.minmax()
@@ -51,11 +52,12 @@ class TestCrossfitStageContrasts:
         rng = np.random.default_rng(0)
         ds = random_two_stage_dataset(rng, n=120)
         batches = BatchAssignment(batch_index=np.arange(120) % 2, m=2)
-        base, _ = crossfit_stage_contrasts(ds, batches, BOUNDS2, LAM)
+        base, _ = crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), batches, LAM)
         for j in (0, 1):
             held = batches.members(j)
             scrambled = scramble_batch(ds, held, rng)
-            _, refit = backward_induct(scrambled.subset(batches.complement(j)), BOUNDS2, LAM)
+            complement = fit_stage_models(scrambled.subset(batches.complement(j)), BOUNDS2)
+            _, refit = backward_induct(complement, LAM)
             held_set = ds.subset(held)
             for k in (1, 2):
                 np.testing.assert_array_equal(
@@ -67,8 +69,8 @@ class TestCrossfitStageContrasts:
         doubled = half.subset(np.tile(np.arange(100), 2))
         batches = BatchAssignment(
             batch_index=np.concatenate([np.zeros(100, int), np.ones(100, int)]), m=2)
-        cf, fits = crossfit_stage_contrasts(doubled, batches, BOUNDS2, LAM)
-        estimates, _ = backward_induct(half, BOUNDS2, LAM)
+        cf, fits = crossfit_stage_contrasts(fit_stage_models(doubled, BOUNDS2), batches, LAM)
+        estimates, _ = backward_induct(fit_stage_models(half, BOUNDS2), LAM)
         for k in (1, 2):
             np.testing.assert_allclose(cf[k - 1][:100], estimates[k - 1].contrast, atol=1e-9)
             np.testing.assert_allclose(cf[k - 1][100:], estimates[k - 1].contrast, atol=1e-9)
@@ -82,14 +84,14 @@ class TestCrossfitStageContrasts:
         ds = random_two_stage_dataset(np.random.default_rng(2), n=40)
         batches = BatchAssignment(batch_index=np.zeros(40, int), m=1)
         with pytest.raises(ValueError, match="at least 2"):
-            crossfit_stage_contrasts(ds, batches, BOUNDS2, LAM)
+            crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), batches, LAM)
 
 
 class TestFitIvoptimalCrossfit:
     def test_deterministic_under_seed(self):
         ds = random_two_stage_dataset(np.random.default_rng(3), n=120)
-        one, _ = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=2, seed=5)
-        two, _ = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=2, seed=5)
+        one, _ = fit_ivoptimal_crossfit(fit_stage_models(ds, BOUNDS2), LAM, depth=2, m=2, seed=5)
+        two, _ = fit_ivoptimal_crossfit(fit_stage_models(ds, BOUNDS2), LAM, depth=2, m=2, seed=5)
         assert dtr_to_json(one) == dtr_to_json(two)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -107,7 +109,7 @@ class TestFitIvoptimalCrossfit:
 
         def tree_inputs(data):
             received.clear()
-            fit_ivoptimal_crossfit(data, BOUNDS2, LAM, depth=2, m=m, seed=11)
+            fit_ivoptimal_crossfit(fit_stage_models(data, BOUNDS2), LAM, depth=2, m=m, seed=11)
             assert len(received) == 2
             return list(received)
 
@@ -128,10 +130,12 @@ class TestFitIvoptimalCrossfit:
     def test_zero_or_one_batch_is_the_plain_fit(self):
         # m of 0 or 1 is the plain fit, bit for bit; a negative m is rejected
         ds = random_two_stage_dataset(np.random.default_rng(4), n=150)
-        estimates, _ = backward_induct(ds, BOUNDS2, LAM)
-        plain = dtr_to_json(project_policy(estimates, ds, depth=2, lam=LAM))
+        estimates, _ = backward_induct(fit_stage_models(ds, BOUNDS2), LAM)
+        plain = dtr_to_json(project_policy(estimates, fit_stage_models(ds, BOUNDS2), depth=2,
+                                           lam=LAM))
         for m in (0, 1):
-            policy, fits = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=m, seed=0)
+            policy, fits = fit_ivoptimal_crossfit(fit_stage_models(ds, BOUNDS2), LAM, depth=2,
+                                                  m=m, seed=0)
             assert dtr_to_json(policy) == plain
             assert [est.stage for est in fits] == [1, 2]
             for est, expected in zip(fits, estimates):
@@ -139,12 +143,12 @@ class TestFitIvoptimalCrossfit:
                 np.testing.assert_array_equal(est.lower_pos, expected.lower_pos)
                 np.testing.assert_array_equal(est.upper_neg, expected.upper_neg)
         with pytest.raises(ValueError, match="crossfit must be >= 0"):
-            fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=-1, seed=0)
+            fit_ivoptimal_crossfit(fit_stage_models(ds, BOUNDS2), LAM, depth=2, m=-1, seed=0)
 
     def test_small_batches_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(5), n=30)
         with pytest.raises(ValueError, match="below"):
-            fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=5, seed=0)
+            fit_ivoptimal_crossfit(fit_stage_models(ds, BOUNDS2), LAM, depth=2, m=5, seed=0)
 
     def test_crossfit_policy_close_to_plain_in_value(self):
         # paired comparison on the simulation process: same training data,
@@ -154,9 +158,10 @@ class TestFitIvoptimalCrossfit:
         cfg = SimConfig(c1=4.0, xi=1.0)
         rng = np.random.default_rng(6)
         ds, _ = generate(cfg, 500, rng)
-        plain_estimates, _ = backward_induct(ds, BOUNDS2, LAM)
-        plain = project_policy(plain_estimates, ds, depth=2, lam=LAM)
-        crossed, _ = fit_ivoptimal_crossfit(ds, BOUNDS2, LAM, depth=2, m=5, seed=1)
+        models = fit_stage_models(ds, BOUNDS2)
+        plain_estimates, _ = backward_induct(models, LAM)
+        plain = project_policy(plain_estimates, models, depth=2, lam=LAM)
+        crossed, _ = fit_ivoptimal_crossfit(models, LAM, depth=2, m=5, seed=1)
         eval_rng = np.random.default_rng(7)
         x = eval_rng.uniform(-1, 1, size=(40000, 2))
         v_plain = true_value(plain, cfg, 40000, eval_rng, x=x).normalized_value

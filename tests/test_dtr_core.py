@@ -25,7 +25,7 @@ from ivdtr.dtr_core import (
     pseudo_outcomes,
     sign_with_tie,
 )
-from ivdtr.improve import relative_stage_estimates
+from ivdtr.crossfit import fit_ivoptimal_crossfit
 from ivdtr.nuisance import fit_stage_models
 
 
@@ -242,7 +242,7 @@ class TestBackwardInduct:
 
     def test_sandwich_and_consistency(self):
         ds = simulate_two_stage()
-        estimates, q_rule = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
+        estimates, q_rule = backward_induct(fit_stage_models(ds, BOUNDS2), WeightSpec.minmax())
         for est in estimates:
             assert np.all(est.lower_pos <= est.q_pos + 1e-12)
             assert np.all(est.q_pos <= est.upper_pos + 1e-12)
@@ -261,8 +261,9 @@ class TestBackwardInduct:
 
     def test_lambda_extremes(self):
         ds = simulate_two_stage(seed=3)
-        worst, _ = backward_induct(ds, BOUNDS2, WeightSpec.worst())
-        best, _ = backward_induct(ds, BOUNDS2, WeightSpec.best())
+        models = fit_stage_models(ds, BOUNDS2)
+        worst, _ = backward_induct(models, WeightSpec.worst())
+        best, _ = backward_induct(models, WeightSpec.best())
         for est in worst:
             np.testing.assert_allclose(est.contrast, est.lower_pos - est.lower_neg)
         for est in best:
@@ -270,7 +271,7 @@ class TestBackwardInduct:
 
     def test_stage1_pseudo_outcome_range(self):
         ds = simulate_two_stage(seed=5)
-        estimates, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
+        estimates, _ = backward_induct(fit_stage_models(ds, BOUNDS2), WeightSpec.minmax())
         stage2 = estimates[1]
         assert np.all(stage2.value >= 0.0) and np.all(stage2.value <= 1.0)
         po = pseudo_outcomes(ds.rewards(1), stage2.value)
@@ -285,7 +286,7 @@ class TestBackwardInduct:
             rewards=[ds.rewards(1)],
         )
         estimates, q_rule = backward_induct(
-            k1, RewardBounds(lows=(0.0,), highs=(1.0,)), WeightSpec.minmax())
+            fit_stage_models(k1, RewardBounds(lows=(0.0,), highs=(1.0,))), WeightSpec.minmax())
         est = estimates[0]
         H = k1.histories(1)
         # decision-for-decision equal to the min-max rule from the same intervals
@@ -294,23 +295,6 @@ class TestBackwardInduct:
             minus = interval_at(est.nuisance, H[i], -1, (0.0, 1.0))
             direct = weighted_q(plus, 0.5) - weighted_q(minus, 0.5)
             assert sign_with_tie(np.array([direct]))[0] == est.action[i]
-
-    def test_shared_stage_models_give_identical_estimates(self):
-        ds = simulate_two_stage(seed=8)
-        models = fit_stage_models(ds, BOUNDS2)
-        own, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
-        shared, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax(), models=models)
-        for a, b in zip(own, shared):
-            np.testing.assert_array_equal(a.contrast, b.contrast)
-            np.testing.assert_array_equal(a.lower_pos, b.lower_pos)
-            np.testing.assert_array_equal(a.upper_neg, b.upper_neg)
-        # the improvement pass reads the reward cells the induction left on the models
-        baseline = constant_dtr(-1, 2)
-        own_rel = relative_stage_estimates(ds, baseline, BOUNDS2)
-        shared_rel = relative_stage_estimates(ds, baseline, BOUNDS2, models=models)
-        for a, b in zip(own_rel, shared_rel):
-            np.testing.assert_array_equal(a.contrast, b.contrast)
-            np.testing.assert_array_equal(a.relative_value, b.relative_value)
 
     def test_plain_induction_fits_no_stage1_reward_cells(self, monkeypatch):
         # logistic fits: 3 instrument/treatment models per stage and the 4
@@ -323,14 +307,30 @@ class TestBackwardInduct:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ivdtr.nuisance, "fit_logistic", counted)
-        backward_induct(simulate_two_stage(seed=8), BOUNDS2, WeightSpec.minmax())
+        backward_induct(fit_stage_models(simulate_two_stage(seed=8), BOUNDS2),
+                        WeightSpec.minmax())
         assert len(calls) == 2 * 3 + 4 == 10
+
+    def test_crossfit_fits_only_batch_complements(self, monkeypatch):
+        # each of the 5 complement inductions fits its own 10 models, as above,
+        # and the full-sample stage models are never fitted
+        calls = []
+        original = ivdtr.nuisance.fit_logistic
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ivdtr.nuisance, "fit_logistic", counted)
+        models = fit_stage_models(simulate_two_stage(seed=8), BOUNDS2)
+        fit_ivoptimal_crossfit(models, WeightSpec.minmax(), depth=2, m=5, seed=0)
+        assert len(calls) == 5 * 10
 
     def test_reward_outside_bounds_rejected(self):
         ds = simulate_two_stage(seed=9)
         tight = RewardBounds(lows=(0.0, 0.2), highs=(1.0, 1.0))
         with pytest.raises(ValueError, match="outside declared bounds"):
-            backward_induct(ds, tight, WeightSpec.minmax())
+            fit_stage_models(ds, tight)
 
     def test_compliant_rct_contrast_matches_analytic_oracle(self):
         # Fully compliant RCT (a = z), constant treatment effect +0.3. Under
@@ -347,7 +347,7 @@ class TestBackwardInduct:
         y = (rng.random(n) < 0.35 + 0.3 * (a == 1)).astype(float)
         ds = dataset_from_arrays([x], [z], [a], [y])
         estimates, _ = backward_induct(
-            ds, RewardBounds(lows=(0.0,), highs=(1.0,)), WeightSpec.minmax())
+            fit_stage_models(ds, RewardBounds(lows=(0.0,), highs=(1.0,))), WeightSpec.minmax())
         oracle = 0.75 * 0.3 - 0.25
         assert abs(float(np.mean(estimates[0].contrast)) - oracle) < 0.05
 
@@ -367,8 +367,8 @@ class TestBackwardInduct:
 
 class TestProjectPolicy:
     def test_all_positive_contrasts_give_constant_tree(self):
-        ds = simulate_two_stage(seed=11)
-        estimates, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
+        models = fit_stage_models(simulate_two_stage(seed=11), BOUNDS2)
+        estimates, _ = backward_induct(models, WeightSpec.minmax())
         # force positive contrasts, keep everything else
         import dataclasses
 
@@ -380,16 +380,16 @@ class TestProjectPolicy:
             )
             for est in estimates
         ]
-        dtr = project_policy(forced, ds, depth=2)
+        dtr = project_policy(forced, models, depth=2)
         for k in (1, 2):
             assert isinstance(dtr.stages[k - 1].root, Leaf)
             assert dtr.stages[k - 1].root.label == 1
 
     def test_projection_loss_bounded_by_depth1(self):
-        ds = simulate_two_stage(seed=13)
-        estimates, _ = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
+        models = fit_stage_models(simulate_two_stage(seed=13), BOUNDS2)
+        estimates, _ = backward_induct(models, WeightSpec.minmax())
         for est in estimates:
-            H = ds.histories(est.stage)
+            H = models[est.stage - 1].H
             w = np.abs(est.contrast)
             t1 = fit_weighted_tree(H, est.action, w, 1, min_leaf_weight=0.0)
             t2 = fit_weighted_tree(H, est.action, w, 2, min_leaf_weight=0.0)
@@ -418,8 +418,8 @@ class TestSerialization:
 
     def test_sign_rule_is_not_serialized(self):
         # the sign rule holds fitted models; only trees and constants are files
-        ds = simulate_two_stage(seed=17)
-        _, q_rule = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
+        _, q_rule = backward_induct(fit_stage_models(simulate_two_stage(seed=17), BOUNDS2),
+                                    WeightSpec.minmax())
         with pytest.raises(TypeError, match="cannot serialize stage"):
             dtr_to_json(q_rule)
         doc = {"kind": "iv_optimal", "lambda": 0.5,

@@ -8,6 +8,7 @@ from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.data import dataset_from_arrays
 from ivdtr.dtr_core import Leaf, backward_induct, constant_dtr
 from ivdtr.improve import fit_ivimproved, relative_contrast_pieces, relative_stage_estimates
+from ivdtr.nuisance import fit_stage_models
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
 BOUNDS1 = RewardBounds(lows=(0.0,), highs=(1.0,))
@@ -156,10 +157,11 @@ class TestSingleStageAgreement:
         ds = random_single_stage_dataset(rng, n=400)
         for b in (-1, 1):
             baseline = constant_dtr(b, 1)
-            _, estimates = fit_ivimproved(ds, baseline, BOUNDS1, depth=2)
+            models = fit_stage_models(ds, BOUNDS1)
+            _, estimates = fit_ivimproved(models, baseline, depth=2)
             est = estimates[0]
             H = ds.histories(1)
-            nuisance_fit, _ = backward_induct(ds, BOUNDS1, WeightSpec.minmax())
+            nuisance_fit, _ = backward_induct(models, WeightSpec.minmax())
             ns = nuisance_fit[0].nuisance
             for i in range(ds.n):
                 plus = interval_at(ns, H[i], +1, (0.0, 1.0))
@@ -173,7 +175,7 @@ class TestRelativeStageEstimates:
     def test_retention_where_contrast_nonpositive(self):
         ds = random_two_stage_dataset(np.random.default_rng(4))
         baseline = constant_dtr(-1, 2)
-        estimates = relative_stage_estimates(ds, baseline, BOUNDS2)
+        estimates = relative_stage_estimates(fit_stage_models(ds, BOUNDS2), baseline)
         for est in estimates:
             keep = est.contrast <= 0
             np.testing.assert_array_equal(
@@ -181,7 +183,7 @@ class TestRelativeStageEstimates:
 
     def test_relative_value_propagation(self):
         ds = random_two_stage_dataset(np.random.default_rng(5))
-        estimates = relative_stage_estimates(ds, constant_dtr(1, 2), BOUNDS2)
+        estimates = relative_stage_estimates(fit_stage_models(ds, BOUNDS2), constant_dtr(1, 2))
         for est in estimates:
             np.testing.assert_allclose(
                 est.relative_value,
@@ -191,8 +193,9 @@ class TestRelativeStageEstimates:
     def test_q_rule_baseline_is_fixed_point_at_final_stage(self):
         # relative contrast against the same fitted intervals' argmax is <= 0
         ds = random_two_stage_dataset(np.random.default_rng(6))
-        estimates, q_rule = backward_induct(ds, BOUNDS2, WeightSpec.minmax())
-        rel = relative_stage_estimates(ds, q_rule, BOUNDS2)
+        models = fit_stage_models(ds, BOUNDS2)
+        estimates, q_rule = backward_induct(models, WeightSpec.minmax())
+        rel = relative_stage_estimates(models, q_rule)
         assert np.all(rel[1].contrast <= 1e-9)
         np.testing.assert_array_equal(
             rel[1].improved_action, estimates[1].action)
@@ -200,13 +203,14 @@ class TestRelativeStageEstimates:
     def test_stage_count_mismatch_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(7))
         with pytest.raises(ValueError, match="stages"):
-            relative_stage_estimates(ds, constant_dtr(1, 1), BOUNDS2)
+            relative_stage_estimates(fit_stage_models(ds, BOUNDS2), constant_dtr(1, 1))
 
 
 class TestFitIvimproved:
     def test_all_kept_baseline_yields_constant_tree(self):
         ds = random_two_stage_dataset(np.random.default_rng(8))
-        dtr, estimates = fit_ivimproved(ds, constant_dtr(-1, 2), BOUNDS2, depth=2)
+        dtr, estimates = fit_ivimproved(fit_stage_models(ds, BOUNDS2), constant_dtr(-1, 2),
+                                        depth=2)
         assert dtr.kind == "iv_improved(baseline)"
         for k, est in zip((1, 2), estimates):
             if np.all(est.improved_action == -1):
@@ -215,7 +219,7 @@ class TestFitIvimproved:
 
     def test_depth_respected(self):
         ds = random_two_stage_dataset(np.random.default_rng(9))
-        dtr, _ = fit_ivimproved(ds, constant_dtr(1, 2), BOUNDS2, depth=2,
+        dtr, _ = fit_ivimproved(fit_stage_models(ds, BOUNDS2), constant_dtr(1, 2), depth=2,
                                 baseline_id="prosp")
         assert dtr.kind == "iv_improved(prosp)"
         for stage in dtr.stages:

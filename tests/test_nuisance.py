@@ -5,14 +5,12 @@ import pytest
 from scipy.special import expit
 
 import ivdtr.nuisance
-from ivdtr.bounds import RewardBounds
-from ivdtr.data import dataset_from_arrays
 from ivdtr.nuisance import (
     RIDGE,
     ConstantModel,
+    StageModels,
     fit_linear,
     fit_logistic,
-    fit_stage_models,
     fit_stage_nuisance,
     loglik_gradient,
     penalized_loglik,
@@ -20,15 +18,14 @@ from ivdtr.nuisance import (
 from ivdtr.sim import SimConfig, generate
 
 
-def ridge_normal_equation_oracle(X, y, w=None):
+def ridge_normal_equation_oracle(X, y):
     """Independent solve of the slope-penalized normal equations."""
     X = np.atleast_2d(X)
     design = np.hstack([np.ones((X.shape[0], 1)), X])
-    w = np.ones(len(y)) if w is None else np.asarray(w, float)
     penalty = RIDGE * np.eye(design.shape[1])
     penalty[0, 0] = 0.0
-    lhs = design.T @ (w[:, None] * design) + penalty
-    rhs = design.T @ (w * y)
+    lhs = design.T @ design + penalty
+    rhs = design.T @ y
     return np.linalg.solve(lhs, rhs)
 
 
@@ -39,13 +36,13 @@ def two_term_loglik(theta, X, y, w):
     return float(ll - RIDGE * theta @ theta)
 
 
-def reference_fit_logistic(features, labels, weights=None):
+def reference_fit_logistic(features, labels):
     """Independent Newton/IRLS with step-halving in its longest form: two
     logaddexp terms per row, the means recomputed for the Hessian, and all
     100 iterations run even when a step leaves theta unchanged."""
     X = np.hstack([np.ones((features.shape[0], 1)), features])
     y = np.asarray(labels, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones_like(y)
     p = X.shape[1]
     theta = np.zeros(p)
     ll = two_term_loglik(theta, X, y, w)
@@ -91,31 +88,30 @@ def pinned_stuck_design(xi, rep, stage, model):
 PINNED_STUCK = [(1.0, 4, 1, "pa-"), (3.0, 2, 2, "pz"), (3.0, 3, 2, "pa-"), (3.0, 16, 2, "pa-")]
 
 
-def random_weighted_design(seed):
+def random_design(seed):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(5, 400)), int(rng.integers(1, 5))
     X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
     y = (rng.random(n) < expit(X @ rng.normal(size=d) * rng.uniform(0.0, 4.0))).astype(float)
-    w = rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.9)
-    return X, y, w
+    return X, y
 
 
 def newton_designs():
     two_cell = np.concatenate([np.zeros(50), np.ones(50)])[:, None]
-    yield from (pinned_stuck_design(*spec) + (None,) for spec in PINNED_STUCK)
+    yield from (pinned_stuck_design(*spec) for spec in PINNED_STUCK)
     yield (np.concatenate([np.full(50, -1.0), np.full(50, 1.0)])[:, None],
-           np.repeat([0.0, 1.0], 50), None)
-    yield np.zeros((30, 1)), np.ones(30), None
-    yield two_cell, np.repeat([0.0, 1.0, 0.0, 1.0], [40, 10, 10, 40]), None
-    yield from (random_weighted_design(seed) for seed in range(20))
+           np.repeat([0.0, 1.0], 50))
+    yield np.zeros((30, 1)), np.ones(30)
+    yield two_cell, np.repeat([0.0, 1.0, 0.0, 1.0], [40, 10, 10, 40])
+    yield from (random_design(seed) for seed in range(20))
 
 
 class TestNewtonLoop:
     @pytest.mark.parametrize("design", list(newton_designs()))
     def test_matches_reference_bit_for_bit(self, design):
-        features, labels, weights = design
-        model = fit_logistic(features, labels, weights)
-        intercept, coefficients, converged = reference_fit_logistic(features, labels, weights)
+        features, labels = design
+        model = fit_logistic(features, labels)
+        intercept, coefficients, converged = reference_fit_logistic(features, labels)
         assert model.intercept == intercept
         np.testing.assert_array_equal(model.coefficients, coefficients)
         assert model.converged == converged
@@ -206,15 +202,6 @@ class TestFitLogistic:
             ) / (2 * eps)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
-    def test_equal_weights_match_unweighted(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(80, 2))
-        y = (rng.random(80) < 0.4).astype(float)
-        plain = fit_logistic(X, y)
-        weighted = fit_logistic(X, y, weights=np.ones(80))
-        assert plain.intercept == weighted.intercept
-        np.testing.assert_array_equal(plain.coefficients, weighted.coefficients)
-
     def test_rejects_bad_labels_and_nonfinite(self):
         with pytest.raises(ValueError, match="0/1"):
             fit_logistic(np.zeros((3, 1)), np.array([0.0, 2.0, 1.0]))
@@ -268,26 +255,14 @@ class TestFitLinear:
             np.concatenate([[model.intercept], model.coefficients]), oracle, atol=1e-6
         )
 
-    def test_weighted_matches_oracle(self):
-        rng = np.random.default_rng(13)
-        X = rng.normal(size=(25, 2))
-        y = rng.normal(size=25)
-        w = rng.uniform(0.1, 3.0, size=25)
-        model = fit_linear(X, y, weights=w)
-        oracle = ridge_normal_equation_oracle(X, y, w)
-        np.testing.assert_allclose(
-            np.concatenate([[model.intercept], model.coefficients]), oracle, atol=1e-6
-        )
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
             fit_linear(np.array([[1.0]]), np.array([np.inf]))
 
 
 def fit_stage_nuisance_on(H, z, a, y, outcome_range, binary_outcome):
-    """Outcome cells for y on the stage models of the one-stage dataset (H, z, a, y)."""
-    bounds = RewardBounds(lows=(outcome_range[0],), highs=(outcome_range[1],))
-    models = fit_stage_models(dataset_from_arrays([H], [z], [a], [y]), bounds)[0]
+    """Outcome cells for y on the stage models of one stage's (H, z, a, y)."""
+    models = StageModels(H=H, z=z, a=a, r=y, reward_range=outcome_range, tail=outcome_range)
     return fit_stage_nuisance(models, y, outcome_range, binary_outcome)
 
 

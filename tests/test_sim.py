@@ -11,6 +11,7 @@ import ivdtr.sim
 from ivdtr.bounds import WeightSpec
 from ivdtr.crossfit import fit_ivoptimal_crossfit
 from ivdtr.dtr_core import Leaf, TreeNode, TreeRule, Dtr, constant_dtr
+from ivdtr.nuisance import fit_stage_models
 from ivdtr.sim import (
     REGIMES,
     SIM_REWARD_BOUNDS,
@@ -245,8 +246,8 @@ class TestRunCell:
         eval_rng = np.random.default_rng(eval_seed)
         x = eval_rng.uniform(-1.0, 1.0, size=(cfg.n_eval, 2))
         for name, lam in (("pi_iv_1", 1.0), ("pi_iv_0", 0.0), ("pi_iv_half", 0.5)):
-            policy, _ = fit_ivoptimal_crossfit(ds, SIM_REWARD_BOUNDS, WeightSpec(lam),
-                                               cfg.depth, m=2, seed=cfg.seed)
+            policy, _ = fit_ivoptimal_crossfit(fit_stage_models(ds, SIM_REWARD_BOUNDS),
+                                               WeightSpec(lam), cfg.depth, m=2, seed=cfg.seed)
             expected = true_value(policy, cfg, cfg.n_eval, eval_rng, x=x).normalized_value
             assert values[name] == expected
 
