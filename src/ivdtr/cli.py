@@ -316,8 +316,7 @@ def cmd_evaluate(config: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    rng = np.random.default_rng(sim_config.seed)
-    report = true_value(policy, sim_config, sim_config.n_eval, rng)
+    report = true_value(policy, sim_config, sim_config.n_eval)
     _dump_json(
         {
             "raw_value": report.raw_value,

@@ -10,9 +10,12 @@ Per trajectory, with confounding level xi and instrument strength c1:
   A2 = +1 w.p. expit{c1 * (Z2 + 1) + X1 - 7 * (R1 - 0.5) - xi * (1 + X1) * (2 U2 - 1)}
   R2 ~ Bern(expit{0.1 * (A1 + 1) + 0.4 * [1 - X1 + R1 - xi * (2 U2 - 1)] * (A2 + 1)})
 
-Policy values are computed by Monte Carlo over (X1, X2) only; the inner
-expectation over (U1, R1, U2) is enumerated exactly, so the constant standard
-of care policy (-1, -1) evaluates to 1.0 with zero variance.
+A policy's value is one integrand over (X1, X2), the expectation over (U1, R1,
+U2) enumerated exactly. Outcomes depend on the covariates only through X1 and
+tree and constant stages are constant on the cells cut by their thresholds, so
+such policies are integrated by quadrature (Gauss-Legendre in X1 between the
+cuts, cell midpoints in X2), exact to rounding; in-memory sign-of-contrast
+rules by Monte Carlo. The standard of care (-1, -1) evaluates to 1.0 exactly.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from scipy.special import expit
 from .bounds import RewardBounds, WeightSpec
 from .crossfit import fit_ivoptimal_crossfit
 from .data import Dataset, dataset_from_arrays
-from .dtr_core import Dtr, constant_dtr, fit_weighted_tree
+from .dtr_core import ConstantRule, Dtr, TreeNode, TreeRule, constant_dtr, fit_weighted_tree
 from .improve import fit_ivimproved
 from .nuisance import DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models
 
 STD_BASELINE_RAW_VALUE = 1.0  # analytic: each stage reward is Bern(1/2) under all -1
+GAUSS_LEGENDRE_ORDER = 16  # quadrature nodes per X1 interval
 
 REGIMES = (
     "pi_b_std", "pi_up_std",
@@ -132,50 +136,86 @@ def generate(config: SimConfig, n: int, rng: np.random.Generator) -> tuple[Datas
     return dataset, LatentTrace(u1=u1, u2=u2)
 
 
-def true_value(
-    policy: Dtr,
-    config: SimConfig,
-    n_eval: int,
-    rng: np.random.Generator,
-    x: Optional[np.ndarray] = None,
-) -> EvalReport:
-    """Exact-inner-expectation Monte Carlo value of a two-stage policy.
-
-    Draws (X1, X2) (or reuses the provided x of shape (n_eval, 2), enabling
-    common random numbers across regimes) and enumerates U1, R1, U2.
-    """
-    if policy.num_stages != 2:
-        raise ValueError("the evaluator handles two-stage policies")
-    xi = config.xi
-    if x is None:
-        x = rng.uniform(-1.0, 1.0, size=(n_eval, 2))
-    else:
-        x = np.asarray(x, dtype=float)
-        n_eval = x.shape[0]
-    if n_eval < 1:
-        raise ValueError("n_eval must be >= 1")
+def _integrand(policy: Dtr, config: SimConfig, x: np.ndarray) -> np.ndarray:
+    """Expected total reward at each row (x1, x2) of x, with U1, R1 and U2
+    enumerated exactly."""
+    xi, n = config.xi, x.shape[0]
     x1 = x[:, 0]
-
     a1 = policy.action_matrix(1, x).astype(float)
     # stage-2 decisions depend on r1; evaluate the rule on both branches
     a2_by_r1 = {}
     for r1_val in (0.0, 1.0):
-        h2 = np.column_stack([x, a1, np.full(n_eval, r1_val)])
+        h2 = np.column_stack([x, a1, np.full(n, r1_val)])
         a2_by_r1[r1_val] = policy.action_matrix(2, h2).astype(float)
 
-    total = np.zeros(n_eval)
+    total = np.zeros(n)
     for u1 in (0.0, 1.0):
         p_r1 = _r1_prob(x1, a1, u1, xi, config.stage1_signal_threshold)
         for r1_val in (0.0, 1.0):
             p_branch = p_r1 if r1_val == 1.0 else 1.0 - p_r1
             a2 = a2_by_r1[r1_val]
-            stage2 = np.zeros(n_eval)
+            stage2 = np.zeros(n)
             for u2 in (0.0, 1.0):
                 stage2 += 0.5 * _r2_prob(x1, r1_val, a1, a2, u2, xi)
             total += 0.5 * p_branch * (r1_val + stage2)
+    return total
 
-    raw = float(np.mean(total))
-    se = float(np.std(total, ddof=1) / math.sqrt(n_eval)) if n_eval > 1 else 0.0
+
+def _quadrature(policy: Dtr, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1]^2 for a tree/constant policy: Gauss-Legendre
+    in x1 between the feature-0 cuts and the stage-1 signal threshold, and the
+    midpoint of each cell between the feature-1 cuts in x2."""
+    cuts = {0: {config.stage1_signal_threshold}, 1: set()}
+    nodes = [stage.root for stage in policy.stages if isinstance(stage, TreeRule)]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, TreeNode):
+            if node.feature in cuts:  # a1 and r1 splits are enumerated by the integrand
+                cuts[node.feature].add(node.threshold)
+            nodes += [node.left, node.right]
+    edges1, edges2 = (np.array([-1.0, *sorted(t for t in cuts[j] if -1.0 < t < 1.0), 1.0])
+                      for j in (0, 1))
+    t, w = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
+    half = np.diff(edges1)[:, None] / 2.0
+    x1 = (edges1[:-1, None] + half * (1.0 + t)).ravel()
+    x2 = (edges2[:-1] + edges2[1:]) / 2.0
+    x = np.column_stack([np.repeat(x1, x2.size), np.tile(x2, x1.size)])
+    return x, np.outer(half * w, np.diff(edges2)).ravel()
+
+
+def true_value(
+    policy: Dtr,
+    config: SimConfig,
+    n_eval: int,
+    rng: Optional[np.random.Generator] = None,
+    x: Optional[np.ndarray] = None,
+) -> EvalReport:
+    """Value of a two-stage policy, the latent expectation enumerated exactly.
+
+    Without x, a policy of tree and constant stages is integrated by quadrature:
+    monte_carlo_se is 0.0 and the report's n_eval counts the nodes. Otherwise
+    the value is a Monte Carlo average over n_eval points drawn from rng, or
+    over the rows of x (common random numbers across regimes).
+    """
+    if policy.num_stages != 2:
+        raise ValueError("the evaluator handles two-stage policies")
+    if x is not None:
+        x = np.asarray(x, dtype=float)
+        n_eval = x.shape[0]
+    if n_eval < 1:
+        raise ValueError("n_eval must be >= 1")
+    weights = None
+    if x is None and all(isinstance(stage, (TreeRule, ConstantRule)) for stage in policy.stages):
+        x, weights = _quadrature(policy, config)
+    elif x is None:
+        if rng is None:
+            raise ValueError("a Monte Carlo evaluation needs rng or x")
+        x = rng.uniform(-1.0, 1.0, size=(n_eval, 2))
+    total = _integrand(policy, config, x)
+    n_eval = total.size
+    # np.average, not a dot product: a constant integrand averages to itself exactly
+    raw = float(np.average(total, weights=weights))
+    se = float(np.std(total, ddof=1) / math.sqrt(n_eval)) if weights is None and n_eval > 1 else 0.0
     return EvalReport(
         raw_value=raw,
         normalized_value=raw / STD_BASELINE_RAW_VALUE,
@@ -264,18 +304,11 @@ def fit_all_regimes(dataset: Dataset, config: SimConfig) -> dict[str, Dtr]:
 
 def run_replication(config: SimConfig, rep: int) -> dict[str, float]:
     """One experiment replication: generate, fit nine regimes, evaluate all."""
-    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
-    train_seed, eval_seed = seq.spawn(2)
-    train_rng = np.random.default_rng(train_seed)
-    dataset, _ = generate(config, config.n_train, train_rng)
+    train_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,)).spawn(2)[0]
+    dataset, _ = generate(config, config.n_train, np.random.default_rng(train_seed))
     regimes = fit_all_regimes(dataset, config)
-    eval_rng = np.random.default_rng(eval_seed)
-    x = eval_rng.uniform(-1.0, 1.0, size=(config.n_eval, 2))
-    values = {}
-    for name in REGIMES:
-        report = true_value(regimes[name], config, config.n_eval, eval_rng, x=x)
-        values[name] = report.normalized_value
-    return values
+    return {name: true_value(regimes[name], config, config.n_eval).normalized_value
+            for name in REGIMES}
 
 
 @dataclass(frozen=True)

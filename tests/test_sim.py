@@ -1,4 +1,5 @@
-"""Data-generating process marginals, exact evaluator, SRA baseline, cell runner."""
+"""Data-generating process marginals, quadrature and Monte Carlo evaluators, SRA
+baseline, cell runner."""
 
 import dataclasses
 
@@ -10,7 +11,9 @@ import ivdtr.nuisance
 import ivdtr.sim
 from ivdtr.bounds import WeightSpec
 from ivdtr.crossfit import fit_ivoptimal_crossfit
-from ivdtr.dtr_core import Leaf, TreeNode, TreeRule, Dtr, constant_dtr
+from ivdtr.dtr_core import (
+    Dtr, Leaf, SignOfContrast, TreeNode, TreeRule, backward_induct, constant_dtr,
+)
 from ivdtr.nuisance import fit_stage_models
 from ivdtr.sim import (
     REGIMES,
@@ -133,10 +136,14 @@ class TestTrueValue:
         assert abs(report.raw_value - oracle) < 4 * report.monte_carlo_se + 1e-4
 
     def test_se_scales_with_sample_size(self):
+        # the in-memory sign rule is the policy that Monte Carlo still evaluates
         cfg = SimConfig(c1=4.0, xi=1.0)
-        prosp = constant_dtr(1, 2)
-        small = true_value(prosp, cfg, 4000, np.random.default_rng(5))
-        large = true_value(prosp, cfg, 64_000, np.random.default_rng(6))
+        ds, _ = generate(cfg, 1000, np.random.default_rng(13))
+        _, sign_rule = backward_induct(fit_stage_models(ds, SIM_REWARD_BOUNDS),
+                                       WeightSpec.minmax())
+        assert all(isinstance(stage, SignOfContrast) for stage in sign_rule.stages)
+        small = true_value(sign_rule, cfg, 4000, np.random.default_rng(5))
+        large = true_value(sign_rule, cfg, 64_000, np.random.default_rng(6))
         ratio = small.monte_carlo_se / large.monte_carlo_se
         assert 2.8 < ratio < 5.7  # ~sqrt(16) = 4
         assert abs(small.raw_value - large.raw_value) < 4 * small.monte_carlo_se
@@ -155,6 +162,68 @@ class TestTrueValue:
         one = true_value(constant_dtr(1, 2), cfg, 1000, rng, x=x)
         two = true_value(constant_dtr(1, 2), cfg, 1000, rng, x=x)
         assert one.raw_value == two.raw_value
+
+
+def random_tree(rng, n_features, depth=2):
+    """A random tree of depth <= 2 with thresholds in (-1, 1)."""
+    def grow(level):
+        if level == depth or (level > 0 and rng.random() < 0.3):
+            return Leaf(int(rng.choice([-1, 1])))
+        return TreeNode(int(rng.integers(n_features)), float(rng.uniform(-1, 1)),
+                        grow(level + 1), grow(level + 1))
+
+    return TreeRule(root=grow(0), max_depth=depth)
+
+
+def random_policy(rng):
+    # stage 1 splits on (x1, x2); stage 2 on (x1, x2, a1, r1)
+    return Dtr(stages=(random_tree(rng, 2), random_tree(rng, 4)))
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("xi", [1.0, 3.0])
+    def test_random_trees_match_monte_carlo(self, xi):
+        cfg = SimConfig(c1=4.0, xi=xi)
+        rng = np.random.default_rng(int(xi) + 20)
+        for _ in range(6):
+            policy = random_policy(rng)
+            exact = true_value(policy, cfg, cfg.n_eval)
+            mc = true_value(policy, cfg, 200_000, x=rng.uniform(-1.0, 1.0, size=(200_000, 2)))
+            assert exact.monte_carlo_se == 0.0
+            assert exact.n_eval <= 256  # 6 cuts: (1 + 3) x1 intervals * 16 * (1 + 3) x2 cells
+            # 1e-12 admits an integrand constant in x (a2 = -1 throughout), whose
+            # Monte Carlo SE is rounding noise
+            assert abs(exact.raw_value - mc.raw_value) < 4 * mc.monte_carlo_se + 1e-12
+
+    def test_node_count_converged(self, monkeypatch):
+        cfg = SimConfig(c1=4.0, xi=3.0, stage1_signal_threshold=0.1)
+        rng = np.random.default_rng(30)
+        policies = [random_policy(rng) for _ in range(10)] + [constant_dtr(1, 2)]
+        at_16 = [true_value(policy, cfg, 1).raw_value for policy in policies]
+        monkeypatch.setattr(ivdtr.sim, "GAUSS_LEGENDRE_ORDER", 32)
+        at_32 = [true_value(policy, cfg, 1).raw_value for policy in policies]
+        np.testing.assert_allclose(at_16, at_32, rtol=0.0, atol=1e-12)
+
+    def test_signal_threshold_cut_matches_quadrature_oracle(self):
+        # treated on x1 >= -0.9, so R1's signal jumps at the threshold 0.3
+        stage1 = TreeRule(root=TreeNode(0, -0.9, Leaf(-1), Leaf(1)), max_depth=1)
+        stage2 = TreeRule(root=TreeNode(3, 0.5, Leaf(1), Leaf(-1)), max_depth=1)
+        policy = Dtr(stages=(stage1, stage2))
+        cfg = SimConfig(c1=4.0, xi=2.0, stage1_signal_threshold=0.3)
+        exact = true_value(policy, cfg, cfg.n_eval).raw_value
+        assert abs(exact - quadrature_policy_value(policy, 2.0, threshold=0.3)) < 1e-4
+        assert abs(exact - true_value(policy, SimConfig(c1=4.0, xi=2.0), 1).raw_value) > 0.01
+
+    def test_explicit_points_and_sign_rules_stay_monte_carlo(self):
+        cfg = SimConfig(c1=4.0, xi=1.0)
+        x = np.random.default_rng(31).uniform(-1, 1, size=(500, 2))
+        report = true_value(constant_dtr(1, 2), cfg, 500, x=x)
+        assert report.n_eval == 500 and report.monte_carlo_se > 0.0
+        ds, _ = generate(cfg, 300, np.random.default_rng(32))
+        _, sign_rule = backward_induct(fit_stage_models(ds, SIM_REWARD_BOUNDS),
+                                       WeightSpec.minmax())
+        with pytest.raises(ValueError, match="needs rng or x"):
+            true_value(sign_rule, cfg, 500)
 
 
 class TestSraBaseline:
@@ -235,20 +304,18 @@ class TestRunCell:
 
     def test_crossfit_replication_runs_the_crossfit_fit(self):
         # with crossfit_m >= 2 each IV regime is the cross-fitted policy on the
-        # replication's own training draw, evaluated on its evaluation draw
+        # replication's own training draw, evaluated by quadrature
         cfg = SimConfig(c1=4.0, xi=1.0, n_train=200, n_eval=2000, seed=3, crossfit_m=2)
         values = run_replication(cfg, 0)
         assert set(values) == set(REGIMES)
         assert all(np.isfinite(v) for v in values.values())
         assert values["pi_b_std"] == 1.0
-        train_seed, eval_seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)).spawn(2)
+        train_seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)).spawn(2)[0]
         ds, _ = generate(cfg, cfg.n_train, np.random.default_rng(train_seed))
-        eval_rng = np.random.default_rng(eval_seed)
-        x = eval_rng.uniform(-1.0, 1.0, size=(cfg.n_eval, 2))
         for name, lam in (("pi_iv_1", 1.0), ("pi_iv_0", 0.0), ("pi_iv_half", 0.5)):
             policy, _ = fit_ivoptimal_crossfit(fit_stage_models(ds, SIM_REWARD_BOUNDS),
                                                WeightSpec(lam), cfg.depth, m=2, seed=cfg.seed)
-            expected = true_value(policy, cfg, cfg.n_eval, eval_rng, x=x).normalized_value
+            expected = true_value(policy, cfg, cfg.n_eval).normalized_value
             assert values[name] == expected
 
     def test_all_regimes_fit(self):
