@@ -13,6 +13,11 @@ with psi(h,a,z;C) = C * P(A=-a|Z=z,h) + E[Y|h,z,a] * P(A=a|Z=z,h).
 With estimated nuisances the two ends can cross in finite samples; intervals
 are repaired by clipping to [C_low, C_high] and collapsing residual crossings
 to the midpoint, with a diagnostic count.
+
+mp_bounds_matrix is this formula on arrays of the conditional quantities alone,
+with the arm a free to differ by row; it makes no model calls.
+arm_intervals predicts each model of a NuisanceSet once and bounds an arm
+(+1, -1, or one per row) and the other arm from those predictions.
 """
 
 from __future__ import annotations
@@ -147,25 +152,22 @@ def parse_weight_spec(text: str, num_stages: int) -> WeightSpec:
 
 
 def mp_bounds_matrix(
-    nuisance: NuisanceSet,
-    H: np.ndarray,
-    a: int,
+    pz_pos: np.ndarray,
+    p_a: tuple[np.ndarray, np.ndarray],
+    mu: tuple[np.ndarray, np.ndarray],
     tail: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized interval ends for action a at each history row.
+    """Vectorized interval ends for an arm a that may differ by row.
 
-    Returns (lower, upper, n_repaired).
+    pz_pos is P(Z=+1|h), p_a is (P(A=a|h,Z=-1), P(A=a|h,Z=+1)) and mu is
+    (E[Y|h,Z=-1,A=a], E[Y|h,Z=+1,A=a]). Returns (lower, upper, n_repaired).
     """
     c_low, c_high = float(tail[0]), float(tail[1])
     if c_low > c_high:
         raise ValueError(f"tail bounds [{c_low}, {c_high}] crossed")
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    pz_pos = nuisance.pz_pos(H)
+    p_a_zneg, p_a_zpos = p_a
+    mu_zneg, mu_zpos = mu
     pz_neg = 1.0 - pz_pos
-    p_a_zneg = nuisance.prob_a(H, a, -1)
-    p_a_zpos = nuisance.prob_a(H, a, +1)
-    mu_zneg = nuisance.mu_val(H, -1, a)
-    mu_zpos = nuisance.mu_val(H, +1, a)
 
     psi_neg_low = c_low * (1.0 - p_a_zneg) + mu_zneg * p_a_zneg
     psi_pos_low = c_low * (1.0 - p_a_zpos) + mu_zpos * p_a_zpos
@@ -192,11 +194,26 @@ def arm_intervals(
     nuisance: NuisanceSet,
     H: np.ndarray,
     tail: tuple[float, float],
+    arm: int | np.ndarray,
 ) -> tuple[Interval, Interval, int]:
-    """Per-row intervals for actions +1 and -1, and the total repair count."""
-    low_p, up_p, rep_p = mp_bounds_matrix(nuisance, H, +1, tail)
-    low_n, up_n, rep_n = mp_bounds_matrix(nuisance, H, -1, tail)
-    return Interval(low_p, up_p), Interval(low_n, up_n), rep_p + rep_n
+    """Per-row intervals on arm (+1, -1, or one +/-1 per row) and on the other
+    arm, and the total repair count of both.
+
+    P(Z=+1|H), P(A=+1|H,Z=z) for each z and the four outcome cells are each
+    predicted once; each arm's inputs are selected from them row by row.
+    """
+    pz_pos = nuisance.pz_pos(H)
+    pa_pos = [nuisance.pa_pos(H, z) for z in (-1, 1)]
+    mu = {(z, a): nuisance.mu_val(H, z, a) for z in (-1, 1) for a in (-1, 1)}
+    on_pos = np.asarray(arm) == 1
+    intervals, n_repaired = [], 0
+    for pos in (on_pos, ~on_pos):
+        p_a = tuple(np.where(pos, p, 1.0 - p) for p in pa_pos)
+        mu_a = tuple(np.where(pos, mu[(z, 1)], mu[(z, -1)]) for z in (-1, 1))
+        lower, upper, repaired = mp_bounds_matrix(pz_pos, p_a, mu_a, tail)
+        intervals.append(Interval(lower, upper))
+        n_repaired += repaired
+    return intervals[0], intervals[1], n_repaired
 
 
 def weighted_q(interval: Interval, lam: float):

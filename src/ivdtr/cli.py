@@ -35,10 +35,10 @@ _ALLOWED_KEYS = {
     "fit": _DATA_KEYS | {"lambda", "crossfit", "seed"},
     "improve": _DATA_KEYS | {"baseline"},
     "simulate": {
-        "c1", "xi", "n_train", "replications", "n_eval", "lambda", "depth",
-        "crossfit", "seed", "out", "out_csv", "threads",
+        "c1", "xi", "n_train", "replications", "depth", "crossfit", "seed", "out",
+        "out_csv", "threads",
     },
-    "evaluate": {"policy", "c1", "xi", "n_eval", "seed", "out"},
+    "evaluate": {"policy", "c1", "xi", "out"},
 }
 
 # flag -> (type, help); each flag overrides the config key of the same name
@@ -56,8 +56,8 @@ _FLAG_SPECS = {
 _FLAGS = {
     "fit": ("data", "lambda", "depth", "crossfit", "seed", "out"),
     "improve": ("data", "baseline", "depth", "out"),
-    "simulate": ("lambda", "depth", "crossfit", "seed", "out", "threads"),
-    "evaluate": ("policy", "seed", "out"),
+    "simulate": ("depth", "crossfit", "seed", "out", "threads"),
+    "evaluate": ("policy", "out"),
 }
 
 
@@ -147,8 +147,8 @@ def _pooled_fit_stages(estimates) -> list[dict]:
     stages = []
     for k in sorted({est.stage for est in estimates}):
         fits = [est for est in estimates if est.stage == k]
-        widths = np.concatenate([est.upper_pos - est.lower_pos for est in fits]
-                                + [est.upper_neg - est.lower_neg for est in fits])
+        widths = np.concatenate([arm.upper - arm.lower
+                                 for est in fits for arm in (est.plus, est.minus)])
         empty = dict.fromkeys(cell for est in fits for cell in est.nuisance.empty_cells)
         stages.append({
             "stage": k,
@@ -263,17 +263,14 @@ def _as_list(value) -> list:
 
 def cmd_simulate(config: dict) -> int:
     try:
-        lam = _weight_spec(config, 2)
         cells = [
             SimConfig(
                 c1=float(c1),
                 xi=float(xi),
                 n_train=int(config.get("n_train", 1000)),
                 seed=int(config.get("seed", 0)),
-                lam=lam,
                 depth=int(config.get("depth", 2)),
                 replications=int(config.get("replications", 100)),
-                n_eval=int(config.get("n_eval", 100_000)),
                 crossfit_m=int(config.get("crossfit", 0)),
                 threads=int(config.get("threads", 1)),
             )
@@ -308,12 +305,7 @@ def cmd_simulate(config: dict) -> int:
 def cmd_evaluate(config: dict) -> int:
     policy = _load_policy(str(_require(config, "policy")), 2, "policy")
     try:
-        sim_config = SimConfig(
-            c1=float(config.get("c1", 4.0)),
-            xi=float(config.get("xi", 1.0)),
-            seed=int(config.get("seed", 0)),
-            n_eval=int(config.get("n_eval", 100_000)),
-        )
+        sim_config = SimConfig(c1=float(config.get("c1", 4.0)), xi=float(config.get("xi", 1.0)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = true_value(policy, sim_config, sim_config.n_eval)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import WeightSpec, arm_intervals, weighted_q
+from .bounds import Interval, WeightSpec, arm_intervals, weighted_q
 from .nuisance import NuisanceSet, StageModels, fit_stage_nuisance, is_binary_outcome
 
 MIN_LEAF_WEIGHT_FRACTION = 0.01
@@ -188,7 +188,7 @@ class SignOfContrast:
     lam: float
 
     def contrast(self, H: np.ndarray) -> np.ndarray:
-        plus, minus, _ = arm_intervals(self.nuisance, H, self.tail)
+        plus, minus, _ = arm_intervals(self.nuisance, H, self.tail, 1)
         return weighted_q(plus, self.lam) - weighted_q(minus, self.lam)
 
     def decide(self, H: np.ndarray) -> np.ndarray:
@@ -234,12 +234,8 @@ class StageQEstimate:
     """Per-sample fit results at one stage, plus the sign rule behind them."""
 
     stage: int
-    lower_pos: np.ndarray
-    upper_pos: np.ndarray
-    lower_neg: np.ndarray
-    upper_neg: np.ndarray
-    q_pos: np.ndarray
-    q_neg: np.ndarray
+    plus: Interval    # on action +1; weighted_q(plus, rule.lam) is its Q value
+    minus: Interval   # on action -1
     contrast: np.ndarray
     action: np.ndarray
     value: np.ndarray
@@ -271,21 +267,17 @@ def fit_stage(
     histories: np.ndarray,
     tail: tuple[float, float],
     lambda_k: float,
-    stage: int = 0,
+    stage: int,
 ) -> StageQEstimate:
     """One stage of Step I: intervals at +/-1 from the stage's fitted cells, contrast, value."""
     rule = SignOfContrast(nuisance=nuisance, tail=tail, lam=float(lambda_k))
-    plus, minus, n_repaired = arm_intervals(nuisance, histories, tail)
+    plus, minus, n_repaired = arm_intervals(nuisance, histories, tail, 1)
     q_pos, q_neg = weighted_q(plus, rule.lam), weighted_q(minus, rule.lam)
     contrast = q_pos - q_neg
     action = sign_with_tie(contrast)
     value = np.where(action == 1, q_pos, q_neg)
-    return StageQEstimate(
-        stage=stage,
-        lower_pos=plus.lower, upper_pos=plus.upper, lower_neg=minus.lower, upper_neg=minus.upper,
-        q_pos=q_pos, q_neg=q_neg, contrast=contrast, action=action, value=value,
-        rule=rule, n_repaired=n_repaired,
-    )
+    return StageQEstimate(stage=stage, plus=plus, minus=minus, contrast=contrast,
+                          action=action, value=value, rule=rule, n_repaired=n_repaired)
 
 
 def backward_induct(

@@ -16,8 +16,9 @@ baseline. The relative value propagated backwards is
 The pass reads the stage models (fit_stage_models) as its only data: they
 supply each stage's histories, ranges and instrument, treatment and
 reward-cell fits. It fits only the cells of the relative continuation and of
-the sum, and the three outcomes are bounded separately before the ends are
-combined.
+the sum. Each of the three outcomes is bounded by one arm_intervals call with
+the baseline actions as the per-row arm, which gives the intervals on a' and
+on -a' from one prediction of each model; the ends are combined afterwards.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import Interval, arm_intervals
+from .bounds import arm_intervals
 from .dtr_core import Dtr, fit_weighted_tree
 from .nuisance import StageModels, fit_stage_nuisance
 
@@ -49,16 +50,6 @@ class RelativeStageEstimate:
     converged: bool               # the reward nuisance's fits all converged
 
 
-def _arm_intervals(nuisance, H: np.ndarray, tail: tuple[float, float],
-                   baseline_action: np.ndarray) -> tuple[Interval, Interval, int]:
-    """Per-row intervals on the baseline arm a' and on the flipped arm -a'."""
-    (low_p, up_p), (low_n, up_n), n_rep = arm_intervals(nuisance, H, tail)
-    on_pos = baseline_action == 1
-    keep = Interval(np.where(on_pos, low_p, low_n), np.where(on_pos, up_p, up_n))
-    flip = Interval(np.where(on_pos, low_n, low_p), np.where(on_pos, up_n, up_p))
-    return keep, flip, n_rep
-
-
 def relative_contrast_pieces(
     H: np.ndarray,
     baseline_action: np.ndarray,
@@ -73,13 +64,13 @@ def relative_contrast_pieces(
     (sum_nuisance, sum_tail, continuation_nuisance, continuation_tail).
     n_repaired counts repairs on both arms of every nuisance used.
     """
-    keep_r, flip_r, n_rep = _arm_intervals(reward_nuisance, H, reward_tail, baseline_action)
+    keep_r, flip_r, n_rep = arm_intervals(reward_nuisance, H, reward_tail, baseline_action)
     if continuation is None:
         flip_lower, keep_lower = flip_r.lower, np.zeros_like(flip_r.lower)
     else:
         sum_ns, sum_tail, cont_ns, cont_tail = continuation
-        _, flip_s, rep_s = _arm_intervals(sum_ns, H, sum_tail, baseline_action)
-        keep_c, _, rep_c = _arm_intervals(cont_ns, H, cont_tail, baseline_action)
+        _, flip_s, rep_s = arm_intervals(sum_ns, H, sum_tail, baseline_action)
+        keep_c, _, rep_c = arm_intervals(cont_ns, H, cont_tail, baseline_action)
         flip_lower, keep_lower = flip_s.lower, keep_c.lower
         n_rep += rep_s + rep_c
     contrast = flip_lower - keep_r.upper - keep_lower

@@ -190,11 +190,6 @@ class NuisanceSet:
     def pa_pos(self, H: np.ndarray, z: int) -> np.ndarray:
         return self.pa[int(z)].predict(H, clip=self.clip)
 
-    def prob_a(self, H: np.ndarray, a: int, z: int) -> np.ndarray:
-        """P(A = a | H, Z = z), from the single P(A=+1|.) fit per z arm."""
-        pos = self.pa_pos(H, z)
-        return pos if a == 1 else 1.0 - pos
-
     def mu_val(self, H: np.ndarray, z: int, a: int) -> np.ndarray:
         model = self.mu[(int(z), int(a))]
         if isinstance(model, LogisticModel):

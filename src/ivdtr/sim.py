@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,6 @@ class SimConfig:
     xi: float = 1.0
     n_train: int = 1000
     seed: int = 0
-    lam: WeightSpec = field(default_factory=WeightSpec.minmax)
     depth: int = 2
     replications: int = 100
     n_eval: int = 100_000

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 
-from ivdtr.bounds import Interval, mp_bounds_matrix
+from ivdtr.bounds import Interval, arm_intervals
 from ivdtr.data import dataset_from_arrays, load_csv, save_csv
 from ivdtr.nuisance import ConstantModel, NuisanceSet
 
@@ -48,8 +48,8 @@ def dumps_csv(dataset):
 
 
 def interval_at(nuisance, h, a, tail):
-    """Interval for action a at one history: row 0 of the vectorized bounds."""
-    lower, upper, _ = mp_bounds_matrix(nuisance, np.atleast_2d(h), a, tail)
+    """Interval for action a at one history: row 0 of arm_intervals on arm a."""
+    (lower, upper), _, _ = arm_intervals(nuisance, np.atleast_2d(h), tail, a)
     return Interval(float(lower[0]), float(upper[0]))
 
 

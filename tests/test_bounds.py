@@ -10,10 +10,12 @@ from ivdtr.bounds import (
     Interval,
     RewardBounds,
     WeightSpec,
+    arm_intervals,
     mp_bounds_matrix,
     parse_weight_spec,
     weighted_q,
 )
+from ivdtr.nuisance import LinearModel, LogisticModel, NuisanceSet
 
 
 def oracle_bounds(pz_pos, pa_pos, mu, a, c_low, c_high):
@@ -52,8 +54,7 @@ def psi_ends(ns, c_low, c_high):
     With P(A|Z) and E[Y|Z,A] equal in both instrument arms, psi does not
     depend on z, so the interval ends are exactly psi at C_low and C_high.
     """
-    lower, upper, _ = mp_bounds_matrix(ns, np.zeros((1, 1)), 1, (c_low, c_high))
-    return lower[0], upper[0]
+    return interval_at(ns, np.zeros(1), 1, (c_low, c_high))
 
 
 class TestPsi:
@@ -118,16 +119,21 @@ class TestMpInterval:
         pa = {-1: pa_neg, 1: pa_pos}
         mu = {(-1, a): mu_neg, (1, a): mu_pos, (-1, -a): 0.5, (1, -a): 0.5}
         ns = make_nuisance(pz, pa, mu)
-        interval = interval_at(ns, np.zeros(1), a, (0.0, 1.0))
+        p_a = tuple(np.array([pa[z] if a == 1 else 1.0 - pa[z]]) for z in (-1, 1))
+        lower, upper, _ = mp_bounds_matrix(np.array([pz]), p_a,
+                                           (np.array([mu_neg]), np.array([mu_pos])), (0.0, 1.0))
         lo, hi = oracle_bounds(pz, pa, mu, a, 0.0, 1.0)
         # oracle ends may cross; the implementation repairs but must agree otherwise
         lo_c, hi_c = np.clip(lo, 0, 1), np.clip(hi, 0, 1)
-        if lo_c <= hi_c:
-            assert interval.lower == pytest.approx(lo_c, abs=1e-12)
-            assert interval.upper == pytest.approx(hi_c, abs=1e-12)
-        else:
-            assert interval.lower == pytest.approx(0.5 * (lo_c + hi_c), abs=1e-12)
-        assert 0.0 <= interval.lower <= interval.upper <= 1.0
+        # through the nuisance set, and on the arrays of its values directly
+        for interval in (interval_at(ns, np.zeros(1), a, (0.0, 1.0)),
+                         Interval(lower[0], upper[0])):
+            if lo_c <= hi_c:
+                assert interval.lower == pytest.approx(lo_c, abs=1e-12)
+                assert interval.upper == pytest.approx(hi_c, abs=1e-12)
+            else:
+                assert interval.lower == pytest.approx(0.5 * (lo_c + hi_c), abs=1e-12)
+            assert 0.0 <= interval.lower <= interval.upper <= 1.0
 
     @given(
         st.floats(min_value=0.01, max_value=0.99),
@@ -147,6 +153,43 @@ class TestMpInterval:
         outer = interval_at(wide_ns, np.zeros(1), 1, (-widen, 1.0 + widen))
         assert outer.lower <= inner.lower + 1e-12
         assert outer.upper >= inner.upper - 1e-12
+
+
+def history_nuisance(rng, d, outcome_range):
+    """NuisanceSet whose every model varies with the history."""
+    def logistic():
+        return LogisticModel(rng.normal(), rng.normal(size=d))
+
+    return NuisanceSet(
+        pz=logistic(), pa={z: logistic() for z in (-1, 1)},
+        mu={(z, a): LinearModel(rng.normal(), rng.normal(size=d))
+            for z in (-1, 1) for a in (-1, 1)},
+        outcome_range=outcome_range,
+    )
+
+
+class TestArmIntervals:
+    def test_per_row_arm_is_the_row_selection_of_both_arms(self):
+        rng = np.random.default_rng(7)
+        repaired = 0
+        for _ in range(25):
+            low = rng.uniform(-1.0, 0.5)
+            tail = (low, low + rng.uniform(0.1, 2.0))
+            ns = history_nuisance(rng, 3, tail)
+            H = rng.normal(size=(200, 3))
+            arm = rng.choice([-1, 1], size=200)
+            plus, minus, n_both = arm_intervals(ns, H, tail, 1)
+            on_arm, other, n_rows = arm_intervals(ns, H, tail, arm)
+            pos = arm == 1
+            for got, (first, second) in ((on_arm, (plus, minus)), (other, (minus, plus))):
+                assert np.array_equal(got.lower, np.where(pos, first.lower, second.lower))
+                assert np.array_equal(got.upper, np.where(pos, first.upper, second.upper))
+            assert n_rows == n_both
+            neg_first = arm_intervals(ns, H, tail, -1)
+            assert all(np.array_equal(x, y) for x, y in zip(neg_first[0] + neg_first[1],
+                                                            minus + plus))
+            repaired += n_rows
+        assert repaired > 0  # the draws reach the midpoint repair
 
 
 class TestWeightedQ:

@@ -196,7 +196,7 @@ class TestSimulate:
         out = tmp_path / "summary.json"
         config = write_config(tmp_path, "cfg.json", {
             "c1": [3.0, 4.0], "xi": [1.0], "n_train": 200,
-            "replications": 1, "n_eval": 2000, "seed": 4,
+            "replications": 1, "seed": 4,
             "out_csv": str(out_csv), "out": str(out),
         })
         assert run(["simulate", "--config", str(config)]) == 0
@@ -224,7 +224,7 @@ class TestSimulate:
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         out = tmp_path / "out.json"
         config = write_config(tmp_path, "cfg.json", {"replications": 1, "n_train": 200,
-                                                     "n_eval": 100, "out": str(out)})
+                                                     "out": str(out)})
         assert run(["simulate", "--config", str(config), "--threads", str(threads)]) == 2
         assert "threads must be >= 1" in read_error(capsys)["error"]
         assert not out.exists()
@@ -233,8 +233,7 @@ class TestSimulate:
 class TestEvaluate:
     def test_builtin_std_is_exactly_one(self, tmp_path):
         out = tmp_path / "eval.json"
-        assert run(["evaluate", "--policy", "std", "--out", str(out),
-                    "--seed", "3"]) == 0
+        assert run(["evaluate", "--policy", "std", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["normalized_value"] == 1.0
         assert doc["monte_carlo_se"] == 0.0
@@ -247,8 +246,7 @@ class TestEvaluate:
         assert run(["fit", "--config", str(config), "--out", str(fitted)]) == 0
         out = tmp_path / "eval.json"
         eval_cfg = write_config(tmp_path, "ecfg.json", {
-            "policy": str(fitted), "c1": 4.0, "xi": 1.0, "n_eval": 5000,
-            "out": str(out), "seed": 0,
+            "policy": str(fitted), "c1": 4.0, "xi": 1.0, "out": str(out),
         })
         assert run(["evaluate", "--config", str(eval_cfg)]) == 0
         doc = json.loads(out.read_text())
@@ -267,7 +265,9 @@ class TestEvaluate:
 
 class TestConfigSurface:
     @pytest.mark.parametrize("argv", [["fit", "--threads", "2"],
-                                      ["improve", "--crossfit", "5"]])
+                                      ["improve", "--crossfit", "5"],
+                                      ["simulate", "--lambda", "w"],
+                                      ["evaluate", "--policy", "std", "--seed", "3"]])
     def test_flag_of_another_command_is_an_argparse_error(self, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -288,6 +288,10 @@ class TestConfigSurface:
         ("evaluate", {"report": "x.json"}),
         ("improve", {"seed": 1}),
         ("fit", {"schema": {"num_stages": 2, "covariate_dims": [2, 0]}}),
+        ("simulate", {"lambda": "w"}),
+        ("simulate", {"n_eval": 100}),
+        ("evaluate", {"n_eval": 0}),
+        ("evaluate", {"seed": 3}),
     ])
     def test_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, doc):
         config = write_config(tmp_path, "cfg.json", doc)
@@ -437,23 +441,10 @@ class TestExitCodes:
         assert error.format(what="policy") in read_error(capsys)["error"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, doc", [
-        ("evaluate", {"policy": "std", "n_eval": 0}),
-        ("simulate", {"replications": 1, "n_train": 200, "n_eval": 0}),
-    ])
-    def test_zero_n_eval_exits_2_without_nan(self, tmp_path, capsys, command, doc):
-        out = tmp_path / "out.json"
-        config = write_config(tmp_path, "cfg.json", {**doc, "out": str(out)})
-        assert run([command, "--config", str(config)]) == 2
-        captured = capsys.readouterr()
-        assert "n_eval must be >= 1" in json.loads(captured.err)["error"]
-        assert "NaN" not in captured.out
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["fit", "simulate"])
     def test_negative_crossfit_exits_2(self, tmp_path, sim_csv, capsys, command):
         doc = {"fit": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC},
-               "simulate": {"replications": 1, "n_train": 200, "n_eval": 100}}[command]
+               "simulate": {"replications": 1, "n_train": 200}}[command]
         out = tmp_path / "out.json"
         config = write_config(tmp_path, "cfg.json", {**doc, "out": str(out), "crossfit": -1})
         assert run([command, "--config", str(config)]) == 2

@@ -140,8 +140,8 @@ class TestFitIvoptimalCrossfit:
             assert [est.stage for est in fits] == [1, 2]
             for est, expected in zip(fits, estimates):
                 np.testing.assert_array_equal(est.contrast, expected.contrast)
-                np.testing.assert_array_equal(est.lower_pos, expected.lower_pos)
-                np.testing.assert_array_equal(est.upper_neg, expected.upper_neg)
+                np.testing.assert_array_equal(est.plus.lower, expected.plus.lower)
+                np.testing.assert_array_equal(est.minus.upper, expected.minus.upper)
         with pytest.raises(ValueError, match="crossfit must be >= 0"):
             fit_ivoptimal_crossfit(fit_stage_models(ds, BOUNDS2), LAM, depth=2, m=-1, seed=0)
 

@@ -244,13 +244,14 @@ class TestBackwardInduct:
         ds = simulate_two_stage()
         estimates, q_rule = backward_induct(fit_stage_models(ds, BOUNDS2), WeightSpec.minmax())
         for est in estimates:
-            assert np.all(est.lower_pos <= est.q_pos + 1e-12)
-            assert np.all(est.q_pos <= est.upper_pos + 1e-12)
-            assert np.all(est.lower_neg <= est.q_neg + 1e-12)
-            assert np.all(est.q_neg <= est.upper_neg + 1e-12)
-            np.testing.assert_allclose(est.contrast, est.q_pos - est.q_neg)
+            q_pos, q_neg = weighted_q(est.plus, 0.5), weighted_q(est.minus, 0.5)
+            assert np.all(est.plus.lower <= q_pos + 1e-12)
+            assert np.all(q_pos <= est.plus.upper + 1e-12)
+            assert np.all(est.minus.lower <= q_neg + 1e-12)
+            assert np.all(q_neg <= est.minus.upper + 1e-12)
+            np.testing.assert_allclose(est.contrast, q_pos - q_neg)
             np.testing.assert_array_equal(
-                est.value, np.where(est.action == 1, est.q_pos, est.q_neg))
+                est.value, np.where(est.action == 1, q_pos, q_neg))
         # q-rule agrees with training-sample contrasts and signs at every history
         for k in (1, 2):
             H = ds.histories(k)
@@ -265,9 +266,9 @@ class TestBackwardInduct:
         worst, _ = backward_induct(models, WeightSpec.worst())
         best, _ = backward_induct(models, WeightSpec.best())
         for est in worst:
-            np.testing.assert_allclose(est.contrast, est.lower_pos - est.lower_neg)
+            np.testing.assert_allclose(est.contrast, est.plus.lower - est.minus.lower)
         for est in best:
-            np.testing.assert_allclose(est.contrast, est.upper_pos - est.upper_neg)
+            np.testing.assert_allclose(est.contrast, est.plus.upper - est.minus.upper)
 
     def test_stage1_pseudo_outcome_range(self):
         ds = simulate_two_stage(seed=5)
