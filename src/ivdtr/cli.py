@@ -61,16 +61,20 @@ _FLAGS = {
 }
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
 def _load_config(path: Optional[str], command: str) -> dict:
-    config: dict = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                config = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+    config = {} if path is None else _read_json(path, "config")
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(config) - _ALLOWED_KEYS[command]
@@ -120,6 +124,8 @@ def _load_dataset(config: dict) -> Dataset:
         return load_csv(path)
     except FileNotFoundError:
         raise ConfigError(f"data file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {path}: {exc.strerror}") from None
 
 
 def _check_converged(config: dict, fits) -> None:
@@ -135,9 +141,12 @@ def _dump_json(doc: dict, path: Optional[str]) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2)
     if path is None:
         print(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _pooled_fit_stages(estimates) -> list[dict]:
@@ -199,13 +208,7 @@ def _load_policy(spec: str, num_stages: int, what: str) -> Dtr:
         return constant_dtr(-1, num_stages, kind="std")
     if spec == "prosp":
         return constant_dtr(1, num_stages, kind="prosp")
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {spec}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    doc = _read_json(spec, what)
     try:
         return dtr_from_json(doc)
     except (KeyError, ValueError, TypeError) as exc:
@@ -285,12 +288,15 @@ def cmd_simulate(config: dict) -> int:
     results = [run_cell(cell) for cell in cells]
 
     if config.get("out_csv"):
-        with open(config["out_csv"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["c1", "xi", "rep", "regime", "value"])
-            for cell, result in zip(cells, results):
-                for rep, regime, value in result.rows:
-                    writer.writerow([cell.c1, cell.xi, rep, regime, f"{value:.10f}"])
+        try:
+            with open(config["out_csv"], "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["c1", "xi", "rep", "regime", "value"])
+                for cell, result in zip(cells, results):
+                    for rep, regime, value in result.rows:
+                        writer.writerow([cell.c1, cell.xi, rep, regime, f"{value:.10f}"])
+        except OSError as exc:
+            raise ConfigError(f"cannot write {config['out_csv']}: {exc.strerror}") from None
     summary_doc = {
         "cells": [
             {"c1": cell.c1, "xi": cell.xi, "n_train": cell.n_train,

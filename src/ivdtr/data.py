@@ -5,11 +5,17 @@ Conventions baked in here and relied on everywhere else:
   * the stage-k history vector is the concatenation
         [x_1, a_1, r_1, x_2, a_2, r_2, ..., a_{k-1}, r_{k-1}, x_k]
     so H_1 = x_1.
+
+load_csv parses the data rows with numpy's C parser (np.loadtxt). When that
+parse fails or finds the wrong width, the row reader parses them again with
+Python's float, which also takes 1_0, quoted cells and non-ASCII digits, and
+names the data row of a malformed cell.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -169,33 +175,50 @@ def _parse_header(header: list[str]) -> tuple[int, tuple[int, ...]]:
     return k, tuple(dims)
 
 
+def _loadtxt(fh, width: int) -> np.ndarray | None:
+    """The data rows in numpy's C parser; None if it fails or finds another width."""
+    # a body of blank lines is empty here, before np.loadtxt warns of no data
+    first = next((line for line in fh if line.strip("\r\n")), None)
+    if first is None:
+        raise DataError("empty dataset")
+    try:
+        table = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[1] == width else None
+
+
+def _read_rows(fh, width: int) -> np.ndarray:
+    """Python's float on every cell; an error names its data row (blank lines count)."""
+    values = []
+    for idx, row in enumerate(csv.reader(fh), start=1):
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataError(f"row {idx}: expected {width} cells, got {len(row)}")
+        try:
+            values.append([float(cell) for cell in row])
+        except ValueError as exc:
+            if any(cell.strip() == "" for cell in row):
+                raise DataError(f"row {idx}: missing cell") from None
+            raise DataError(f"row {idx}: non-numeric cell ({exc})") from None
+    return np.array(values)
+
+
 def load_csv(path) -> Dataset:
     """Load a trajectory dataset from CSV; the header fixes the schema."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = [c.strip() for c in next(reader)]
+            header = [c.strip() for c in next(csv.reader(fh))]
         except StopIteration:
             raise DataError("empty dataset") from None
         _, dims = _parse_header(header)
-        width = len(header)
+        table = _loadtxt(fh, len(header))
+        if table is None:
+            fh.seek(0)
+            next(csv.reader(fh))
+            table = _read_rows(fh, len(header))
 
-        values = []
-        for idx, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataError(f"row {idx}: expected {width} cells, got {len(row)}")
-            try:
-                values.append([float(cell) for cell in row])
-            except ValueError as exc:
-                if any(cell.strip() == "" for cell in row):
-                    raise DataError(f"row {idx}: missing cell") from None
-                raise DataError(f"row {idx}: non-numeric cell ({exc})") from None
-    if not values:
-        raise DataError("empty dataset")
-
-    table = np.array(values)
     starts = np.cumsum([0] + [d + 3 for d in dims[:-1]])
     z_cols = starts + np.array(dims)
     return Dataset(
@@ -205,17 +228,16 @@ def load_csv(path) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path) -> None:
+    """Floats as repr, z and a as integers, CRLF line ends (csv.writer's bytes)."""
+    columns = []
+    for k, x in enumerate(dataset.covariates):
+        columns.extend(map(repr, col) for col in x.T.tolist())
+        columns.append(map(str, map(int, dataset.z[:, k].tolist())))
+        columns.append(map(str, map(int, dataset.a[:, k].tolist())))
+        columns.append(map(repr, dataset.r[:, k].tolist()))
+    header = ",".join(expected_header(dataset.num_stages, dataset.covariate_dims))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(expected_header(dataset.num_stages, dataset.covariate_dims))
-        covariates = [c.tolist() for c in dataset.covariates]
-        z, a, r = dataset.z.tolist(), dataset.a.tolist(), dataset.r.tolist()
-        for i in range(dataset.n):
-            row: list = []
-            for k, x in enumerate(covariates):
-                row.extend(map(repr, x[i]))
-                row.extend([int(z[i][k]), int(a[i][k]), repr(r[i][k])])
-            writer.writerow(row)
+        fh.write("\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n")
 
 
 def dataset_from_arrays(

@@ -1,13 +1,14 @@
 """Shared generators for randomized nuisance configurations and datasets,
 and the test-only helpers built on the shipped code."""
 
+import csv
 import os
 import tempfile
 
 import numpy as np
 
 from ivdtr.bounds import Interval, arm_intervals
-from ivdtr.data import dataset_from_arrays, load_csv, save_csv
+from ivdtr.data import dataset_from_arrays, expected_header, load_csv, save_csv
 from ivdtr.nuisance import ConstantModel, NuisanceSet
 
 
@@ -45,6 +46,21 @@ def dumps_csv(dataset):
         save_csv(dataset, path)
         with open(path, encoding="utf-8") as fh:
             return fh.read()
+
+
+def save_csv_rowwise(dataset, path):
+    """Reference writer for save_csv: one csv.writer row per trajectory."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(expected_header(dataset.num_stages, dataset.covariate_dims))
+        covariates = [c.tolist() for c in dataset.covariates]
+        z, a, r = dataset.z.tolist(), dataset.a.tolist(), dataset.r.tolist()
+        for i in range(dataset.n):
+            row: list = []
+            for k, x in enumerate(covariates):
+                row.extend(map(repr, x[i]))
+                row.extend([int(z[i][k]), int(a[i][k]), repr(r[i][k])])
+            writer.writerow(row)
 
 
 def interval_at(nuisance, h, a, tail):

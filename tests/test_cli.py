@@ -457,3 +457,22 @@ class TestExitCodes:
         })
         assert run(["fit", "--config", str(config)]) == 2
         assert "not found" in read_error(capsys)["error"]
+
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "config"), ("fit", "data"), ("improve", "baseline"), ("evaluate", "policy"),
+        ("fit", "report"), ("improve", "out"), ("simulate", "out_csv"),
+    ])
+    def test_unopenable_path_exits_2(self, tmp_path, sim_csv, capsys, command, key):
+        """A directory where a file is read, or a missing directory where one is written."""
+        written = key in ("report", "out", "out_csv")
+        bad = tmp_path / "missing" / "out" if written else tmp_path
+        doc = {"fit": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC},
+               "improve": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "baseline": "std"},
+               "evaluate": {"policy": "std"},
+               "simulate": {"replications": 1, "n_train": 200}}[command]
+        config = bad if key == "config" else write_config(tmp_path, "cfg.json",
+                                                          {**doc, key: str(bad)})
+        assert run([command, "--config", str(config)]) == 2
+        error = read_error(capsys)["error"]
+        assert str(bad) in error
+        assert error.startswith("cannot write" if written else "cannot read")

@@ -1,13 +1,16 @@
 """Data model, CSV round-trip, history construction, batch assignment."""
 
 import dataclasses
+import io
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synth import dumps_csv, loads_csv
+from synth import dumps_csv, loads_csv, save_csv_rowwise
 
+import ivdtr.data
 from ivdtr.data import (
     BatchAssignment,
     DataError,
@@ -15,6 +18,7 @@ from ivdtr.data import (
     assign_batches,
     dataset_from_arrays,
     expected_header,
+    save_csv,
 )
 
 TWO_STAGE_CSV = (
@@ -120,6 +124,71 @@ def test_blank_lines_skipped_and_pm1_spellings_accepted():
     np.testing.assert_array_equal(ds.a, [[-1.0, 1.0]])
     with pytest.raises(DataError, match="^row 2: missing cell$"):
         loads_csv(HEADER2 + "\n0.3,1,1,1.0,,-1,-1,0.0\n")
+
+
+def body_rows(text, width):
+    """The C parse and the row reader on the same body text (header excluded)."""
+    return (ivdtr.data._loadtxt(io.StringIO(text, newline=""), width),
+            ivdtr.data._read_rows(io.StringIO(text, newline=""), width))
+
+
+@pytest.mark.parametrize("cell", [
+    "+.5", "1.", "-.5e-3", "1e0", " -1", "\t0.3 ", "Infinity", "4.9e-324", "1e400",
+])
+@pytest.mark.parametrize("newline, end", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")],
+                         ids=["lf", "crlf", "no-final-newline"])
+def test_c_parse_equals_row_reader(cell, newline, end):
+    text = newline.join([f"0.3,1,1,{cell},-0.2,-1,-1,0.0", f"{cell},1,1,1.0,-0.2,-1,-1,0.0"])
+    fast, rows = body_rows(text + end, 8)
+    assert fast is not None
+    assert np.array_equal(fast, rows)
+    assert np.array_equal(np.signbit(fast), np.signbit(rows))
+
+
+def test_load_csv_parses_in_c(monkeypatch):
+    def no_row_reader(fh, width):
+        raise AssertionError("row reader used")
+
+    expected = loads_csv(TWO_STAGE_CSV)
+    monkeypatch.setattr(ivdtr.data, "_read_rows", no_row_reader)
+    ds = loads_csv(TWO_STAGE_CSV.replace("\n", "\r\n"))
+    for got, want in zip((*ds.covariates, ds.z, ds.a, ds.r),
+                         (*expected.covariates, expected.z, expected.a, expected.r)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("cell, value", [("1_0", 10.0), ('"0.3"', 0.3), ("\u0661", 1.0)],
+                         ids=["underscore", "quoted", "arabic-indic"])
+def test_spellings_only_float_reads_load_through_the_row_reader(cell, value):
+    row = f"{cell},1,1,1.0,-0.2,-1,-1,0.0\n"
+    assert body_rows(row, 8)[0] is None
+    ds = loads_csv(HEADER2 + row)
+    assert ds.covariates[0][0, 0] == value
+
+
+def test_header_and_blank_lines_is_empty_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^empty dataset$"):
+            loads_csv(HEADER2 + "\n\r\n\n")
+
+
+def test_save_csv_bytes_match_the_rowwise_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 40
+    x = rng.normal(size=(n, 2))
+    x[0, 0] = -0.0
+    r1 = rng.uniform(size=n)
+    r1[:5] = [5e-324, -5e-324, 1e300, -1e300, -0.0]
+    ds = dataset_from_arrays(
+        covariates=[x, np.empty((n, 0))],
+        instruments=[rng.choice([-1.0, 1.0], size=n) for _ in range(2)],
+        actions=[rng.choice([-1.0, 1.0], size=n) for _ in range(2)],
+        rewards=[r1, rng.normal(size=n)],
+    )
+    save_csv(ds, tmp_path / "fast.csv")
+    save_csv_rowwise(ds, tmp_path / "rows.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestHistoryAt:
