@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Optional
 
@@ -29,36 +30,40 @@ class ConfigError(ValueError):
     """Raised on invalid run configuration."""
 
 
-# each command accepts only the config keys it reads
-_DATA_KEYS = {"data", "reward_bounds", "depth", "out", "report", "strict"}
-_ALLOWED_KEYS = {
-    "fit": _DATA_KEYS | {"lambda", "crossfit", "seed"},
-    "improve": _DATA_KEYS | {"baseline"},
-    "simulate": {
-        "c1", "xi", "n_train", "replications", "depth", "crossfit", "seed", "out",
-        "out_csv", "threads",
-    },
-    "evaluate": {"policy", "c1", "xi", "out"},
+# key -> (accepted JSON types, default, commands that read it, flag help or
+# None for a config-only key); null in a config document means unset
+_KEYS = {
+    "data": ("string", None, "fit improve", "trajectory CSV path"),
+    "reward_bounds": ("array", None, "fit improve", None),
+    "baseline": ("string", None, "improve", "baseline policy: std|prosp|sra|path"),
+    "policy": ("string", None, "evaluate", "policy JSON path or std|prosp"),
+    "lambda": ("string or number or number array", "m", "fit",
+               "weight spec: w|b|m|float|const:stage:value"),
+    "depth": ("integer", 2, "fit improve simulate", "tree depth"),
+    "crossfit": ("integer", 0, "fit simulate", "number of cross-fitting batches (0/1 off)"),
+    "seed": ("integer", 0, "fit simulate", "random seed"),
+    "out": ("string", None, "fit improve simulate evaluate",
+            "output path for the policy/summary JSON"),
+    "threads": ("integer", 1, "simulate", "worker process cap"),
+    "report": ("string", None, "fit improve", None),
+    "strict": ("boolean", False, "fit improve", None),
+    "c1": ("number or number array", 4.0, "simulate evaluate", None),
+    "xi": ("number or number array", 1.0, "simulate evaluate", None),
+    "n_train": ("integer", 1000, "simulate", None),
+    "replications": ("integer", 100, "simulate", None),
+    "out_csv": ("string", None, "simulate", None),
 }
+_JSON_TYPES = {"string": str, "boolean": bool, "integer": int, "number": (int, float),
+               "array": list, "number array": list}
 
-# flag -> (type, help); each flag overrides the config key of the same name
-_FLAG_SPECS = {
-    "data": (str, "trajectory CSV path"),
-    "lambda": (str, "weight spec: w|b|m|float|const:stage:value"),
-    "depth": (int, "tree depth"),
-    "crossfit": (int, "number of cross-fitting batches (0/1 off)"),
-    "baseline": (str, "baseline policy: std|prosp|sra|path"),
-    "policy": (str, "policy JSON path or std|prosp"),
-    "seed": (int, "random seed"),
-    "out": (str, "output path for the policy/summary JSON"),
-    "threads": (int, "worker process cap"),
-}
-_FLAGS = {
-    "fit": ("data", "lambda", "depth", "crossfit", "seed", "out"),
-    "improve": ("data", "baseline", "depth", "out"),
-    "simulate": ("depth", "crossfit", "seed", "out", "threads"),
-    "evaluate": ("policy", "out"),
-}
+
+def _valid(value, kinds: str) -> bool:
+    """Whether a JSON value is of one of the kinds; a bool is no number."""
+    if isinstance(value, bool):
+        return "boolean" in kinds
+    if isinstance(value, list) and "number array" in kinds:
+        return all(_valid(v, "number") for v in value)
+    return any(isinstance(value, _JSON_TYPES[kind]) for kind in kinds.split(" or "))
 
 
 def _read_json(path: str, what: str):
@@ -73,27 +78,39 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _load_config(path: Optional[str], command: str) -> dict:
-    config = {} if path is None else _read_json(path, "config")
-    if not isinstance(config, dict):
+def _load_config(args: argparse.Namespace) -> dict:
+    """The command's config: every key it reads, from its flag, else the
+    config document, else the default; each value of an accepted type and
+    each output path writable as far as can be told before any fit."""
+    doc = {} if args.config is None else _read_json(args.config, "config")
+    if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(config) - _ALLOWED_KEYS[command]
+    keys = {key: row for key, row in _KEYS.items() if args.command in row[2].split()}
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    config = {}
+    for key, (kinds, default, _, _) in keys.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = doc.get(key)
+        if value is None:
+            value = default
+        elif not _valid(value, kinds):
+            raise ConfigError(f"config key '{key}' must be {kinds}, got {json.dumps(value)}")
+        config[key] = value
+    for key in ("out", "report", "out_csv"):
+        path = config.get(key)
+        if path is None:
+            continue
+        if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path}: '{key}' must name a file "
+                              "in an existing directory")
     return config
 
 
-def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    merged = dict(config)
-    for key in _FLAGS[args.command]:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 def _require(config: dict, key: str):
-    if key not in config or config[key] is None:
+    if config[key] is None:
         raise ConfigError(f"missing required config key '{key}'")
     return config[key]
 
@@ -106,14 +123,9 @@ def _reward_bounds(config: dict) -> RewardBounds:
         raise ConfigError(f"bad reward_bounds: {exc}") from None
 
 
-def _weight_spec(config: dict, num_stages: int) -> WeightSpec:
-    raw = config.get("lambda", "m")
+def _weight_spec(raw, num_stages: int) -> WeightSpec:
     try:
-        if isinstance(raw, str):
-            return parse_weight_spec(raw, num_stages)
-        if isinstance(raw, (int, float)):
-            return WeightSpec(float(raw))
-        return WeightSpec(tuple(float(v) for v in raw))
+        return parse_weight_spec(raw, num_stages) if isinstance(raw, str) else WeightSpec(raw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -130,7 +142,7 @@ def _load_dataset(config: dict) -> Dataset:
 
 def _check_converged(config: dict, fits) -> None:
     """Under strict, raise on the first (name, converged) pair that did not converge."""
-    if not config.get("strict", False):
+    if not config["strict"]:
         return
     for name, converged in fits:
         if not converged:
@@ -176,18 +188,17 @@ def _pooled_fit_stages(estimates) -> list[dict]:
 def cmd_fit(config: dict) -> int:
     dataset = _load_dataset(config)
     bounds = _reward_bounds(config)
-    lam = _weight_spec(config, dataset.num_stages)
-    depth = int(config.get("depth", 2))
-    m = int(config.get("crossfit", 0))
-    seed = int(config.get("seed", 0))
+    lam = _weight_spec(config["lambda"], dataset.num_stages)
+    m = config["crossfit"]
 
     models = fit_stage_models(dataset, bounds)
-    policy, estimates = fit_ivoptimal_crossfit(models, lam, depth, m=m, seed=seed)
+    policy, estimates = fit_ivoptimal_crossfit(models, lam, config["depth"], m=m,
+                                               seed=config["seed"])
     stages = _pooled_fit_stages(estimates)
     _check_converged(config, ((f"stage {s['stage']}", s["converged"]) for s in stages))
 
     policy_doc = dtr_to_json(policy)
-    _dump_json(policy_doc, config.get("out"))
+    _dump_json(policy_doc, config["out"])
     for s in stages:
         s["tree"] = policy_doc["stages"][s["stage"] - 1]
     report = {
@@ -197,7 +208,7 @@ def cmd_fit(config: dict) -> int:
         "crossfit": m,
         "stages": stages,
     }
-    if config.get("report"):
+    if config["report"]:
         _dump_json(report, config["report"])
     return 0
 
@@ -218,8 +229,8 @@ def _load_policy(spec: str, num_stages: int, what: str) -> Dtr:
 def cmd_improve(config: dict) -> int:
     dataset = _load_dataset(config)
     bounds = _reward_bounds(config)
-    depth = int(config.get("depth", 2))
-    tag = str(_require(config, "baseline"))
+    depth = config["depth"]
+    tag = _require(config, "baseline")
     if tag == "sra":
         baseline, converged = fit_sra_baseline(dataset, depth)
         _check_converged(config, [("SRA baseline", converged)])
@@ -234,7 +245,7 @@ def cmd_improve(config: dict) -> int:
     policy, estimates = fit_ivimproved(models, baseline, depth, baseline_id=tag)
     _check_converged(config, ((f"stage {est.stage}", est.converged) for est in estimates))
     policy_doc = dtr_to_json(policy)
-    _dump_json(policy_doc, config.get("out"))
+    _dump_json(policy_doc, config["out"])
     report = {
         "command": "improve",
         "baseline": tag,
@@ -255,30 +266,23 @@ def cmd_improve(config: dict) -> int:
                 "tree": policy_doc["stages"][est.stage - 1],
             }
         )
-    if config.get("report"):
+    if config["report"]:
         _dump_json(report, config["report"])
     return 0
 
 
 def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+    return value if isinstance(value, list) else [value]
 
 
 def cmd_simulate(config: dict) -> int:
     try:
         cells = [
-            SimConfig(
-                c1=float(c1),
-                xi=float(xi),
-                n_train=int(config.get("n_train", 1000)),
-                seed=int(config.get("seed", 0)),
-                depth=int(config.get("depth", 2)),
-                replications=int(config.get("replications", 100)),
-                crossfit_m=int(config.get("crossfit", 0)),
-                threads=int(config.get("threads", 1)),
-            )
-            for xi in _as_list(config.get("xi", 1.0))
-            for c1 in _as_list(config.get("c1", 4.0))
+            SimConfig(c1=float(c1), xi=float(xi), n_train=config["n_train"], seed=config["seed"],
+                      depth=config["depth"], replications=config["replications"],
+                      crossfit_m=config["crossfit"], threads=config["threads"])
+            for xi in _as_list(config["xi"])
+            for c1 in _as_list(config["c1"])
         ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -287,7 +291,7 @@ def cmd_simulate(config: dict) -> int:
 
     results = [run_cell(cell) for cell in cells]
 
-    if config.get("out_csv"):
+    if config["out_csv"]:
         try:
             with open(config["out_csv"], "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
@@ -304,26 +308,21 @@ def cmd_simulate(config: dict) -> int:
             for cell, result in zip(cells, results)
         ]
     }
-    _dump_json(summary_doc, config.get("out"))
+    _dump_json(summary_doc, config["out"])
     return 0
 
 
 def cmd_evaluate(config: dict) -> int:
-    policy = _load_policy(str(_require(config, "policy")), 2, "policy")
+    if isinstance(config["c1"], list) or isinstance(config["xi"], list):
+        raise ConfigError("evaluate takes one number for each of 'c1' and 'xi'")
+    policy = _load_policy(_require(config, "policy"), 2, "policy")
     try:
-        sim_config = SimConfig(c1=float(config.get("c1", 4.0)), xi=float(config.get("xi", 1.0)))
+        sim_config = SimConfig(c1=float(config["c1"]), xi=float(config["xi"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = true_value(policy, sim_config, sim_config.n_eval)
-    _dump_json(
-        {
-            "raw_value": report.raw_value,
-            "normalized_value": report.normalized_value,
-            "monte_carlo_se": report.monte_carlo_se,
-            "n_eval": report.n_eval,
-        },
-        config.get("out"),
-    )
+    _dump_json({"raw_value": report.raw_value, "normalized_value": report.normalized_value,
+                "monte_carlo_se": report.monte_carlo_se, "n_eval": report.n_eval}, config["out"])
     return 0
 
 
@@ -341,21 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate, improve, and evaluate instrument-informed treatment regimes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config document")
-        for flag in flags:
-            kind, text = _FLAG_SPECS[flag]
-            p.add_argument(f"--{flag}", type=kind, help=text)
+        for key, (kinds, _, commands, flag) in _KEYS.items():
+            if flag and name in commands.split():
+                p.add_argument(f"--{key}", type=int if kinds == "integer" else str, help=flag)
     return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config, args.command)
-        config = _apply_overrides(config, args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](_load_config(args))
     except (ConfigError, DataError, ValueError) as exc:
         json.dump({"error": str(exc), "code": 2}, sys.stderr)
         sys.stderr.write("\n")

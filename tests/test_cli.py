@@ -2,14 +2,17 @@
 
 import dataclasses
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ivdtr.cli
 import ivdtr.crossfit
 import ivdtr.nuisance
 import ivdtr.sim
@@ -42,6 +45,13 @@ def read_error(capsys):
 
 BOUNDS_DOC = [[0.0, 1.0], [0.0, 1.0]]
 REPO = Path(__file__).resolve().parent.parent
+
+
+def make_example_data(monkeypatch, n):
+    """Write train.csv and fit_config.json into the working directory."""
+    monkeypatch.setattr(sys, "argv", ["make_example_data.py", "--n", str(n),
+                                      "--out", "train.csv"])
+    runpy.run_path(str(REPO / "scripts" / "make_example_data.py"))["main"]()
 
 
 def write_contrast_sign_policy(path):
@@ -298,11 +308,45 @@ class TestConfigSurface:
         assert run([command, "--config", str(config)]) == 2
         assert "unknown config keys" in read_error(capsys)["error"]
 
+    def test_readme_config_keys_match_the_table(self):
+        readme = (REPO / "README.md").read_text()
+        table = re.search(r"### Config keys\s*\| key \|.*?\n\n", readme, re.S).group(0)
+        documented = {}
+        for key, kinds, default, commands, flag in re.findall(
+                r"^\| `(\w+)` \| (.*?) \| (.*?) \| (.*?) \| (.*?) \|$", table, re.M):
+            default = default[1:-1] if default.startswith("`") else None
+            documented[key] = (kinds, default, commands.split(", "), flag)
+        assert documented == {
+            key: (kinds, None if default is None else json.dumps(default), commands.split(),
+                  f"`--{key}`" if flag else "—")
+            for key, (kinds, default, commands, flag) in ivdtr.cli._KEYS.items()
+        }
+
+    @pytest.mark.parametrize("name", ["sim.json", "eval.json", "fit_config.json"])
+    def test_shipped_config_documents_run(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        readme = (REPO / "README.md").read_text()
+        if name == "fit_config.json":
+            make_example_data(monkeypatch, 400)
+            argv, outputs = ["fit"], ["policy.json", "report.json"]
+        elif name == "sim.json":
+            block = re.search(r"simulate --config sim.json\n```\s*with\s*```json\n(.*?)```",
+                              readme, re.S)
+            doc = json.loads(block.group(1))
+            doc.update(c1=doc["c1"][:1], xi=doc["xi"][:1], replications=1, n_train=200)
+            write_config(tmp_path, name, doc)
+            argv, outputs = ["simulate"], [doc["out"], doc["out_csv"]]
+        else:
+            block = re.search(r"Example `eval.json`[^\n]*\s*```json\n(.*?)```", readme, re.S)
+            write_config(tmp_path, name, json.loads(block.group(1)))
+            argv = ["evaluate", "--policy", "std", "--out", "value.json"]
+            outputs = ["value.json"]
+        assert run([*argv, "--config", name]) == 0
+        assert all((tmp_path / out).stat().st_size > 0 for out in outputs)
+
     def test_readme_library_example_runs_on_example_data(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(sys, "argv", ["make_example_data.py", "--n", "500",
-                                          "--out", "train.csv"])
-        runpy.run_path(str(REPO / "scripts" / "make_example_data.py"))["main"]()
+        make_example_data(monkeypatch, 500)
         readme = (REPO / "README.md").read_text()
         block = re.search(r"## Library\s*```python\n(.*?)```", readme, re.S)
         namespace: dict = {}
@@ -312,9 +356,7 @@ class TestConfigSurface:
 
     def test_readme_report_keys_match_reports(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(sys, "argv", ["make_example_data.py", "--n", "500",
-                                          "--out", "train.csv"])
-        runpy.run_path(str(REPO / "scripts" / "make_example_data.py"))["main"]()
+        make_example_data(monkeypatch, 500)
         readme = (REPO / "README.md").read_text()
         for command, extra in (("fit", ["--crossfit", "2"]), ("improve", ["--baseline", "std"])):
             row = re.search(rf"^\| `{command}` \|(.*)\|(.*)\|$", readme, re.M)
@@ -466,13 +508,80 @@ class TestExitCodes:
         """A directory where a file is read, or a missing directory where one is written."""
         written = key in ("report", "out", "out_csv")
         bad = tmp_path / "missing" / "out" if written else tmp_path
+        policy = tmp_path / "policy.json"
         doc = {"fit": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC},
                "improve": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "baseline": "std"},
                "evaluate": {"policy": "std"},
                "simulate": {"replications": 1, "n_train": 200}}[command]
-        config = bad if key == "config" else write_config(tmp_path, "cfg.json",
-                                                          {**doc, key: str(bad)})
+        config = bad if key == "config" else write_config(
+            tmp_path, "cfg.json", {**doc, "out": str(policy), key: str(bad)})
         assert run([command, "--config", str(config)]) == 2
         error = read_error(capsys)["error"]
         assert str(bad) in error
         assert error.startswith("cannot write" if written else "cannot read")
+        assert not policy.exists()
+
+    def test_output_directory_exits_2_before_any_fit(self, tmp_path, sim_csv, capsys,
+                                                     monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_stage_models ran")
+
+        monkeypatch.setattr(ivdtr.cli, "fit_stage_models", no_fit)
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "baseline": "std",
+            "out": str(tmp_path),
+        })
+        assert run(["improve", "--config", str(config)]) == 2
+        assert "'out'" in read_error(capsys)["error"]
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("fit", {"data": 0}, "data"),
+        ("evaluate", {"out": 1}, "out"),
+        ("fit", {"report": True}, "report"),
+        ("fit", {"depth": True}, "depth"),
+        ("fit", {"depth": 2.7}, "depth"),
+        ("fit", {"depth": [2]}, "depth"),
+        ("fit", {"strict": "no"}, "strict"),
+        ("fit", {"lambda": True}, "lambda"),
+        ("fit", {"out": ["a"]}, "out"),
+        ("fit", {"report": "nodir/r.json"}, "report"),
+        ("fit", {"report": ""}, "report"),
+        ("evaluate", {"out": ""}, "out"),
+        ("evaluate", {"c1": [3, 4]}, "c1"),
+        ("simulate", {"c1": [4.0, None]}, "c1"),
+    ])
+    def test_malformed_value_exits_2_naming_the_key(self, tmp_path, sim_csv, command, doc, key):
+        # a separate interpreter: at fault, an integer path opens the test's own fds;
+        # stdin holds the CSV, so a config that reads fd 0 fits it
+        base = {"fit": {"data": sim_csv.name, "reward_bounds": BOUNDS_DOC,
+                        "out": "policy.json"},
+                "evaluate": {"policy": "std", "out": "eval.json"},
+                "simulate": {"replications": 1, "n_train": 200, "out": "summary.json"}}[command]
+        write_config(tmp_path, "cfg.json", {**base, **doc})
+        before = sorted(tmp_path.iterdir())
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "ivdtr.cli", command, "--config", "cfg.json"],
+                              cwd=tmp_path, input=sim_csv.read_bytes(), capture_output=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads(proc.stderr)
+        assert error["code"] == 2
+        assert f"'{key}'" in error["error"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "depth"), ("fit", "crossfit"), ("fit", "lambda"),
+        ("evaluate", "c1"), ("simulate", "c1"), ("simulate", "n_train"),
+    ])
+    def test_null_takes_the_default(self, tmp_path, sim_csv, command, key):
+        out = tmp_path / "out.json"
+        base = {"fit": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC},
+                "evaluate": {"policy": "std"},
+                "simulate": {"replications": 1, "n_train": 200}}[command]
+        outputs = []
+        for doc in ({**base, key: None}, {k: v for k, v in base.items() if k != key}):
+            config = write_config(tmp_path, "cfg.json", {**doc, "out": str(out)})
+            assert run([command, "--config", str(config)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
