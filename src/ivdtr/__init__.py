@@ -21,7 +21,6 @@ from .dtr_core import (
     dtr_from_json,
     dtr_to_json,
     fit_weighted_tree,
-    project_policy,
     pseudo_outcomes,
 )
 from .improve import fit_ivimproved, relative_stage_estimates

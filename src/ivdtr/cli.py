@@ -161,6 +161,19 @@ def _dump_json(doc: dict, path: Optional[str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _write_outputs(config: dict, policy: Dtr, report: dict, stages: list[dict]) -> int:
+    """Under strict, fail on the first stage that did not converge; then write
+    the policy, and the report with each stage's tree as written."""
+    _check_converged(config, ((f"stage {s['stage']}", s["converged"]) for s in stages))
+    policy_doc = dtr_to_json(policy)
+    _dump_json(policy_doc, config["out"])
+    for s in stages:
+        s["tree"] = policy_doc["stages"][s["stage"] - 1]
+    if config["report"]:
+        _dump_json({**report, "stages": stages}, config["report"])
+    return 0
+
+
 def _pooled_fit_stages(estimates) -> list[dict]:
     """Report entries per stage, pooled over every backward induction behind
     the policy: interval widths concatenated, empty cells united, repairs
@@ -194,23 +207,8 @@ def cmd_fit(config: dict) -> int:
     models = fit_stage_models(dataset, bounds)
     policy, estimates = fit_ivoptimal_crossfit(models, lam, config["depth"], m=m,
                                                seed=config["seed"])
-    stages = _pooled_fit_stages(estimates)
-    _check_converged(config, ((f"stage {s['stage']}", s["converged"]) for s in stages))
-
-    policy_doc = dtr_to_json(policy)
-    _dump_json(policy_doc, config["out"])
-    for s in stages:
-        s["tree"] = policy_doc["stages"][s["stage"] - 1]
-    report = {
-        "command": "fit",
-        "n": dataset.n,
-        "num_stages": dataset.num_stages,
-        "crossfit": m,
-        "stages": stages,
-    }
-    if config["report"]:
-        _dump_json(report, config["report"])
-    return 0
+    report = {"command": "fit", "n": dataset.n, "num_stages": dataset.num_stages, "crossfit": m}
+    return _write_outputs(config, policy, report, _pooled_fit_stages(estimates))
 
 
 def _load_policy(spec: str, num_stages: int, what: str) -> Dtr:
@@ -221,9 +219,12 @@ def _load_policy(spec: str, num_stages: int, what: str) -> Dtr:
         return constant_dtr(1, num_stages, kind="prosp")
     doc = _read_json(spec, what)
     try:
-        return dtr_from_json(doc)
+        policy = dtr_from_json(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"malformed {what} JSON: {exc}") from None
+    if policy.num_stages != num_stages:
+        raise ConfigError(f"{what} has {policy.num_stages} stages, expected {num_stages}")
+    return policy
 
 
 def cmd_improve(config: dict) -> int:
@@ -236,39 +237,19 @@ def cmd_improve(config: dict) -> int:
         _check_converged(config, [("SRA baseline", converged)])
     else:
         baseline = _load_policy(tag, dataset.num_stages, "baseline policy")
-    if baseline.num_stages != dataset.num_stages:
-        raise ConfigError(
-            f"baseline has {baseline.num_stages} stages, data has {dataset.num_stages}"
-        )
 
     models = fit_stage_models(dataset, bounds)
     policy, estimates = fit_ivimproved(models, baseline, depth, baseline_id=tag)
-    _check_converged(config, ((f"stage {est.stage}", est.converged) for est in estimates))
-    policy_doc = dtr_to_json(policy)
-    _dump_json(policy_doc, config["out"])
-    report = {
-        "command": "improve",
-        "baseline": tag,
-        "n": dataset.n,
-        "stages": [],
-    }
-    for est in estimates:
-        projected = policy.action_matrix(est.stage, models[est.stage - 1].H)
-        report["stages"].append(
-            {
-                "stage": est.stage,
-                "deviation_fraction": float(np.mean(projected != est.baseline_action)),
-                "pointwise_flip_fraction": float(
-                    np.mean(est.improved_action != est.baseline_action)
-                ),
-                "n_repaired": est.n_repaired,
-                "converged": est.converged,
-                "tree": policy_doc["stages"][est.stage - 1],
-            }
-        )
-    if config["report"]:
-        _dump_json(report, config["report"])
-    return 0
+    stages = [{
+        "stage": est.stage,
+        "deviation_fraction": float(np.mean(
+            policy.action_matrix(est.stage, models[est.stage - 1].H) != est.baseline_action)),
+        "pointwise_flip_fraction": float(np.mean(est.improved_action != est.baseline_action)),
+        "n_repaired": est.n_repaired,
+        "converged": est.converged,
+    } for est in estimates]
+    report = {"command": "improve", "baseline": tag, "n": dataset.n}
+    return _write_outputs(config, policy, report, stages)
 
 
 def _as_list(value) -> list:
@@ -320,9 +301,8 @@ def cmd_evaluate(config: dict) -> int:
         sim_config = SimConfig(c1=float(config["c1"]), xi=float(config["xi"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    report = true_value(policy, sim_config, sim_config.n_eval)
-    _dump_json({"raw_value": report.raw_value, "normalized_value": report.normalized_value,
-                "monte_carlo_se": report.monte_carlo_se, "n_eval": report.n_eval}, config["out"])
+    report = true_value(policy, sim_config)
+    _dump_json({"raw_value": report.raw_value, "n_eval": report.n_eval}, config["out"])
     return 0
 
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .bounds import WeightSpec
 from .data import BatchAssignment, assign_batches
-from .dtr_core import Dtr, StageQEstimate, backward_induct, fit_weighted_tree, project_policy
-from .dtr_core import sign_with_tie
+from .dtr_core import Dtr, StageQEstimate, backward_induct, fit_weighted_tree, sign_with_tie
 from .nuisance import StageModels
 
 MIN_BATCH_SIZE = 10
@@ -58,25 +57,26 @@ def fit_ivoptimal_crossfit(
 ) -> tuple[Dtr, list[StageQEstimate]]:
     """The IV-optimal policy and the stage estimates of the fits behind it.
 
-    m of 0 or 1 projects one backward induction on the stage models onto
-    trees. m >= 2 splits the samples into m seeded batches of at least
-    MIN_BATCH_SIZE and fits each stage's tree to the signs and magnitudes of
-    contrasts from backward inductions run wholly on the batch complements, so
-    no sample's label or weight depends on its own batch's data; the estimates
-    are then those m inductions' stages.
+    Each stage's tree is fitted to the signs and magnitudes of its contrasts
+    (Step II). m of 0 or 1 takes them from one backward induction on the stage
+    models. m >= 2 splits the samples into m seeded batches of at least
+    MIN_BATCH_SIZE and takes them from backward inductions run wholly on the
+    batch complements, so no sample's label or weight depends on its own
+    batch's data; the estimates are then those m inductions' stages.
     """
     if m < 0:
         raise ValueError(f"crossfit must be >= 0, got {m}")
     if m < 2:
         estimates, _ = backward_induct(models, lam)
-        return project_policy(estimates, models, depth, lam=lam), estimates
-    n = len(models[0].r)
-    batches = assign_batches(n, m, np.random.default_rng(seed))
-    if n // m < MIN_BATCH_SIZE:
-        raise ValueError(
-            f"cross-fitting with m={m} leaves batches below {MIN_BATCH_SIZE} samples"
-        )
-    contrasts, estimates = crossfit_stage_contrasts(models, batches, lam)
+        contrasts = [est.contrast for est in estimates]
+    else:
+        n = len(models[0].r)
+        batches = assign_batches(n, m, np.random.default_rng(seed))
+        if n // m < MIN_BATCH_SIZE:
+            raise ValueError(
+                f"cross-fitting with m={m} leaves batches below {MIN_BATCH_SIZE} samples"
+            )
+        contrasts, estimates = crossfit_stage_contrasts(models, batches, lam)
     stages = tuple(
         fit_weighted_tree(stage.H, sign_with_tie(contrast), np.abs(contrast), depth)
         for stage, contrast in zip(models, contrasts)

@@ -308,20 +308,6 @@ def backward_induct(
     return list(estimates), q_rule
 
 
-def project_policy(
-    stage_estimates: Sequence[StageQEstimate],
-    models: Sequence[StageModels],
-    depth: int,
-    lam: Optional[WeightSpec] = None,
-) -> Dtr:
-    """Step II: fit one depth-limited tree per stage to the contrast signs."""
-    stages = tuple(
-        fit_weighted_tree(models[est.stage - 1].H, est.action, np.abs(est.contrast), depth)
-        for est in stage_estimates
-    )
-    return Dtr(stages=stages, kind="iv_optimal", lam=lam)
-
-
 # ------------------------------ serialization ------------------------------
 
 

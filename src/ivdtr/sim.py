@@ -35,7 +35,6 @@ from .dtr_core import ConstantRule, Dtr, TreeNode, TreeRule, constant_dtr, fit_w
 from .improve import fit_ivimproved
 from .nuisance import DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models
 
-STD_BASELINE_RAW_VALUE = 1.0  # analytic: each stage reward is Bern(1/2) under all -1
 GAUSS_LEGENDRE_ORDER = 16  # quadrature nodes per X1 interval
 
 REGIMES = (
@@ -88,7 +87,6 @@ class LatentTrace:
 @dataclass(frozen=True)
 class EvalReport:
     raw_value: float
-    normalized_value: float
     monte_carlo_se: float
     n_eval: int
 
@@ -182,45 +180,31 @@ def _quadrature(policy: Dtr, config: SimConfig) -> tuple[np.ndarray, np.ndarray]
     return x, np.outer(half * w, np.diff(edges2)).ravel()
 
 
-def true_value(
-    policy: Dtr,
-    config: SimConfig,
-    n_eval: int,
-    rng: Optional[np.random.Generator] = None,
-    x: Optional[np.ndarray] = None,
-) -> EvalReport:
+def true_value(policy: Dtr, config: SimConfig, x: Optional[np.ndarray] = None) -> EvalReport:
     """Value of a two-stage policy, the latent expectation enumerated exactly.
 
     Without x, a policy of tree and constant stages is integrated by quadrature:
-    monte_carlo_se is 0.0 and the report's n_eval counts the nodes. Otherwise
-    the value is a Monte Carlo average over n_eval points drawn from rng, or
-    over the rows of x (common random numbers across regimes).
+    monte_carlo_se is 0.0 and the report's n_eval counts the nodes. With x, an
+    (n, 2) array of (x1, x2) points, the value is their Monte Carlo average
+    (common random numbers across regimes); a sign-of-contrast rule needs x.
     """
     if policy.num_stages != 2:
         raise ValueError("the evaluator handles two-stage policies")
+    weights = None
     if x is not None:
         x = np.asarray(x, dtype=float)
-        n_eval = x.shape[0]
-    if n_eval < 1:
-        raise ValueError("n_eval must be >= 1")
-    weights = None
-    if x is None and all(isinstance(stage, (TreeRule, ConstantRule)) for stage in policy.stages):
+        if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] < 1:
+            raise ValueError(f"x must be an (n, 2) array with n >= 1, got shape {x.shape}")
+    elif all(isinstance(stage, (TreeRule, ConstantRule)) for stage in policy.stages):
         x, weights = _quadrature(policy, config)
-    elif x is None:
-        if rng is None:
-            raise ValueError("a Monte Carlo evaluation needs rng or x")
-        x = rng.uniform(-1.0, 1.0, size=(n_eval, 2))
+    else:
+        raise ValueError("a Monte Carlo evaluation needs x")
     total = _integrand(policy, config, x)
     n_eval = total.size
     # np.average, not a dot product: a constant integrand averages to itself exactly
     raw = float(np.average(total, weights=weights))
     se = float(np.std(total, ddof=1) / math.sqrt(n_eval)) if weights is None and n_eval > 1 else 0.0
-    return EvalReport(
-        raw_value=raw,
-        normalized_value=raw / STD_BASELINE_RAW_VALUE,
-        monte_carlo_se=se,
-        n_eval=n_eval,
-    )
+    return EvalReport(raw_value=raw, monte_carlo_se=se, n_eval=n_eval)
 
 
 # ------------------------------ SRA baseline ------------------------------
@@ -306,8 +290,7 @@ def run_replication(config: SimConfig, rep: int) -> dict[str, float]:
     train_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,)).spawn(2)[0]
     dataset, _ = generate(config, config.n_train, np.random.default_rng(train_seed))
     regimes = fit_all_regimes(dataset, config)
-    return {name: true_value(regimes[name], config, config.n_eval).normalized_value
-            for name in REGIMES}
+    return {name: true_value(regimes[name], config).raw_value for name in REGIMES}
 
 
 @dataclass(frozen=True)

@@ -312,7 +312,7 @@ def test_criterion_7_dgp_analytic_checks():
 
     from ivdtr.dtr_core import constant_dtr
 
-    report = true_value(constant_dtr(-1, 2), config, 10_000, np.random.default_rng(8))
+    report = true_value(constant_dtr(-1, 2), config)
     checks.append(("standard-of-care raw value exactly 1.0",
                    report.raw_value == 1.0 and report.monte_carlo_se == 0.0))
 

@@ -188,16 +188,20 @@ class TestImprove:
         assert "not found" in read_error(capsys)["error"]
 
     def test_baseline_stage_mismatch(self, tmp_path, sim_csv, capsys):
-        one_stage = tmp_path / "one.json"
-        one_stage.write_text(json.dumps(
-            {"kind": "std", "lambda": None,
-             "stages": [{"type": "constant", "label": -1}]}))
-        config = write_config(tmp_path, "cfg.json", {
-            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC,
-            "baseline": str(one_stage),
-        })
-        assert run(["improve", "--config", str(config)]) == 2
-        assert "stages" in read_error(capsys)["error"]
+        for num_stages in (1, 3):
+            path = tmp_path / f"{num_stages}.json"
+            path.write_text(json.dumps(
+                {"kind": "std", "lambda": None,
+                 "stages": [{"type": "constant", "label": -1}] * num_stages}))
+            out = tmp_path / "up.json"
+            config = write_config(tmp_path, "cfg.json", {
+                "data": str(sim_csv), "reward_bounds": BOUNDS_DOC,
+                "baseline": str(path), "out": str(out),
+            })
+            assert run(["improve", "--config", str(config)]) == 2
+            assert (f"baseline policy has {num_stages} stages, expected 2"
+                    in read_error(capsys)["error"])
+            assert not out.exists()
 
 
 class TestSimulate:
@@ -245,8 +249,8 @@ class TestEvaluate:
         out = tmp_path / "eval.json"
         assert run(["evaluate", "--policy", "std", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["normalized_value"] == 1.0
-        assert doc["monte_carlo_se"] == 0.0
+        assert set(doc) == {"raw_value", "n_eval"}
+        assert doc["raw_value"] == 1.0
 
     def test_fitted_policy_roundtrip(self, tmp_path, sim_csv):
         fitted = tmp_path / "fit.json"
@@ -260,7 +264,21 @@ class TestEvaluate:
         })
         assert run(["evaluate", "--config", str(eval_cfg)]) == 0
         doc = json.loads(out.read_text())
-        assert 0.5 < doc["normalized_value"] < 1.5
+        assert set(doc) == {"raw_value", "n_eval"}
+        assert 0.5 < doc["raw_value"] < 1.5
+
+    def test_three_stage_policy_exits_2_before_evaluation(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the evaluator ran")
+
+        monkeypatch.setattr(ivdtr.cli, "true_value", unreachable)
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({"kind": "std", "lambda": None,
+                                    "stages": [{"type": "constant", "label": -1}] * 3}))
+        out = tmp_path / "eval.json"
+        assert run(["evaluate", "--policy", str(path), "--out", str(out)]) == 2
+        assert "policy has 3 stages, expected 2" in read_error(capsys)["error"]
+        assert not out.exists()
 
     def test_truncated_policy_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

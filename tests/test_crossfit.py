@@ -11,7 +11,7 @@ import ivdtr.crossfit
 from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.crossfit import crossfit_stage_contrasts, fit_ivoptimal_crossfit
 from ivdtr.data import BatchAssignment, Dataset, assign_batches
-from ivdtr.dtr_core import backward_induct, dtr_to_json, project_policy
+from ivdtr.dtr_core import Dtr, backward_induct, dtr_to_json, fit_weighted_tree, sign_with_tie
 from ivdtr.nuisance import fit_stage_models
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
@@ -130,9 +130,11 @@ class TestFitIvoptimalCrossfit:
     def test_zero_or_one_batch_is_the_plain_fit(self):
         # m of 0 or 1 is the plain fit, bit for bit; a negative m is rejected
         ds = random_two_stage_dataset(np.random.default_rng(4), n=150)
-        estimates, _ = backward_induct(fit_stage_models(ds, BOUNDS2), LAM)
-        plain = dtr_to_json(project_policy(estimates, fit_stage_models(ds, BOUNDS2), depth=2,
-                                           lam=LAM))
+        models = fit_stage_models(ds, BOUNDS2)
+        estimates, _ = backward_induct(models, LAM)
+        plain = dtr_to_json(Dtr(stages=tuple(
+            fit_weighted_tree(stage.H, sign_with_tie(est.contrast), np.abs(est.contrast), 2)
+            for stage, est in zip(models, estimates)), kind="iv_optimal", lam=LAM))
         for m in (0, 1):
             policy, fits = fit_ivoptimal_crossfit(fit_stage_models(ds, BOUNDS2), LAM, depth=2,
                                                   m=m, seed=0)
@@ -159,11 +161,10 @@ class TestFitIvoptimalCrossfit:
         rng = np.random.default_rng(6)
         ds, _ = generate(cfg, 500, rng)
         models = fit_stage_models(ds, BOUNDS2)
-        plain_estimates, _ = backward_induct(models, LAM)
-        plain = project_policy(plain_estimates, models, depth=2, lam=LAM)
+        plain, _ = fit_ivoptimal_crossfit(models, LAM, depth=2, m=0, seed=0)
         crossed, _ = fit_ivoptimal_crossfit(models, LAM, depth=2, m=5, seed=1)
         eval_rng = np.random.default_rng(7)
         x = eval_rng.uniform(-1, 1, size=(40000, 2))
-        v_plain = true_value(plain, cfg, 40000, eval_rng, x=x).normalized_value
-        v_cross = true_value(crossed, cfg, 40000, eval_rng, x=x).normalized_value
+        v_plain = true_value(plain, cfg, x=x).raw_value
+        v_cross = true_value(crossed, cfg, x=x).raw_value
         assert abs(v_plain - v_cross) < 0.06

