@@ -3,7 +3,6 @@ time-varying binary instrumental variable via partial-identification bounds."""
 
 from .bounds import Interval, RewardBounds, WeightSpec, mp_bounds_matrix, weighted_q
 from .data import (
-    BatchAssignment,
     DataError,
     Dataset,
     assign_batches,

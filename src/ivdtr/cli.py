@@ -181,8 +181,7 @@ def _pooled_fit_stages(estimates) -> list[dict]:
     stages = []
     for k in sorted({est.stage for est in estimates}):
         fits = [est for est in estimates if est.stage == k]
-        widths = np.concatenate([arm.upper - arm.lower
-                                 for est in fits for arm in (est.plus, est.minus)])
+        widths = np.concatenate([est.widths for est in fits])
         empty = dict.fromkeys(cell for est in fits for cell in est.nuisance.empty_cells)
         stages.append({
             "stage": k,
@@ -233,6 +232,9 @@ def cmd_improve(config: dict) -> int:
     depth = config["depth"]
     tag = _require(config, "baseline")
     if tag == "sra":
+        if dataset.num_stages != 2:
+            raise ConfigError(f"the SRA baseline handles two-stage data, got "
+                              f"{dataset.num_stages} stages")
         baseline, converged = fit_sra_baseline(dataset, depth)
         _check_converged(config, [("SRA baseline", converged)])
     else:

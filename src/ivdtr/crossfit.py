@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import WeightSpec
-from .data import BatchAssignment, assign_batches
+from .data import assign_batches
 from .dtr_core import Dtr, StageQEstimate, backward_induct, fit_weighted_tree, sign_with_tie
 from .nuisance import StageModels
 
@@ -26,18 +26,19 @@ MIN_BATCH_SIZE = 10
 
 def crossfit_stage_contrasts(
     models: Sequence[StageModels],
-    batches: BatchAssignment,
+    batch: np.ndarray,
     lam: WeightSpec,
 ) -> tuple[tuple[np.ndarray, ...], list[StageQEstimate]]:
     """Per-stage contrasts (entry k-1: (n,) at stage k), a sample's from a
     backward induction on its batch's complement, and those m inductions'
-    stage estimates."""
-    if batches.m < 2:
+    stage estimates; batch holds each sample's batch label in 0..m-1."""
+    m = int(np.max(batch)) + 1
+    if m < 2:
         raise ValueError("cross-fitting needs at least 2 batches")
     out = [np.zeros(len(stage.r)) for stage in models]
     fits: list[StageQEstimate] = []
-    for j in range(batches.m):
-        held, rows = batches.members(j), batches.complement(j)
+    for j in range(m):
+        held, rows = batch == j, batch != j
         # a new StageModels carries no fit, so the complement fits its own
         complement = tuple(dataclasses.replace(s, H=s.H[rows], z=s.z[rows], a=s.a[rows],
                                                r=s.r[rows]) for s in models)
@@ -71,12 +72,12 @@ def fit_ivoptimal_crossfit(
         contrasts = [est.contrast for est in estimates]
     else:
         n = len(models[0].r)
-        batches = assign_batches(n, m, np.random.default_rng(seed))
+        batch = assign_batches(n, m, np.random.default_rng(seed))
         if n // m < MIN_BATCH_SIZE:
             raise ValueError(
                 f"cross-fitting with m={m} leaves batches below {MIN_BATCH_SIZE} samples"
             )
-        contrasts, estimates = crossfit_stage_contrasts(models, batches, lam)
+        contrasts, estimates = crossfit_stage_contrasts(models, batch, lam)
     stages = tuple(
         fit_weighted_tree(stage.H, sign_with_tie(contrast), np.abs(contrast), depth)
         for stage, contrast in zip(models, contrasts)

@@ -115,29 +115,14 @@ class Dataset:
             raise DataError(f"stage index {k} out of range 1..{self.num_stages}")
 
 
-@dataclass(frozen=True)
-class BatchAssignment:
-    batch_index: np.ndarray  # (n,), values in 0..m-1
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "batch_index", np.asarray(self.batch_index, dtype=int))
-
-    def members(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.batch_index == j)
-
-    def complement(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.batch_index != j)
-
-
-def assign_batches(n: int, m: int, rng: np.random.Generator) -> BatchAssignment:
-    """Random partition of {0..n-1} into m batches with sizes within 1 of n/m."""
+def assign_batches(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Random partition of {0..n-1} into m batches with sizes within 1 of n/m:
+    each sample's batch label in 0..m-1."""
     if m < 2:
         raise DataError(f"number of batches must be >= 2, got {m}")
     if m > n:
         raise DataError(f"cannot split {n} samples into {m} batches")
-    labels = np.arange(n) % m
-    return BatchAssignment(batch_index=labels[rng.permutation(n)], m=m)
+    return (np.arange(n) % m)[rng.permutation(n)]
 
 
 # --------------------------- CSV schema ---------------------------

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import Interval, WeightSpec, arm_intervals, weighted_q
+from .bounds import WeightSpec, arm_intervals, weighted_q
 from .nuisance import NuisanceSet, StageModels, fit_stage_nuisance, is_binary_outcome
 
 MIN_LEAF_WEIGHT_FRACTION = 0.01
@@ -231,15 +231,13 @@ def constant_dtr(label: int, num_stages: int, kind: str = "constant") -> Dtr:
 
 @dataclass(frozen=True)
 class StageQEstimate:
-    """Per-sample fit results at one stage, plus the sign rule behind them."""
+    """One stage's fit: its sign rule, per-sample contrast, interval widths
+    (arm +1's, then arm -1's) and repair count."""
 
     stage: int
-    plus: Interval    # on action +1; weighted_q(plus, rule.lam) is its Q value
-    minus: Interval   # on action -1
-    contrast: np.ndarray
-    action: np.ndarray
-    value: np.ndarray
     rule: SignOfContrast
+    contrast: np.ndarray
+    widths: np.ndarray
     n_repaired: int
 
     @property
@@ -268,16 +266,17 @@ def fit_stage(
     tail: tuple[float, float],
     lambda_k: float,
     stage: int,
-) -> StageQEstimate:
-    """One stage of Step I: intervals at +/-1 from the stage's fitted cells, contrast, value."""
+) -> tuple[StageQEstimate, np.ndarray]:
+    """One stage of Step I: intervals at +/-1 from the stage's fitted cells,
+    contrast; returns the estimate and each sample's value under its sign."""
     rule = SignOfContrast(nuisance=nuisance, tail=tail, lam=float(lambda_k))
     plus, minus, n_repaired = arm_intervals(nuisance, histories, tail, 1)
     q_pos, q_neg = weighted_q(plus, rule.lam), weighted_q(minus, rule.lam)
     contrast = q_pos - q_neg
-    action = sign_with_tie(contrast)
-    value = np.where(action == 1, q_pos, q_neg)
-    return StageQEstimate(stage=stage, plus=plus, minus=minus, contrast=contrast,
-                          action=action, value=value, rule=rule, n_repaired=n_repaired)
+    widths = np.concatenate([plus.upper - plus.lower, minus.upper - minus.lower])
+    estimate = StageQEstimate(stage=stage, rule=rule, contrast=contrast, widths=widths,
+                              n_repaired=n_repaired)
+    return estimate, np.where(contrast >= 0, q_pos, q_neg)
 
 
 def backward_induct(
@@ -301,9 +300,7 @@ def backward_induct(
             outcomes = np.clip(pseudo_outcomes(stage.r, next_value), tail[0], tail[1])
             nuisance = fit_stage_nuisance(stage, outcomes, tail,
                                           is_binary_outcome(outcomes, tail))
-        est = fit_stage(nuisance, stage.H, tail, lam.at(k), stage=k)
-        estimates[k - 1] = est
-        next_value = est.value
+        estimates[k - 1], next_value = fit_stage(nuisance, stage.H, tail, lam.at(k), stage=k)
     q_rule = Dtr(stages=tuple(est.rule for est in estimates), kind="iv_optimal", lam=lam)
     return list(estimates), q_rule
 

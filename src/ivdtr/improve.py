@@ -56,8 +56,8 @@ def relative_contrast_pieces(
     reward_nuisance,
     reward_tail: tuple[float, float],
     continuation: Optional[tuple] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """(flip_lower, baseline_upper, keep_lower, contrast, n_repaired) per history row.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(keep_lower, contrast, n_repaired) per history row.
 
     continuation is None at stage K, where the flipped arm is bounded with the
     reward nuisance and keep_lower is zero; otherwise it is
@@ -73,8 +73,7 @@ def relative_contrast_pieces(
         keep_c, _, rep_c = arm_intervals(cont_ns, H, cont_tail, baseline_action)
         flip_lower, keep_lower = flip_s.lower, keep_c.lower
         n_rep += rep_s + rep_c
-    contrast = flip_lower - keep_r.upper - keep_lower
-    return flip_lower, keep_r.upper, keep_lower, contrast, n_rep
+    return keep_lower, flip_lower - keep_r.upper - keep_lower, n_rep
 
 
 def relative_stage_estimates(
@@ -113,7 +112,7 @@ def relative_stage_estimates(
             sum_ns = fit_stage_nuisance(stage, sum_y, sum_tail, False)
             continuation = (sum_ns, sum_tail, cont_ns, cont_tail)
 
-        _, _, keep_lower, contrast, n_rep = relative_contrast_pieces(
+        keep_lower, contrast, n_rep = relative_contrast_pieces(
             stage.H, base_action, stage.reward, reward_tail, continuation)
         improved = np.where(contrast > 0, -base_action, base_action).astype(int)
         relative_value = keep_lower + np.maximum(contrast, 0.0)

@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
 from .bounds import RewardBounds, WeightSpec
 from .crossfit import fit_ivoptimal_crossfit
-from .data import Dataset, dataset_from_arrays
+from .data import DataError, Dataset, dataset_from_arrays
 from .dtr_core import ConstantRule, Dtr, TreeNode, TreeRule, constant_dtr, fit_weighted_tree
 from .improve import fit_ivimproved
 from .nuisance import DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models
@@ -226,7 +226,7 @@ def _dr_stage(h, a, y, fit_arm, predict_arm, depth, stage):
     logistic fit converged).
     """
     if np.all(a == a[0]):
-        raise ValueError(f"no treatment variation at stage {stage}")
+        raise DataError(f"no treatment variation at stage {stage}")
     arm = {a0: fit_arm(h[a == a0], y[a == a0]) for a0 in (-1.0, 1.0)}
     prop = fit_logistic(h, (a == 1.0).astype(float))
     mu_pos, mu_neg = predict_arm(arm[1.0], h), predict_arm(arm[-1.0], h)
@@ -295,24 +295,21 @@ def run_replication(config: SimConfig, rep: int) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class CellResult:
-    config: SimConfig
     rows: tuple[tuple[int, str, float], ...]   # (replication, regime, value)
-    summary: dict
 
     def values(self, regime: str) -> np.ndarray:
         return np.array([v for _, name, v in self.rows if name == regime])
 
-
-def _summarize(rows: Sequence[tuple[int, str, float]]) -> dict:
-    summary = {}
-    for name in REGIMES:
-        vals = np.array([v for _, regime, v in rows if regime == name])
-        summary[name] = {
-            "mean": float(np.mean(vals)),
-            "q25": float(np.quantile(vals, 0.25)),
-            "q75": float(np.quantile(vals, 0.75)),
-        }
-    return summary
+    @property
+    def summary(self) -> dict:
+        """Each regime's mean and quartiles over the replications."""
+        summary = {}
+        for name in REGIMES:
+            vals = self.values(name)
+            summary[name] = {"mean": float(np.mean(vals)),
+                             "q25": float(np.quantile(vals, 0.25)),
+                             "q75": float(np.quantile(vals, 0.75))}
+        return summary
 
 
 def run_cell(config: SimConfig) -> CellResult:
@@ -329,4 +326,4 @@ def run_cell(config: SimConfig) -> CellResult:
         for rep, values in enumerate(all_values)
         for name in REGIMES
     )
-    return CellResult(config=config, rows=rows, summary=_summarize(rows))
+    return CellResult(rows=rows)

@@ -20,7 +20,7 @@ from synth import (
 
 from ivdtr.bounds import Interval, RewardBounds, WeightSpec, weighted_q
 from ivdtr.crossfit import crossfit_stage_contrasts
-from ivdtr.data import BatchAssignment, assign_batches
+from ivdtr.data import assign_batches
 from ivdtr.dtr_core import backward_induct, fit_weighted_tree, sign_with_tie
 from ivdtr.improve import relative_contrast_pieces
 from ivdtr.nuisance import (
@@ -218,7 +218,7 @@ def test_criterion_5_closed_form_reductions():
         U = plus.upper - minus.lower
         for b in (-1, 1):
             contrast = relative_contrast_pieces(
-                np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0))[3][0]
+                np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0))[1][0]
             action = -b if contrast > 0 else b
             prop_agree &= action == improve_rule_single(L, U, b)
             triples += 1
@@ -235,9 +235,9 @@ def test_criterion_5_closed_form_reductions():
         b = int(rng.choice([-1, 1]))
         generic = relative_contrast_pieces(
             np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0),
-            (ns, (0.0, 1.0), zero, (0.0, 0.0)))[3][0]
+            (ns, (0.0, 1.0), zero, (0.0, 0.0)))[1][0]
         terminal &= abs(generic - relative_contrast_pieces(
-            np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0))[3][0]) < 1e-12
+            np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0))[1][0]) < 1e-12
     checks.append(("zero-continuation reduction exact to 1e-12", terminal))
     report_criterion(5, checks)
 
@@ -332,13 +332,13 @@ def test_criterion_8_crossfit_leakage():
     for trial in range(20):
         ds = random_two_stage_dataset(rng, n=80)
         m = int(rng.integers(2, 5))
-        batches = assign_batches(ds.n, m, rng)
-        base, _ = crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), batches, lam)
+        batch = assign_batches(ds.n, m, rng)
+        base, _ = crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), batch, lam)
         j = int(rng.integers(0, m))
-        held = batches.members(j)
+        held = np.flatnonzero(batch == j)
         scrambled = scramble_batch(ds, held, rng)
         _, refit = backward_induct(
-            fit_stage_models(scrambled.subset(batches.complement(j)), BOUNDS2), lam)
+            fit_stage_models(scrambled.subset(np.flatnonzero(batch != j)), BOUNDS2), lam)
         held_set = ds.subset(held)
         for k in (1, 2):
             clean &= bool(np.array_equal(

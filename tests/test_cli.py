@@ -16,8 +16,9 @@ import ivdtr.cli
 import ivdtr.crossfit
 import ivdtr.nuisance
 import ivdtr.sim
+from ivdtr.bounds import arm_intervals
 from ivdtr.cli import run
-from ivdtr.data import save_csv
+from ivdtr.data import dataset_from_arrays, save_csv
 from ivdtr.dtr_core import dtr_from_json
 from ivdtr.nuisance import NumericalError
 from ivdtr.sim import SimConfig, generate
@@ -30,6 +31,16 @@ def sim_csv(tmp_path):
     path = tmp_path / "train.csv"
     save_csv(ds, path)
     return path
+
+
+def random_three_stage_dataset(rng, n):
+    """Three stages, one covariate at stage 1, binary instruments, actions and rewards."""
+    return dataset_from_arrays(
+        covariates=[rng.uniform(-1, 1, size=(n, 1)), np.empty((n, 0)), np.empty((n, 0))],
+        instruments=[rng.choice([-1.0, 1.0], size=n) for _ in range(3)],
+        actions=[rng.choice([-1.0, 1.0], size=n) for _ in range(3)],
+        rewards=[rng.integers(0, 2, size=n).astype(float) for _ in range(3)],
+    )
 
 
 def write_config(tmp_path, name, doc):
@@ -146,6 +157,35 @@ class TestFit:
         assert run(["fit", "--config", str(config), "--crossfit", "2",
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["kind"] == "iv_optimal"
+
+    def test_crossfit_report_pools_complement_widths(self, tmp_path, sim_csv, monkeypatch):
+        # each stage's width quantiles are taken over the intervals of both
+        # arms in every batch-complement induction, recomputed from its rules
+        original = ivdtr.crossfit.backward_induct
+        fits = []
+
+        def recorded(models, *args, **kwargs):
+            estimates, rule = original(models, *args, **kwargs)
+            fits.extend((models[est.stage - 1].H, est) for est in estimates)
+            return estimates, rule
+
+        monkeypatch.setattr(ivdtr.crossfit, "backward_induct", recorded)
+        report = tmp_path / "r.json"
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "crossfit": 2,
+            "out": str(tmp_path / "p.json"), "report": str(report),
+        })
+        assert run(["fit", "--config", str(config)]) == 0
+        assert [est.stage for _, est in fits] == [1, 2, 1, 2]
+        for entry in json.loads(report.read_text())["stages"]:
+            widths = []
+            for H, est in fits:
+                if est.stage == entry["stage"]:
+                    plus, minus, _ = arm_intervals(est.nuisance, H, est.rule.tail, 1)
+                    widths += [plus.upper - plus.lower, minus.upper - minus.lower]
+            widths = np.concatenate(widths)
+            assert entry["interval_width_quantiles"] == {
+                f"q{round(100 * q)}": float(np.quantile(widths, q)) for q in (0.1, 0.5, 0.9)}
 
 
 class TestImprove:
@@ -499,6 +539,38 @@ class TestExitCodes:
         assert error.format(what="baseline policy") in read_error(capsys)["error"]
         assert run(["evaluate", "--policy", str(path), "--out", str(out)]) == 2
         assert error.format(what="policy") in read_error(capsys)["error"]
+        assert not out.exists()
+
+    def test_sra_baseline_on_three_stage_data_exits_2_before_any_fit(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the SRA baseline was fitted")
+
+        monkeypatch.setattr(ivdtr.cli, "fit_sra_baseline", unreachable)
+        data = tmp_path / "three.csv"
+        save_csv(random_three_stage_dataset(np.random.default_rng(0), 200), data)
+        out = tmp_path / "up.json"
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(data), "reward_bounds": [[0.0, 1.0]] * 3, "baseline": "sra",
+            "out": str(out),
+        })
+        assert run(["improve", "--config", str(config)]) == 2
+        assert "3 stages" in read_error(capsys)["error"]
+        assert not out.exists()
+
+    def test_sra_baseline_without_treatment_variation_exits_2(self, tmp_path, capsys):
+        ds, _ = generate(SimConfig(c1=4.0, xi=1.0), 400, np.random.default_rng(0))
+        a = ds.a.copy()
+        a[:, 0] = 1.0
+        data = tmp_path / "treated.csv"
+        save_csv(dataclasses.replace(ds, a=a), data)
+        out = tmp_path / "up.json"
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(data), "reward_bounds": BOUNDS_DOC, "baseline": "sra",
+            "out": str(out),
+        })
+        assert run(["improve", "--config", str(config)]) == 2
+        assert "no treatment variation at stage 1" in read_error(capsys)["error"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])

@@ -10,7 +10,7 @@ from synth import random_two_stage_dataset
 import ivdtr.crossfit
 from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.crossfit import crossfit_stage_contrasts, fit_ivoptimal_crossfit
-from ivdtr.data import BatchAssignment, Dataset, assign_batches
+from ivdtr.data import Dataset, assign_batches
 from ivdtr.dtr_core import Dtr, backward_induct, dtr_to_json, fit_weighted_tree, sign_with_tie
 from ivdtr.nuisance import fit_stage_models
 
@@ -51,12 +51,12 @@ class TestCrossfitStageContrasts:
         # batch j and refitting leaves its out-of-batch contrasts bit-identical
         rng = np.random.default_rng(0)
         ds = random_two_stage_dataset(rng, n=120)
-        batches = BatchAssignment(batch_index=np.arange(120) % 2, m=2)
-        base, _ = crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), batches, LAM)
+        batch = np.arange(120) % 2
+        base, _ = crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), batch, LAM)
         for j in (0, 1):
-            held = batches.members(j)
+            held = np.flatnonzero(batch == j)
             scrambled = scramble_batch(ds, held, rng)
-            complement = fit_stage_models(scrambled.subset(batches.complement(j)), BOUNDS2)
+            complement = fit_stage_models(scrambled.subset(np.flatnonzero(batch != j)), BOUNDS2)
             _, refit = backward_induct(complement, LAM)
             held_set = ds.subset(held)
             for k in (1, 2):
@@ -67,9 +67,8 @@ class TestCrossfitStageContrasts:
         rng = np.random.default_rng(1)
         half = random_two_stage_dataset(rng, n=100)
         doubled = half.subset(np.tile(np.arange(100), 2))
-        batches = BatchAssignment(
-            batch_index=np.concatenate([np.zeros(100, int), np.ones(100, int)]), m=2)
-        cf, fits = crossfit_stage_contrasts(fit_stage_models(doubled, BOUNDS2), batches, LAM)
+        batch = np.concatenate([np.zeros(100, int), np.ones(100, int)])
+        cf, fits = crossfit_stage_contrasts(fit_stage_models(doubled, BOUNDS2), batch, LAM)
         estimates, _ = backward_induct(fit_stage_models(half, BOUNDS2), LAM)
         for k in (1, 2):
             np.testing.assert_allclose(cf[k - 1][:100], estimates[k - 1].contrast, atol=1e-9)
@@ -82,9 +81,8 @@ class TestCrossfitStageContrasts:
 
     def test_single_batch_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(2), n=40)
-        batches = BatchAssignment(batch_index=np.zeros(40, int), m=1)
         with pytest.raises(ValueError, match="at least 2"):
-            crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), batches, LAM)
+            crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), np.zeros(40, int), LAM)
 
 
 class TestFitIvoptimalCrossfit:
@@ -116,9 +114,9 @@ class TestFitIvoptimalCrossfit:
         rng = np.random.default_rng(10)
         ds = random_two_stage_dataset(rng, n=120)
         base = tree_inputs(ds)
-        batches = assign_batches(ds.n, m, np.random.default_rng(11))
+        batch = assign_batches(ds.n, m, np.random.default_rng(11))
         for j in range(m):
-            held = batches.members(j)
+            held = np.flatnonzero(batch == j)
             moved = tree_inputs(scramble_history_free_fields(ds, held, rng))
             for k, ((labels0, weights0), (labels1, weights1)) in enumerate(
                     zip(base, moved), start=1):
@@ -142,8 +140,7 @@ class TestFitIvoptimalCrossfit:
             assert [est.stage for est in fits] == [1, 2]
             for est, expected in zip(fits, estimates):
                 np.testing.assert_array_equal(est.contrast, expected.contrast)
-                np.testing.assert_array_equal(est.plus.lower, expected.plus.lower)
-                np.testing.assert_array_equal(est.minus.upper, expected.minus.upper)
+                np.testing.assert_array_equal(est.widths, expected.widths)
         with pytest.raises(ValueError, match="crossfit must be >= 0"):
             fit_ivoptimal_crossfit(fit_stage_models(ds, BOUNDS2), LAM, depth=2, m=-1, seed=0)
 

@@ -12,7 +12,6 @@ from synth import dumps_csv, loads_csv, save_csv_rowwise
 
 import ivdtr.data
 from ivdtr.data import (
-    BatchAssignment,
     DataError,
     Dataset,
     assign_batches,
@@ -255,13 +254,13 @@ class TestDataset:
 
 class TestAssignBatches:
     def test_exact_division(self):
-        batches = assign_batches(10, 2, np.random.default_rng(0))
-        sizes = sorted(len(batches.members(j)) for j in range(2))
+        batch = assign_batches(10, 2, np.random.default_rng(0))
+        sizes = sorted(int(np.sum(batch == j)) for j in range(2))
         assert sizes == [5, 5]
 
     def test_remainder_case(self):
-        batches = assign_batches(11, 2, np.random.default_rng(0))
-        sizes = sorted(len(batches.members(j)) for j in range(2))
+        batch = assign_batches(11, 2, np.random.default_rng(0))
+        sizes = sorted(int(np.sum(batch == j)) for j in range(2))
         assert sizes == [5, 6]
 
     def test_m_greater_than_n(self):
@@ -278,13 +277,13 @@ class TestAssignBatches:
     def test_partition_properties(self, m, n, seed):
         if m > n:
             return
-        batches = assign_batches(n, m, np.random.default_rng(seed))
-        all_members = np.concatenate([batches.members(j) for j in range(m)])
+        batch = assign_batches(n, m, np.random.default_rng(seed))
+        all_members = np.concatenate([np.flatnonzero(batch == j) for j in range(m)])
         assert sorted(all_members.tolist()) == list(range(n))
-        sizes = [len(batches.members(j)) for j in range(m)]
+        sizes = [int(np.sum(batch == j)) for j in range(m)]
         assert max(sizes) - min(sizes) <= 1
         again = assign_batches(n, m, np.random.default_rng(seed))
-        np.testing.assert_array_equal(batches.batch_index, again.batch_index)
+        np.testing.assert_array_equal(batch, again)
 
 
 def test_expected_header():

@@ -7,7 +7,7 @@ import pytest
 from synth import interval_at, synthetic_nuisance, weighted_loss
 
 import ivdtr.nuisance
-from ivdtr.bounds import RewardBounds, WeightSpec, weighted_q
+from ivdtr.bounds import RewardBounds, WeightSpec, arm_intervals, weighted_q
 from ivdtr.data import dataset_from_arrays
 from ivdtr.dtr_core import (
     ConstantRule,
@@ -20,6 +20,7 @@ from ivdtr.dtr_core import (
     constant_dtr,
     dtr_from_json,
     dtr_to_json,
+    fit_stage,
     fit_weighted_tree,
     pseudo_outcomes,
     sign_with_tie,
@@ -241,23 +242,29 @@ class TestBackwardInduct:
 
     def test_sandwich_and_consistency(self):
         ds = simulate_two_stage()
-        estimates, q_rule = backward_induct(fit_stage_models(ds, BOUNDS2), WeightSpec.minmax())
+        models = fit_stage_models(ds, BOUNDS2)
+        estimates, q_rule = backward_induct(models, WeightSpec.minmax())
         for est in estimates:
-            q_pos, q_neg = weighted_q(est.plus, 0.5), weighted_q(est.minus, 0.5)
-            assert np.all(est.plus.lower <= q_pos + 1e-12)
-            assert np.all(q_pos <= est.plus.upper + 1e-12)
-            assert np.all(est.minus.lower <= q_neg + 1e-12)
-            assert np.all(q_neg <= est.minus.upper + 1e-12)
+            H = models[est.stage - 1].H
+            plus, minus, _ = arm_intervals(est.nuisance, H, est.rule.tail, 1)
+            q_pos, q_neg = weighted_q(plus, 0.5), weighted_q(minus, 0.5)
+            assert np.all(plus.lower <= q_pos + 1e-12)
+            assert np.all(q_pos <= plus.upper + 1e-12)
+            assert np.all(minus.lower <= q_neg + 1e-12)
+            assert np.all(q_neg <= minus.upper + 1e-12)
             np.testing.assert_allclose(est.contrast, q_pos - q_neg)
             np.testing.assert_array_equal(
-                est.value, np.where(est.action == 1, q_pos, q_neg))
+                est.widths, np.concatenate([plus.upper - plus.lower, minus.upper - minus.lower]))
+            _, value = fit_stage(est.nuisance, H, est.rule.tail, est.rule.lam, est.stage)
+            np.testing.assert_array_equal(
+                value, np.where(sign_with_tie(est.contrast) == 1, q_pos, q_neg))
         # q-rule agrees with training-sample contrasts and signs at every history
         for k in (1, 2):
             H = ds.histories(k)
             np.testing.assert_array_equal(
                 q_rule.stages[k - 1].contrast(H), estimates[k - 1].contrast)
             np.testing.assert_array_equal(
-                q_rule.action_matrix(k, H), estimates[k - 1].action)
+                q_rule.action_matrix(k, H), sign_with_tie(estimates[k - 1].contrast))
 
     def test_lambda_extremes(self):
         ds = simulate_two_stage(seed=3)
@@ -265,16 +272,22 @@ class TestBackwardInduct:
         worst, _ = backward_induct(models, WeightSpec.worst())
         best, _ = backward_induct(models, WeightSpec.best())
         for est in worst:
-            np.testing.assert_allclose(est.contrast, est.plus.lower - est.minus.lower)
+            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H,
+                                           est.rule.tail, 1)
+            np.testing.assert_allclose(est.contrast, plus.lower - minus.lower)
         for est in best:
-            np.testing.assert_allclose(est.contrast, est.plus.upper - est.minus.upper)
+            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H,
+                                           est.rule.tail, 1)
+            np.testing.assert_allclose(est.contrast, plus.upper - minus.upper)
 
     def test_stage1_pseudo_outcome_range(self):
         ds = simulate_two_stage(seed=5)
-        estimates, _ = backward_induct(fit_stage_models(ds, BOUNDS2), WeightSpec.minmax())
+        models = fit_stage_models(ds, BOUNDS2)
+        estimates, _ = backward_induct(models, WeightSpec.minmax())
         stage2 = estimates[1]
-        assert np.all(stage2.value >= 0.0) and np.all(stage2.value <= 1.0)
-        po = pseudo_outcomes(ds.rewards(1), stage2.value)
+        _, value = fit_stage(stage2.nuisance, models[1].H, stage2.rule.tail, stage2.rule.lam, 2)
+        assert np.all(value >= 0.0) and np.all(value <= 1.0)
+        po = pseudo_outcomes(ds.rewards(1), value)
         assert np.all(po >= 0.0) and np.all(po <= 2.0)
 
     def test_k1_reduces_to_single_stage(self):
@@ -289,12 +302,13 @@ class TestBackwardInduct:
             fit_stage_models(k1, RewardBounds(lows=(0.0,), highs=(1.0,))), WeightSpec.minmax())
         est = estimates[0]
         H = k1.histories(1)
+        action = sign_with_tie(est.contrast)
         # decision-for-decision equal to the min-max rule from the same intervals
         for i in range(k1.n):
             plus = interval_at(est.nuisance, H[i], +1, (0.0, 1.0))
             minus = interval_at(est.nuisance, H[i], -1, (0.0, 1.0))
             direct = weighted_q(plus, 0.5) - weighted_q(minus, 0.5)
-            assert sign_with_tie(np.array([direct]))[0] == est.action[i]
+            assert sign_with_tie(np.array([direct]))[0] == action[i]
 
     def test_plain_induction_fits_no_stage1_reward_cells(self, monkeypatch):
         # logistic fits: 3 instrument/treatment models per stage and the 4
@@ -382,10 +396,11 @@ class TestProjectPolicy:
         for est in estimates:
             H = models[est.stage - 1].H
             w = np.abs(est.contrast)
-            t1 = fit_weighted_tree(H, est.action, w, 1, min_leaf_weight=0.0)
-            t2 = fit_weighted_tree(H, est.action, w, 2, min_leaf_weight=0.0)
-            assert (weighted_loss(t2, H, est.action, w)
-                    <= weighted_loss(t1, H, est.action, w) + 1e-12)
+            action = sign_with_tie(est.contrast)
+            t1 = fit_weighted_tree(H, action, w, 1, min_leaf_weight=0.0)
+            t2 = fit_weighted_tree(H, action, w, 2, min_leaf_weight=0.0)
+            assert (weighted_loss(t2, H, action, w)
+                    <= weighted_loss(t1, H, action, w) + 1e-12)
 
 
 class TestSerialization:

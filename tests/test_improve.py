@@ -6,7 +6,7 @@ from synth import interval_at, random_nuisance, random_two_stage_dataset, synthe
 
 from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.data import dataset_from_arrays
-from ivdtr.dtr_core import Leaf, backward_induct, constant_dtr
+from ivdtr.dtr_core import Leaf, backward_induct, constant_dtr, sign_with_tie
 from ivdtr.improve import fit_ivimproved, relative_contrast_pieces, relative_stage_estimates
 from ivdtr.nuisance import fit_stage_models
 
@@ -59,7 +59,7 @@ class TestRelativeContrastStageK:
             ns = random_nuisance(rng)
             h = np.zeros(1)
             for a_base in (-1, 1):
-                got = relative_contrast_pieces(ONE_ROW, np.array([a_base]), ns, (0.0, 1.0))[3][0]
+                got = relative_contrast_pieces(ONE_ROW, np.array([a_base]), ns, (0.0, 1.0))[1][0]
                 flip = interval_at(ns, h, -a_base, (0.0, 1.0))
                 base = interval_at(ns, h, a_base, (0.0, 1.0))
                 assert got == pytest.approx(flip.lower - base.upper, abs=1e-12)
@@ -76,14 +76,14 @@ class TestRelativeContrastStageK:
         flip = interval_at(ns, np.zeros(1), +1, (0.0, 1.0))
         assert (flip.lower, flip.upper) == pytest.approx((0.7, 0.9), abs=1e-12)
         base = interval_at(ns, np.zeros(1), -1, (0.0, 1.0))
-        got = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns, (0.0, 1.0))[3][0]
+        got = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns, (0.0, 1.0))[1][0]
         assert got == pytest.approx(flip.lower - base.upper, abs=1e-12)
 
     def test_identical_arms_keep_baseline(self):
         ns = synthetic_nuisance(
             0.5, {-1: 0.5, 1: 0.5},
             {(z, a): 0.6 for z in (-1, 1) for a in (-1, 1)}, (0.0, 1.0))
-        contrast = relative_contrast_pieces(ONE_ROW, np.array([1]), ns, (0.0, 1.0))[3][0]
+        contrast = relative_contrast_pieces(ONE_ROW, np.array([1]), ns, (0.0, 1.0))[1][0]
         arm = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
         assert contrast == pytest.approx(arm.lower - arm.upper, abs=1e-12)
         assert contrast < 0
@@ -96,7 +96,7 @@ class TestRelativeContrastStageK:
             {(1, 1): 1.0, (-1, 1): 0.0, (-1, -1): 0.0, (1, -1): 0.0}, (0.0, 1.0))
         assert interval_at(ns, np.zeros(1), +1, (0.0, 1.0)) == pytest.approx((0.5, 1.0))
         assert interval_at(ns, np.zeros(1), -1, (0.0, 1.0)) == pytest.approx((0.0, 0.5))
-        contrast = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns, (0.0, 1.0))[3][0]
+        contrast = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns, (0.0, 1.0))[1][0]
         assert contrast == pytest.approx(0.0, abs=1e-12)
         # tie -> keep: a strictly positive contrast is required for a flip
         assert not contrast > 0
@@ -113,9 +113,9 @@ class TestRelativeContrastStagek:
             for a_base in (-1, 1):
                 generic = relative_contrast_pieces(
                     ONE_ROW, np.array([a_base]), ns, (0.0, 1.0),
-                    (ns, (0.0, 1.0), zero, (0.0, 0.0)))[3][0]
+                    (ns, (0.0, 1.0), zero, (0.0, 0.0)))[1][0]
                 terminal = relative_contrast_pieces(
-                    ONE_ROW, np.array([a_base]), ns, (0.0, 1.0))[3][0]
+                    ONE_ROW, np.array([a_base]), ns, (0.0, 1.0))[1][0]
                 assert generic == pytest.approx(terminal, abs=1e-12)
 
     def test_constant_rewards_keep_baseline(self):
@@ -129,7 +129,7 @@ class TestRelativeContrastStagek:
         for a_base in (-1, 1):
             c = relative_contrast_pieces(
                 ONE_ROW, np.array([a_base]), ns, (0.0, 1.0),
-                (ns, (0.0, 1.0), zero, (0.0, 0.0)))[3][0]
+                (ns, (0.0, 1.0), zero, (0.0, 0.0)))[1][0]
             assert c <= 0.0
 
 
@@ -146,7 +146,7 @@ class TestSingleStageAgreement:
             L = plus.lower - minus.upper
             U = plus.upper - minus.lower
             for b in (-1, 1):
-                contrast = relative_contrast_pieces(ONE_ROW, np.array([b]), ns, (0.0, 1.0))[3][0]
+                contrast = relative_contrast_pieces(ONE_ROW, np.array([b]), ns, (0.0, 1.0))[1][0]
                 action = -b if contrast > 0 else b
                 assert action == improve_rule_single(L, U, b)
 
@@ -198,7 +198,7 @@ class TestRelativeStageEstimates:
         rel = relative_stage_estimates(models, q_rule)
         assert np.all(rel[1].contrast <= 1e-9)
         np.testing.assert_array_equal(
-            rel[1].improved_action, estimates[1].action)
+            rel[1].improved_action, sign_with_tie(estimates[1].contrast))
 
     def test_stage_count_mismatch_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(7))

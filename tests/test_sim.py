@@ -11,6 +11,7 @@ import ivdtr.nuisance
 import ivdtr.sim
 from ivdtr.bounds import WeightSpec
 from ivdtr.crossfit import fit_ivoptimal_crossfit
+from ivdtr.data import DataError
 from ivdtr.dtr_core import (
     Dtr, Leaf, SignOfContrast, TreeNode, TreeRule, backward_induct, constant_dtr,
 )
@@ -238,6 +239,13 @@ class TestSraBaseline:
         frozen = dataclasses.replace(ds, a=a)
         with pytest.raises(ValueError, match="no treatment variation"):
             fit_sra_baseline(frozen, depth=2)
+
+    def test_no_stage1_variation_is_a_data_error(self):
+        ds, _ = generate(SimConfig(c1=4.0, xi=1.0), 200, np.random.default_rng(8))
+        a = ds.a.copy()
+        a[:, 0] = 1
+        with pytest.raises(DataError, match="no treatment variation at stage 1"):
+            fit_sra_baseline(dataclasses.replace(ds, a=a), depth=2)
 
     def test_learns_valuable_policy_at_low_confounding(self):
         cfg = SimConfig(c1=4.0, xi=1.0, n_train=1000)
