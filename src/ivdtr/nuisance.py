@@ -13,11 +13,14 @@ cross-fitting complement) fits its own.
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
 included, so separated or single-class designs stay finite). The
-log-likelihood takes one logaddexp per row, the fitted means of the gradient
-are reused for the Hessian, and a step that leaves theta bitwise unchanged
-ends the loop with converged=False, as the remaining iterations would repeat
-it exactly. Linear fits are ridge least squares with the penalty on slopes
-only.
+log-likelihood takes one logaddexp per row, and the fitted means of the
+gradient are reused for the Hessian. A fit converges when the gradient norm is
+at most GRAD_TOL, or when the full Newton step is rejected while its predicted
+gain grad @ step is at most STALL_GAIN * |ll|: ll can no longer resolve that
+gain, so the fit takes the step (near the optimum, the exact minimizer of the
+quadratic model) and stops. A step that leaves theta bitwise unchanged ends
+the loop with converged=False, as the remaining iterations would repeat it
+exactly. Linear fits are ridge least squares with the penalty on slopes only.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from scipy.special import expit
 RIDGE = 1e-8
 MAX_ITER = 100
 GRAD_TOL = 1e-8
+STALL_GAIN = 1e-13
 DEFAULT_CLIP = 1e-3
 
 
@@ -138,11 +142,16 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
             cand_ll = penalized_loglik(candidate, X, y, w)
             if cand_ll >= ll - 1e-14:
                 break
+            if scale == 1.0 and grad @ step <= STALL_GAIN * abs(ll):
+                # stall: ll cannot resolve the gain, so the full step is the optimum
+                converged = True
+                break
             scale *= 0.5
         else:
             break
-        if np.array_equal(candidate, theta):
-            # fixed point: every later iteration would repeat this one exactly
+        if converged or np.array_equal(candidate, theta):
+            # a stall, or a fixed point every later iteration would repeat exactly
+            theta = candidate
             break
         theta, ll = candidate, cand_ll
     else:

@@ -501,6 +501,23 @@ class TestConfigSurface:
             stages = json.loads(report.read_text())["stages"]
             assert [s["converged"] for s in stages] == [True, False]
 
+    def test_strict_passes_fits_that_stall_at_their_optimum(self, tmp_path, capsys):
+        # some logistic fits here stall at their optimum: the full Newton
+        # step's gain is below the log-likelihood's rounding while the
+        # gradient norm is above 1e-8; they converge, so strict passes
+        ds, _ = generate(SimConfig(c1=4.0, xi=1.0), 1_000,
+                         np.random.default_rng([210407822, 11]))
+        data = tmp_path / "train.csv"
+        save_csv(ds, data)
+        report = tmp_path / "r.json"
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(data), "reward_bounds": BOUNDS_DOC, "lambda": "m", "crossfit": 5,
+            "seed": 0, "strict": True, "out": str(tmp_path / "p.json"), "report": str(report),
+        })
+        assert run(["fit", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [s["converged"] for s in json.loads(report.read_text())["stages"]] == [True, True]
+
 
 class TestExitCodes:
     def test_numerical_error_maps_to_3(self, tmp_path, capsys, monkeypatch):
@@ -581,6 +598,20 @@ class TestExitCodes:
         config = write_config(tmp_path, "cfg.json", {**doc, "out": str(out), "crossfit": -1})
         assert run([command, "--config", str(config)]) == 2
         assert "crossfit must be >= 0" in read_error(capsys)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"depth": -1}, "depth must be >= 0"),
+        ({"crossfit": 50}, "cross-fitting with m=50 leaves batches below 10 samples"),
+        ({"crossfit": 5, "seed": -1}, "expected non-negative integer"),
+    ], ids=["negative_depth", "batches_below_10_rows", "negative_seed"])
+    def test_bad_fit_setting_exits_2(self, tmp_path, sim_csv, capsys, doc, error):
+        out = tmp_path / "out.json"
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "out": str(out), **doc,
+        })
+        assert run(["fit", "--config", str(config)]) == 2
+        assert error in read_error(capsys)["error"]
         assert not out.exists()
 
     def test_missing_data_file(self, tmp_path, capsys):

@@ -39,7 +39,9 @@ def two_term_loglik(theta, X, y, w):
 def reference_fit_logistic(features, labels):
     """Independent Newton/IRLS with step-halving in its longest form: two
     logaddexp terms per row, the means recomputed for the Hessian, and all
-    100 iterations run even when a step leaves theta unchanged."""
+    100 iterations run even when a step leaves theta unchanged. A rejected
+    full step whose predicted gain grad @ step is at most 1e-13 * |ll| is
+    taken as the optimum, and the fit stops converged."""
     X = np.hstack([np.ones((features.shape[0], 1)), features])
     y = np.asarray(labels, dtype=float)
     w = np.ones_like(y)
@@ -63,6 +65,8 @@ def reference_fit_logistic(features, labels):
             if cand_ll >= ll - 1e-14:
                 theta, ll = candidate, cand_ll
                 break
+            if scale == 1.0 and grad @ step <= 1e-13 * abs(ll):
+                return candidate[0], candidate[1:], True
             scale *= 0.5
         else:
             break
@@ -72,9 +76,24 @@ def reference_fit_logistic(features, labels):
     return theta[0], theta[1:], converged
 
 
+def longdouble_optimum(features, labels):
+    """The penalized optimum by Newton steps on np.longdouble gradients; the
+    float Hessian only sets the rate, not the point the steps stop at."""
+    X = np.hstack([np.ones((features.shape[0], 1)), features]).astype(np.longdouble)
+    y = np.asarray(labels, dtype=np.longdouble)
+    theta = np.zeros(X.shape[1], dtype=np.longdouble)
+    for _ in range(60):
+        mu = 1 / (1 + np.exp(-(X @ theta)))
+        grad = X.T @ (y - mu) - 2 * np.longdouble(RIDGE) * theta
+        hess = X.T @ ((mu * (1 - mu))[:, None] * X) + 2 * np.longdouble(RIDGE) * np.eye(len(theta))
+        theta = theta + np.linalg.solve(hess.astype(float), grad.astype(float))
+    return theta
+
+
 def pinned_stuck_design(xi, rep, stage, model):
     """A simulated stage fit (c1=4, seed 0, replication rep) that reaches its
-    optimum without meeting the absolute gradient tolerance: model "pz" is
+    optimum without meeting the absolute gradient tolerance, where the full
+    Newton step's gain is below the log-likelihood's rounding: model "pz" is
     P(Z=+1|H), model "pa-" is P(A=+1|H,Z=-1)."""
     train_seed, _ = np.random.SeedSequence(entropy=0, spawn_key=(rep,)).spawn(2)
     dataset, _ = generate(SimConfig(c1=4.0, xi=xi), 1000, np.random.default_rng(train_seed))
@@ -116,19 +135,32 @@ class TestNewtonLoop:
         np.testing.assert_array_equal(model.coefficients, coefficients)
         assert model.converged == converged
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float here")
     @pytest.mark.parametrize("spec", PINNED_STUCK)
-    def test_pinned_stuck_fits_stop_at_their_fixed_point(self, spec, monkeypatch):
-        # reference_fit_logistic makes 2,446-2,755 evaluations on these fits
-        calls = []
+    def test_pinned_stalled_fits_converge(self, spec, monkeypatch):
+        # the full step's gain falls below ll's rounding while the gradient
+        # norm is still above 1e-8, so only the stall stop ends these fits
+        calls = {"penalized_loglik": 0, "loglik_gradient": 0}
 
-        def counting_loglik(*args):
-            calls.append(1)
-            return penalized_loglik(*args)
+        def counting(name):
+            original = getattr(ivdtr.nuisance, name)
 
-        monkeypatch.setattr(ivdtr.nuisance, "penalized_loglik", counting_loglik)
-        model = fit_logistic(*pinned_stuck_design(*spec))
-        assert not model.converged
-        assert len(calls) <= 900
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(ivdtr.nuisance, name, counting(name))
+        features, labels = pinned_stuck_design(*spec)
+        model = fit_logistic(features, labels)
+        assert model.converged
+        assert calls["loglik_gradient"] <= 10 and calls["penalized_loglik"] <= 12
+        theta = np.concatenate([[model.intercept], model.coefficients])
+        optimum = longdouble_optimum(features, labels)
+        error = np.abs(theta - optimum) / np.maximum(1.0, np.abs(optimum))
+        assert float(np.max(error)) <= 1e-12
 
     def test_loglik_equals_two_term_formula_exactly(self):
         # eta = X @ theta spreads over +-700, where exp(eta) nearly overflows
