@@ -80,8 +80,9 @@ def _read_json(path: str, what: str):
 
 def _load_config(args: argparse.Namespace) -> dict:
     """The command's config: every key it reads, from its flag, else the
-    config document, else the default; each value of an accepted type and
-    each output path writable as far as can be told before any fit."""
+    config document, else the default; each value of an accepted type, the
+    seed non-negative, and each output path writable as far as can be told
+    before any fit."""
     doc = {} if args.config is None else _read_json(args.config, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -99,6 +100,8 @@ def _load_config(args: argparse.Namespace) -> dict:
         elif not _valid(value, kinds):
             raise ConfigError(f"config key '{key}' must be {kinds}, got {json.dumps(value)}")
         config[key] = value
+    if config.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {config['seed']}")
     for key in ("out", "report", "out_csv"):
         path = config.get(key)
         if path is None:
@@ -182,14 +185,12 @@ def _pooled_fit_stages(estimates) -> list[dict]:
     for k in sorted({est.stage for est in estimates}):
         fits = [est for est in estimates if est.stage == k]
         widths = np.concatenate([est.widths for est in fits])
+        q10, q50, q90 = np.quantile(widths, [0.10, 0.50, 0.90])
         empty = dict.fromkeys(cell for est in fits for cell in est.nuisance.empty_cells)
         stages.append({
             "stage": k,
-            "interval_width_quantiles": {
-                "q10": float(np.quantile(widths, 0.10)),
-                "q50": float(np.quantile(widths, 0.50)),
-                "q90": float(np.quantile(widths, 0.90)),
-            },
+            "interval_width_quantiles": {"q10": float(q10), "q50": float(q50),
+                                         "q90": float(q90)},
             "empty_cells": [list(map(str, cell)) for cell in empty],
             "n_repaired": sum(est.n_repaired for est in fits),
             "converged": all(est.converged for est in fits),

@@ -12,15 +12,24 @@ cross-fitting complement) fits its own.
 
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
-included, so separated or single-class designs stay finite). The
-log-likelihood takes one logaddexp per row, and the fitted means of the
-gradient are reused for the Hessian. A fit converges when the gradient norm is
-at most GRAD_TOL, or when the full Newton step is rejected while its predicted
-gain grad @ step is at most STALL_GAIN * |ll|: ll can no longer resolve that
-gain, so the fit takes the step (near the optimum, the exact minimizer of the
-quadratic model) and stops. A step that leaves theta bitwise unchanged ends
-the loop with converged=False, as the remaining iterations would repeat it
-exactly. Linear fits are ridge least squares with the penalty on slopes only.
+included, so separated or single-class designs stay finite). X @ theta is
+computed once per trial step, for its log-likelihood, and the accepted step's
+product gives the next gradient's fitted means, which the Hessian reuses. The
+log-likelihood takes one softplus max(t, 0) + log1p(exp(-|t|)) per row, with
+t = (1 - 2y) * eta. The Hessian's right factor is a column-major copy of X,
+made once per fit: that product is faster and has the same bits as the
+row-major one (the bit-for-bit reference test checks this against the BLAS
+in use). X stays row-major everywhere else, because a column-major left
+factor, or a column-major X in the matrix-vector products, changes the last
+bits of their sums and so the fitted outputs.
+
+A fit converges when the gradient norm is at most GRAD_TOL, or when the full
+Newton step is rejected while its predicted gain grad @ step is at most
+STALL_GAIN * |ll|: ll can no longer resolve that gain, so the fit takes the
+step (near the optimum, the exact minimizer of the quadratic model) and
+stops. A step that leaves theta bitwise unchanged ends the loop with
+converged=False, as the remaining iterations would repeat it exactly. Linear
+fits are ridge least squares with the penalty on slopes only.
 """
 
 from __future__ import annotations
@@ -95,20 +104,21 @@ class ConstantModel:
         return out
 
 
-def penalized_loglik(theta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    """Weighted Bernoulli log-likelihood minus RIDGE * ||theta||^2."""
-    eta = X @ theta
-    # log expit(eta) for y=1, log(1-expit(eta)) for y=0: one stable logaddexp per row
-    ll = np.sum(w * -np.logaddexp(0.0, (1.0 - 2.0 * y) * eta))
+def penalized_loglik(theta: np.ndarray, eta: np.ndarray, sign: np.ndarray) -> float:
+    """Bernoulli log-likelihood at eta = X @ theta, with sign = 1 - 2y, minus
+    RIDGE * ||theta||^2."""
+    t = sign * eta
+    # -log expit(eta) for y=1, -log(1-expit(eta)) for y=0: one softplus of t per row
+    ll = -np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
     return float(ll - RIDGE * theta @ theta)
 
 
 def loglik_gradient(
-    theta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray
+    theta: np.ndarray, eta: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score of penalized_loglik at theta, and the fitted means it used."""
-    mu = expit(X @ theta)
-    return X.T @ (w * (y - mu)) - 2.0 * RIDGE * theta, mu
+    """Score of penalized_loglik at theta (eta = X @ theta), and the fitted means it used."""
+    mu = expit(eta)
+    return X.T @ (y - mu) - 2.0 * RIDGE * theta, mu
 
 
 def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
@@ -120,26 +130,28 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0/1")
     _check_finite(X, y)
-    w = np.ones_like(y)
+    sign = 1.0 - 2.0 * y
+    XF = np.asfortranarray(X)  # the Hessian's right factor only; see the module docstring
 
     p = X.shape[1]
     theta = np.zeros(p)
+    eta = X @ theta
     ridge = 2.0 * RIDGE * np.eye(p)
-    ll = penalized_loglik(theta, X, y, w)
+    ll = penalized_loglik(theta, eta, sign)
     converged = False
     for _ in range(MAX_ITER):
-        grad, mu = loglik_gradient(theta, X, y, w)
+        grad, mu = loglik_gradient(theta, eta, X, y)
         if np.linalg.norm(grad) <= GRAD_TOL:
             converged = True
             break
-        s = w * mu * (1.0 - mu)
-        hess = X.T @ (s[:, None] * X) + ridge
+        hess = X.T @ ((mu * (1.0 - mu))[:, None] * XF) + ridge
         step = np.linalg.solve(hess, grad)
         # step-halving: Newton step can overshoot when probabilities saturate
         scale = 1.0
         for _ in range(40):
             candidate = theta + scale * step
-            cand_ll = penalized_loglik(candidate, X, y, w)
+            cand_eta = X @ candidate
+            cand_ll = penalized_loglik(candidate, cand_eta, sign)
             if cand_ll >= ll - 1e-14:
                 break
             if scale == 1.0 and grad @ step <= STALL_GAIN * abs(ll):
@@ -153,9 +165,9 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
             # a stall, or a fixed point every later iteration would repeat exactly
             theta = candidate
             break
-        theta, ll = candidate, cand_ll
+        theta, eta, ll = candidate, cand_eta, cand_ll
     else:
-        converged = np.linalg.norm(loglik_gradient(theta, X, y, w)[0]) <= GRAD_TOL
+        converged = np.linalg.norm(loglik_gradient(theta, eta, X, y)[0]) <= GRAD_TOL
 
     return LogisticModel(intercept=float(theta[0]), coefficients=theta[1:], converged=converged)
 

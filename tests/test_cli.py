@@ -600,10 +600,22 @@ class TestExitCodes:
         assert "crossfit must be >= 0" in read_error(capsys)["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_negative_seed_exits_2(self, tmp_path, sim_csv, capsys, command):
+        # without cross-fitting nothing draws from the seed, so only the
+        # config check can reject it
+        doc = {"fit": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC},
+               "simulate": {"replications": 1, "n_train": 200}}[command]
+        out = tmp_path / "out.json"
+        config = write_config(tmp_path, "cfg.json", {**doc, "out": str(out), "seed": -1})
+        assert run([command, "--config", str(config)]) == 2
+        assert "seed must be >= 0" in read_error(capsys)["error"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, error", [
         ({"depth": -1}, "depth must be >= 0"),
         ({"crossfit": 50}, "cross-fitting with m=50 leaves batches below 10 samples"),
-        ({"crossfit": 5, "seed": -1}, "expected non-negative integer"),
+        ({"crossfit": 5, "seed": -1}, "seed must be >= 0"),
     ], ids=["negative_depth", "batches_below_10_rows", "negative_seed"])
     def test_bad_fit_setting_exits_2(self, tmp_path, sim_csv, capsys, doc, error):
         out = tmp_path / "out.json"
