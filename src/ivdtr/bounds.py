@@ -27,6 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .data import DataError
 from .nuisance import NuisanceSet
 
 
@@ -48,6 +49,8 @@ class RewardBounds:
         if len(self.lows) != len(self.highs):
             raise ValueError("lows and highs must have equal length")
         for lo, hi in zip(self.lows, self.highs):
+            if not np.isfinite([lo, hi]).all():
+                raise ValueError(f"reward bound [{lo}, {hi}] is not finite")
             if lo > hi:
                 raise ValueError(f"reward bound [{lo}, {hi}] has lower > upper")
 
@@ -67,18 +70,18 @@ class RewardBounds:
         return sum(self.lows[k - 1:]), sum(self.highs[k - 1:])
 
     def check(self, dataset) -> None:
-        """Raise ValueError unless there is one pair per stage of the dataset and
+        """Raise DataError unless there is one pair per stage of the dataset and
         every stage-k reward lies in [low_k, high_k]; names the first bad row of
         the latest failing stage."""
         if self.num_stages != dataset.num_stages:
-            raise ValueError("reward_bounds must declare one [low, high] pair per stage")
+            raise DataError("reward_bounds must declare one [low, high] pair per stage")
         for k in range(self.num_stages, 0, -1):
             rewards = dataset.rewards(k)
             lo, hi = self.stage(k)
             bad = (rewards < lo - 1e-9) | (rewards > hi + 1e-9)
             if np.any(bad):
                 row = int(np.flatnonzero(bad)[0]) + 1
-                raise ValueError(
+                raise DataError(
                     f"stage {k} reward outside declared bounds [{lo}, {hi}] at row {row}"
                 )
 

@@ -1,9 +1,9 @@
 """Command-line surface: fit / improve / simulate / evaluate.
 
 Configuration comes from a JSON document (--config) overridden by flags;
-flags win. Exit codes: 0 success, 2 validation or configuration error,
-3 numerical failure (non-convergence under strict mode). Failures emit a
-machine-readable JSON object on stderr.
+flags win. Exit codes: 0 success, 2 a ConfigError or DataError, 3 a
+NumericalError (non-convergence under strict mode), each with a JSON object
+on stderr; any other exception is a bug and exits 1 with its traceback.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ _KEYS = {
     "replications": ("integer", 100, "simulate", None),
     "out_csv": ("string", None, "simulate", None),
 }
+_FLOORS = {"threads": 1}  # the least value of an integer key, 0 if not listed
 _JSON_TYPES = {"string": str, "boolean": bool, "integer": int, "number": (int, float),
                "array": list, "number array": list}
 
@@ -74,15 +75,15 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"{what} file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _load_config(args: argparse.Namespace) -> dict:
     """The command's config: every key it reads, from its flag, else the
-    config document, else the default; each value of an accepted type, the
-    seed non-negative, and each output path writable as far as can be told
-    before any fit."""
+    config document, else the default; each value of an accepted type, each
+    integer at least its floor, and each output path writable as far as can
+    be told before any fit."""
     doc = {} if args.config is None else _read_json(args.config, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -99,9 +100,9 @@ def _load_config(args: argparse.Namespace) -> dict:
             value = default
         elif not _valid(value, kinds):
             raise ConfigError(f"config key '{key}' must be {kinds}, got {json.dumps(value)}")
+        if kinds == "integer" and value < _FLOORS.get(key, 0):
+            raise ConfigError(f"{key} must be >= {_FLOORS.get(key, 0)}, got {value}")
         config[key] = value
-    if config.get("seed", 0) < 0:
-        raise ConfigError(f"seed must be >= 0, got {config['seed']}")
     for key in ("out", "report", "out_csv"):
         path = config.get(key)
         if path is None:
@@ -127,6 +128,8 @@ def _reward_bounds(config: dict) -> RewardBounds:
 
 
 def _weight_spec(raw, num_stages: int) -> WeightSpec:
+    if isinstance(raw, list) and len(raw) != num_stages:
+        raise ConfigError(f"lambda gives {len(raw)} weights for {num_stages} stages")
     try:
         return parse_weight_spec(raw, num_stages) if isinstance(raw, str) else WeightSpec(raw)
     except ValueError as exc:
@@ -141,6 +144,8 @@ def _load_dataset(config: dict) -> Dataset:
         raise ConfigError(f"data file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"data file {path} is not UTF-8 text: {exc}") from None
 
 
 def _check_converged(config: dict, fits) -> None:
@@ -232,16 +237,12 @@ def cmd_improve(config: dict) -> int:
     bounds = _reward_bounds(config)
     depth = config["depth"]
     tag = _require(config, "baseline")
+    models = fit_stage_models(dataset, bounds)
     if tag == "sra":
-        if dataset.num_stages != 2:
-            raise ConfigError(f"the SRA baseline handles two-stage data, got "
-                              f"{dataset.num_stages} stages")
         baseline, converged = fit_sra_baseline(dataset, depth)
         _check_converged(config, [("SRA baseline", converged)])
     else:
         baseline = _load_policy(tag, dataset.num_stages, "baseline policy")
-
-    models = fit_stage_models(dataset, bounds)
     policy, estimates = fit_ivimproved(models, baseline, depth, baseline_id=tag)
     stages = [{
         "stage": est.stage,
@@ -336,7 +337,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](_load_config(args))
-    except (ConfigError, DataError, ValueError) as exc:
+    except (ConfigError, DataError) as exc:
         json.dump({"error": str(exc), "code": 2}, sys.stderr)
         sys.stderr.write("\n")
         return 2

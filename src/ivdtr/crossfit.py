@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import WeightSpec
-from .data import assign_batches
+from .data import DataError, assign_batches
 from .dtr_core import Dtr, StageQEstimate, backward_induct, fit_weighted_tree, sign_with_tie
 from .nuisance import StageModels
 
@@ -74,7 +74,7 @@ def fit_ivoptimal_crossfit(
         n = len(models[0].r)
         batch = assign_batches(n, m, np.random.default_rng(seed))
         if n // m < MIN_BATCH_SIZE:
-            raise ValueError(
+            raise DataError(
                 f"cross-fitting with m={m} leaves batches below {MIN_BATCH_SIZE} samples"
             )
         contrasts, estimates = crossfit_stage_contrasts(models, batch, lam)

@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bounds import WeightSpec, arm_intervals, weighted_q
+from .data import DataError
 from .nuisance import NuisanceSet, StageModels, fit_stage_nuisance, is_binary_outcome
 
 MIN_LEAF_WEIGHT_FRACTION = 0.01
@@ -62,7 +63,7 @@ class TreeRule:
             out[idx] = node.label
             return
         if node.feature >= H.shape[1]:
-            raise ValueError(f"tree feature {node.feature} is past a {H.shape[1]}-column history")
+            raise DataError(f"tree feature {node.feature} is past a {H.shape[1]}-column history")
         go_left = H[idx, node.feature] < node.threshold
         self._fill(node.left, H, idx[go_left], out)
         self._fill(node.right, H, idx[~go_left], out)

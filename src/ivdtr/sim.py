@@ -33,7 +33,8 @@ from .crossfit import fit_ivoptimal_crossfit
 from .data import DataError, Dataset, dataset_from_arrays
 from .dtr_core import ConstantRule, Dtr, TreeNode, TreeRule, constant_dtr, fit_weighted_tree
 from .improve import fit_ivimproved
-from .nuisance import DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models
+from .nuisance import (DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models,
+                       is_binary_outcome)
 
 GAUSS_LEGENDRE_ORDER = 16  # quadrature nodes per X1 interval
 
@@ -63,6 +64,8 @@ class SimConfig:
             raise ValueError("c1 must be positive")
         if self.xi <= 0:
             raise ValueError("xi must be positive")
+        if self.n_train < 1:
+            raise ValueError("n_train must be >= 1")
         if self.n_eval < 1:
             raise ValueError("n_eval must be >= 1")
         if self.replications < 1:
@@ -210,7 +213,7 @@ def true_value(policy: Dtr, config: SimConfig, x: Optional[np.ndarray] = None) -
 # ------------------------------ SRA baseline ------------------------------
 
 
-def _aipw_contrast(H, a, y, mu_pos, mu_neg, prop_pos):
+def _aipw_contrast(a, y, mu_pos, mu_neg, prop_pos):
     """Doubly robust per-sample contrast estimate, propensity clipped."""
     prop = np.where(a == 1.0, prop_pos, 1.0 - prop_pos)
     prop = np.clip(prop, DEFAULT_CLIP, 1.0)
@@ -218,44 +221,35 @@ def _aipw_contrast(H, a, y, mu_pos, mu_neg, prop_pos):
     return mu_pos - mu_neg + a * (y - mu_own) / prop
 
 
-def _dr_stage(h, a, y, fit_arm, predict_arm, depth, stage):
-    """One stage of doubly robust C-learning: per-arm outcome models, AIPW
-    scores smoothed by a linear model, and a tree on the smoothed contrast.
-
-    Returns (tree, arm +1 predictions, arm -1 predictions, whether every
-    logistic fit converged).
-    """
-    if np.all(a == a[0]):
-        raise DataError(f"no treatment variation at stage {stage}")
-    arm = {a0: fit_arm(h[a == a0], y[a == a0]) for a0 in (-1.0, 1.0)}
-    prop = fit_logistic(h, (a == 1.0).astype(float))
-    mu_pos, mu_neg = predict_arm(arm[1.0], h), predict_arm(arm[-1.0], h)
-    phi = _aipw_contrast(h, a, y, mu_pos, mu_neg, prop.predict(h))
-    contrast = fit_linear(h, phi).predict(h)
-    tree = fit_weighted_tree(h, np.where(contrast >= 0, 1, -1), np.abs(contrast), depth)
-    converged = all(getattr(model, "converged", True) for model in (prop, *arm.values()))
-    return tree, mu_pos, mu_neg, converged
-
-
 def fit_sra_baseline(dataset: Dataset, depth: int) -> tuple[Dtr, bool]:
-    """Backward doubly-robust C-learning that ignores the instrument.
+    """Backward doubly robust C-learning over k = K..1 that ignores the instrument.
 
-    Stage outcome models are logistic for the binary stage-2 reward and linear
-    for the continuous stage-1 pseudo-outcome; contrasts are smoothed with a
-    linear model of the per-sample doubly robust scores before the tree fit.
-    Returns the policy and whether all four of its logistic fits converged.
+    Stage k's outcome is r_k plus the next stage's larger arm prediction, on
+    the sums over stages k..K of the observed reward minima and maxima. Arm
+    models are logistic where the outcome is 0/1 on [0, 1] and linear
+    otherwise, predictions clipped to that range; a linear model smooths the
+    per-sample doubly robust contrasts before the tree fit. Returns the policy
+    and whether every logistic fit converged.
     """
-    if dataset.num_stages != 2:
-        raise ValueError("the SRA baseline fitter handles two-stage data")
-    tree2, mu2_pos, mu2_neg, converged2 = _dr_stage(
-        dataset.histories(2), dataset.actions(2), dataset.rewards(2), fit_logistic,
-        lambda model, h: np.clip(model.predict(h), 0.0, 1.0), depth, 2)
-    # stage 1: pseudo-outcome r1 + max_a mu2(h2, a)
-    tree1, _, _, converged1 = _dr_stage(
-        dataset.histories(1), dataset.actions(1),
-        dataset.rewards(1) + np.maximum(mu2_pos, mu2_neg), fit_linear,
-        lambda model, h: np.clip(model.predict(h), 0.0, 2.0), depth, 1)
-    return Dtr(stages=(tree1, tree2), kind="sra"), converged1 and converged2
+    r_min, r_max = dataset.r.min(axis=0), dataset.r.max(axis=0)
+    stages, converged, next_value = [], True, 0.0
+    for k in range(dataset.num_stages, 0, -1):
+        h, a = dataset.histories(k), dataset.actions(k)
+        if np.all(a == a[0]):
+            raise DataError(f"no treatment variation at stage {k}")
+        y = dataset.rewards(k) + next_value
+        tail = (float(r_min[k - 1:].sum()), float(r_max[k - 1:].sum()))
+        fit_arm = fit_logistic if is_binary_outcome(y, tail) else fit_linear
+        arm = {a0: fit_arm(h[a == a0], y[a == a0]) for a0 in (-1.0, 1.0)}
+        prop = fit_logistic(h, (a == 1.0).astype(float))
+        mu_pos, mu_neg = (np.clip(arm[a0].predict(h), *tail) for a0 in (1.0, -1.0))
+        phi = _aipw_contrast(a, y, mu_pos, mu_neg, prop.predict(h))
+        contrast = fit_linear(h, phi).predict(h)
+        stages.insert(0, fit_weighted_tree(h, np.where(contrast >= 0, 1, -1),
+                                           np.abs(contrast), depth))
+        converged &= all(getattr(m, "converged", True) for m in (prop, *arm.values()))
+        next_value = np.maximum(mu_pos, mu_neg)
+    return Dtr(stages=tuple(stages), kind="sra"), converged
 
 
 # ------------------------------ cell runner ------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synth import interval_at, synthetic_nuisance
+from synth import interval_at, random_two_stage_dataset, synthetic_nuisance
 
 from ivdtr.bounds import (
     Interval,
@@ -15,6 +15,7 @@ from ivdtr.bounds import (
     parse_weight_spec,
     weighted_q,
 )
+from ivdtr.data import DataError
 from ivdtr.nuisance import LinearModel, LogisticModel, NuisanceSet
 
 
@@ -221,6 +222,16 @@ class TestRewardBounds:
     def test_crossed_pair_rejected(self):
         with pytest.raises(ValueError, match="lower > upper"):
             RewardBounds.from_pairs([[1.0, 0.0]])
+
+    @pytest.mark.parametrize("pair", [[float("nan"), 1.0], [0.0, float("inf")]])
+    def test_non_finite_pair_rejected(self, pair):
+        with pytest.raises(ValueError, match="is not finite"):
+            RewardBounds.from_pairs([pair])
+
+    def test_rewards_outside_the_bounds_are_a_data_error(self):
+        ds = random_two_stage_dataset(np.random.default_rng(0), n=50)
+        with pytest.raises(DataError, match="stage 2 reward outside"):
+            RewardBounds.from_pairs([[0.0, 1.0], [0.0, 0.5]]).check(ds)
 
 
 class TestWeightSpec:

@@ -219,6 +219,24 @@ class TestImprove:
         rep = json.loads(report.read_text())
         assert rep["stages"][1]["pointwise_flip_fraction"] <= 0.05
 
+    @pytest.mark.parametrize("shape", ["three_stages", "continuous_rewards", "rewards_0_10"])
+    def test_sra_baseline_takes_any_stage_count_and_reward_scale(self, tmp_path, shape):
+        rng = np.random.default_rng(0)
+        ds, _ = generate(SimConfig(c1=4.0, xi=1.0), 400, rng)
+        if shape == "three_stages":
+            ds, bounds = random_three_stage_dataset(rng, 400), [[0.0, 1.0]] * 3
+        elif shape == "continuous_rewards":
+            ds, bounds = dataclasses.replace(ds, r=rng.uniform(0.0, 1.0, ds.r.shape)), BOUNDS_DOC
+        else:
+            ds, bounds = dataclasses.replace(ds, r=10.0 * ds.r), [[0.0, 10.0], [0.0, 10.0]]
+        data, out = tmp_path / "train.csv", tmp_path / "up.json"
+        save_csv(ds, data)
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(data), "reward_bounds": bounds, "baseline": "sra", "out": str(out),
+        })
+        assert run(["improve", "--config", str(config)]) == 0
+        assert dtr_from_json(json.loads(out.read_text())).num_stages == ds.num_stages
+
     def test_missing_baseline_file(self, tmp_path, sim_csv, capsys):
         config = write_config(tmp_path, "cfg.json", {
             "data": str(sim_csv), "reward_bounds": BOUNDS_DOC,
@@ -273,6 +291,18 @@ class TestSimulate:
         config = write_config(tmp_path, "cfg.json", doc)
         assert run(["simulate", "--config", str(config)]) == 2
         assert "c1 and xi need at least one value" in read_error(capsys)["error"]
+
+    @pytest.mark.parametrize("n_train, error", [(0, "n_train must be >= 1"),
+                                                 (-1, "n_train must be >= 0, got -1")])
+    def test_n_train_below_one_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                      n_train, error):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(ivdtr.cli, "run_cell", unreachable)
+        config = write_config(tmp_path, "cfg.json", {"replications": 1, "n_train": n_train})
+        assert run(["simulate", "--config", str(config)]) == 2
+        assert error in read_error(capsys)["error"]
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
@@ -558,23 +588,6 @@ class TestExitCodes:
         assert error.format(what="policy") in read_error(capsys)["error"]
         assert not out.exists()
 
-    def test_sra_baseline_on_three_stage_data_exits_2_before_any_fit(self, tmp_path, capsys,
-                                                                     monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the SRA baseline was fitted")
-
-        monkeypatch.setattr(ivdtr.cli, "fit_sra_baseline", unreachable)
-        data = tmp_path / "three.csv"
-        save_csv(random_three_stage_dataset(np.random.default_rng(0), 200), data)
-        out = tmp_path / "up.json"
-        config = write_config(tmp_path, "cfg.json", {
-            "data": str(data), "reward_bounds": [[0.0, 1.0]] * 3, "baseline": "sra",
-            "out": str(out),
-        })
-        assert run(["improve", "--config", str(config)]) == 2
-        assert "3 stages" in read_error(capsys)["error"]
-        assert not out.exists()
-
     def test_sra_baseline_without_treatment_variation_exits_2(self, tmp_path, capsys):
         ds, _ = generate(SimConfig(c1=4.0, xi=1.0), 400, np.random.default_rng(0))
         a = ds.a.copy()
@@ -616,7 +629,10 @@ class TestExitCodes:
         ({"depth": -1}, "depth must be >= 0"),
         ({"crossfit": 50}, "cross-fitting with m=50 leaves batches below 10 samples"),
         ({"crossfit": 5, "seed": -1}, "seed must be >= 0"),
-    ], ids=["negative_depth", "batches_below_10_rows", "negative_seed"])
+        ({"lambda": [0.5]}, "lambda gives 1 weights for 2 stages"),
+        ({"reward_bounds": [[float("nan"), 1.0], [0.0, 1.0]]}, "[nan, 1.0] is not finite"),
+    ], ids=["negative_depth", "batches_below_10_rows", "negative_seed", "short_lambda_array",
+            "nan_reward_bound"])
     def test_bad_fit_setting_exits_2(self, tmp_path, sim_csv, capsys, doc, error):
         out = tmp_path / "out.json"
         config = write_config(tmp_path, "cfg.json", {
@@ -625,6 +641,40 @@ class TestExitCodes:
         assert run(["fit", "--config", str(config)]) == 2
         assert error in read_error(capsys)["error"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "config"), ("fit", "data"), ("improve", "baseline"), ("evaluate", "policy"),
+    ])
+    def test_undecodable_file_exits_2(self, tmp_path, sim_csv, capsys, command, key):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00")
+        out = tmp_path / "out.json"
+        doc = {"fit": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC},
+               "improve": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC},
+               "evaluate": {}}[command]
+        config = bad if key == "config" else write_config(
+            tmp_path, "cfg.json", {**doc, "out": str(out), key: str(bad)})
+        assert run([command, "--config", str(config)]) == 2
+        assert "codec can't decode" in read_error(capsys)["error"]
+        assert not out.exists()
+
+    def test_internal_value_error_exits_1_with_a_traceback(self, tmp_path, sim_csv):
+        # exit 2 is for typed config and data errors; any other error is a bug
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "out": str(tmp_path / "p.json"),
+        })
+        code = ("import ivdtr.cli\n"
+                "def boom(*args, **kwargs):\n"
+                "    raise ValueError('an internal fault')\n"
+                "ivdtr.cli.fit_ivoptimal_crossfit = boom\n"
+                "ivdtr.cli.main()\n")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code, "fit", "--config", str(config)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr
+        assert proc.stderr.rstrip().endswith("ValueError: an internal fault")
 
     def test_missing_data_file(self, tmp_path, capsys):
         config = write_config(tmp_path, "cfg.json", {

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.special import expit
+from synth import random_two_stage_dataset
 
 import ivdtr.nuisance
 import ivdtr.sim
@@ -105,6 +106,8 @@ class TestGenerate:
             SimConfig(threads=0)
         with pytest.raises(ValueError, match="replications"):
             SimConfig(replications=0)
+        with pytest.raises(ValueError, match="n_train must be >= 1"):
+            SimConfig(n_train=0)
         cfg = SimConfig()
         with pytest.raises(ValueError):
             generate(cfg, 0, np.random.default_rng(0))
@@ -246,6 +249,25 @@ class TestSraBaseline:
         a[:, 0] = 1
         with pytest.raises(DataError, match="no treatment variation at stage 1"):
             fit_sra_baseline(dataclasses.replace(ds, a=a), depth=2)
+
+    def test_continuous_outcome_stages_get_linear_arm_models(self, monkeypatch):
+        ds = random_two_stage_dataset(np.random.default_rng(3), n=400)
+        r = ds.r.copy()
+        r[:, 1] = np.random.default_rng(4).uniform(0.0, 1.0, ds.n)
+        ds = dataclasses.replace(ds, r=r)
+        labels = []
+
+        def spy(features, y):
+            labels.append(y)
+            return ivdtr.nuisance.fit_logistic(features, y)
+
+        monkeypatch.setattr(ivdtr.sim, "fit_logistic", spy)
+        sra, _ = fit_sra_baseline(ds, depth=2)
+        # stage 2's outcome is continuous, and so is every earlier stage's:
+        # the only logistic fits are the propensities, stage 2 first
+        assert sra.num_stages == 2 and len(labels) == 2
+        for y, k in zip(labels, (2, 1)):
+            np.testing.assert_array_equal(y, (ds.actions(k) == 1.0).astype(float))
 
     def test_learns_valuable_policy_at_low_confounding(self):
         cfg = SimConfig(c1=4.0, xi=1.0, n_train=1000)
