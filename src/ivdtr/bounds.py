@@ -17,7 +17,7 @@ to the midpoint, with a diagnostic count.
 mp_bounds_matrix is this formula on arrays of the conditional quantities alone,
 with the arm a free to differ by row; it makes no model calls.
 arm_intervals predicts each model of a NuisanceSet once and bounds an arm
-(+1, -1, or one per row) and the other arm from those predictions.
+(+1, -1, or one per row) and the other arm from them, on the set's outcome_range.
 """
 
 from __future__ import annotations
@@ -196,11 +196,10 @@ def mp_bounds_matrix(
 def arm_intervals(
     nuisance: NuisanceSet,
     H: np.ndarray,
-    tail: tuple[float, float],
     arm: int | np.ndarray,
 ) -> tuple[Interval, Interval, int]:
     """Per-row intervals on arm (+1, -1, or one +/-1 per row) and on the other
-    arm, and the total repair count of both.
+    arm over nuisance.outcome_range, and the total repair count of both.
 
     P(Z=+1|H), P(A=+1|H,Z=z) for each z and the four outcome cells are each
     predicted once; each arm's inputs are selected from them row by row.
@@ -213,7 +212,7 @@ def arm_intervals(
     for pos in (on_pos, ~on_pos):
         p_a = tuple(np.where(pos, p, 1.0 - p) for p in pa_pos)
         mu_a = tuple(np.where(pos, mu[(z, 1)], mu[(z, -1)]) for z in (-1, 1))
-        lower, upper, repaired = mp_bounds_matrix(pz_pos, p_a, mu_a, tail)
+        lower, upper, repaired = mp_bounds_matrix(pz_pos, p_a, mu_a, nuisance.outcome_range)
         intervals.append(Interval(lower, upper))
         n_repaired += repaired
     return intervals[0], intervals[1], n_repaired

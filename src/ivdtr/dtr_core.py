@@ -182,14 +182,13 @@ class ConstantRule:
 
 @dataclass(frozen=True)
 class SignOfContrast:
-    """A fitted stage's weighted-Q contrast; decides by its sign on new histories."""
+    """A stage's weighted-Q contrast on its nuisance's outcome_range; decides by its sign."""
 
     nuisance: NuisanceSet
-    tail: tuple[float, float]
     lam: float
 
     def contrast(self, H: np.ndarray) -> np.ndarray:
-        plus, minus, _ = arm_intervals(self.nuisance, H, self.tail, 1)
+        plus, minus, _ = arm_intervals(self.nuisance, H, 1)
         return weighted_q(plus, self.lam) - weighted_q(minus, self.lam)
 
     def decide(self, H: np.ndarray) -> np.ndarray:
@@ -264,14 +263,13 @@ def pseudo_outcomes(rewards_k: np.ndarray, next_values: np.ndarray) -> np.ndarra
 def fit_stage(
     nuisance: NuisanceSet,
     histories: np.ndarray,
-    tail: tuple[float, float],
     lambda_k: float,
     stage: int,
 ) -> tuple[StageQEstimate, np.ndarray]:
-    """One stage of Step I: intervals at +/-1 from the stage's fitted cells,
-    contrast; returns the estimate and each sample's value under its sign."""
-    rule = SignOfContrast(nuisance=nuisance, tail=tail, lam=float(lambda_k))
-    plus, minus, n_repaired = arm_intervals(nuisance, histories, tail, 1)
+    """Step I at one stage: intervals at +/-1 on the nuisance's outcome_range and
+    their contrast; returns the estimate and each sample's value under its sign."""
+    rule = SignOfContrast(nuisance=nuisance, lam=float(lambda_k))
+    plus, minus, n_repaired = arm_intervals(nuisance, histories, 1)
     q_pos, q_neg = weighted_q(plus, rule.lam), weighted_q(minus, rule.lam)
     contrast = q_pos - q_neg
     widths = np.concatenate([plus.upper - plus.lower, minus.upper - minus.lower])
@@ -294,14 +292,14 @@ def backward_induct(
     next_value: Optional[np.ndarray] = None
     for k in range(K, 0, -1):
         stage = models[k - 1]
-        tail = stage.tail
         if k == K:
             nuisance = stage.reward
         else:
+            tail = stage.tail
             outcomes = np.clip(pseudo_outcomes(stage.r, next_value), tail[0], tail[1])
             nuisance = fit_stage_nuisance(stage, outcomes, tail,
                                           is_binary_outcome(outcomes, tail))
-        estimates[k - 1], next_value = fit_stage(nuisance, stage.H, tail, lam.at(k), stage=k)
+        estimates[k - 1], next_value = fit_stage(nuisance, stage.H, lam.at(k), stage=k)
     q_rule = Dtr(stages=tuple(est.rule for est in estimates), kind="iv_optimal", lam=lam)
     return list(estimates), q_rule
 
@@ -327,10 +325,15 @@ def _label_from_json(label) -> int:
     return int(label)
 
 
-def _tree_from_json(ref: dict, nodes: list):
+def _tree_from_json(ref: dict, nodes: list, parent: int = -1):
+    """The subtree at ref. A node index must exceed its parent's (-1 at the root), as
+    dtr_to_json writes parents first; so no reference is out of range or cyclic."""
     if "leaf" in ref:
         return Leaf(_label_from_json(ref["leaf"]))
-    entry = nodes[ref["node"]]
+    index = ref["node"]
+    if not isinstance(index, int) or isinstance(index, bool) or not parent < index < len(nodes):
+        raise ValueError(f"node {index!r} is not an index in {parent + 1}..{len(nodes) - 1}")
+    entry = nodes[index]
     feature, threshold = entry["feature"], float(entry["threshold"])
     if not isinstance(feature, int) or isinstance(feature, bool) or feature < 0:
         raise ValueError(f"feature must be a nonnegative integer, got {feature!r}")
@@ -339,8 +342,8 @@ def _tree_from_json(ref: dict, nodes: list):
     return TreeNode(
         feature=feature,
         threshold=threshold,
-        left=_tree_from_json(entry["left"], nodes),
-        right=_tree_from_json(entry["right"], nodes),
+        left=_tree_from_json(entry["left"], nodes, index),
+        right=_tree_from_json(entry["right"], nodes, index),
     )
 
 
@@ -390,6 +393,7 @@ def dtr_from_json(doc: dict) -> Dtr:
     lam_doc = doc.get("lambda")
     lam = None
     if lam_doc is not None:
-        lam = WeightSpec(lam_doc if isinstance(lam_doc, float) else tuple(lam_doc))
+        scalar = isinstance(lam_doc, (int, float)) and not isinstance(lam_doc, bool)
+        lam = WeightSpec(float(lam_doc) if scalar else tuple(lam_doc))
     stages = tuple(_stage_from_json(s) for s in doc["stages"])
     return Dtr(stages=stages, kind=str(doc.get("kind", "constant")), lam=lam)

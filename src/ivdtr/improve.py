@@ -16,9 +16,9 @@ baseline. The relative value propagated backwards is
 The pass reads the stage models (fit_stage_models) as its only data: they
 supply each stage's histories, ranges and instrument, treatment and
 reward-cell fits. It fits only the cells of the relative continuation and of
-the sum. Each of the three outcomes is bounded by one arm_intervals call with
-the baseline actions as the per-row arm, which gives the intervals on a' and
-on -a' from one prediction of each model; the ends are combined afterwards.
+the sum. Each of the three outcomes is bounded on its cells' outcome_range by
+one arm_intervals call with the baseline actions as the per-row arm, which
+gives the intervals on a' and on -a' from one prediction of each model.
 """
 
 from __future__ import annotations
@@ -54,23 +54,22 @@ def relative_contrast_pieces(
     H: np.ndarray,
     baseline_action: np.ndarray,
     reward_nuisance,
-    reward_tail: tuple[float, float],
     continuation: Optional[tuple] = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(keep_lower, contrast, n_repaired) per history row.
 
     continuation is None at stage K, where the flipped arm is bounded with the
     reward nuisance and keep_lower is zero; otherwise it is
-    (sum_nuisance, sum_tail, continuation_nuisance, continuation_tail).
-    n_repaired counts repairs on both arms of every nuisance used.
+    (sum_nuisance, continuation_nuisance). Each nuisance is bounded on its own
+    outcome_range. n_repaired counts repairs on both arms of every nuisance used.
     """
-    keep_r, flip_r, n_rep = arm_intervals(reward_nuisance, H, reward_tail, baseline_action)
+    keep_r, flip_r, n_rep = arm_intervals(reward_nuisance, H, baseline_action)
     if continuation is None:
         flip_lower, keep_lower = flip_r.lower, np.zeros_like(flip_r.lower)
     else:
-        sum_ns, sum_tail, cont_ns, cont_tail = continuation
-        _, flip_s, rep_s = arm_intervals(sum_ns, H, sum_tail, baseline_action)
-        keep_c, _, rep_c = arm_intervals(cont_ns, H, cont_tail, baseline_action)
+        sum_ns, cont_ns = continuation
+        _, flip_s, rep_s = arm_intervals(sum_ns, H, baseline_action)
+        keep_c, _, rep_c = arm_intervals(cont_ns, H, baseline_action)
         flip_lower, keep_lower = flip_s.lower, keep_c.lower
         n_rep += rep_s + rep_c
     return keep_lower, flip_lower - keep_r.upper - keep_lower, n_rep
@@ -96,7 +95,6 @@ def relative_stage_estimates(
 
     for k in range(K, 0, -1):
         stage = models[k - 1]
-        reward_tail = stage.reward_range
         base_action = baseline.action_matrix(k, stage.H)
 
         continuation = None
@@ -104,16 +102,16 @@ def relative_stage_estimates(
             next_tail = models[k].tail
             cont_width = next_tail[1] - next_tail[0]
             cont_tail = (0.0, cont_width)
-            sum_tail = (reward_tail[0], reward_tail[1] + cont_width)
+            sum_tail = (stage.reward_range[0], stage.reward_range[1] + cont_width)
             cont_y = np.clip(next_relative, cont_tail[0], cont_tail[1])
             sum_y = np.clip(stage.r + cont_y, sum_tail[0], sum_tail[1])
 
             cont_ns = fit_stage_nuisance(stage, cont_y, cont_tail, False)
             sum_ns = fit_stage_nuisance(stage, sum_y, sum_tail, False)
-            continuation = (sum_ns, sum_tail, cont_ns, cont_tail)
+            continuation = (sum_ns, cont_ns)
 
         keep_lower, contrast, n_rep = relative_contrast_pieces(
-            stage.H, base_action, stage.reward, reward_tail, continuation)
+            stage.H, base_action, stage.reward, continuation)
         improved = np.where(contrast > 0, -base_action, base_action).astype(int)
         relative_value = keep_lower + np.maximum(contrast, 0.0)
 

@@ -31,7 +31,8 @@ from scipy.special import expit
 from .bounds import RewardBounds, WeightSpec
 from .crossfit import fit_ivoptimal_crossfit
 from .data import DataError, Dataset, dataset_from_arrays
-from .dtr_core import ConstantRule, Dtr, TreeNode, TreeRule, constant_dtr, fit_weighted_tree
+from .dtr_core import (ConstantRule, Dtr, TreeNode, TreeRule, constant_dtr, fit_weighted_tree,
+                       sign_with_tie)
 from .improve import fit_ivimproved
 from .nuisance import (DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models,
                        is_binary_outcome)
@@ -60,10 +61,10 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        if not 0 < self.c1 < math.inf:
+            raise ValueError("c1 must be positive and finite")
+        if not 0 < self.xi < math.inf:
+            raise ValueError("xi must be positive and finite")
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
         if self.n_eval < 1:
@@ -94,16 +95,12 @@ class EvalReport:
     n_eval: int
 
 
-def _sgn(values: np.ndarray) -> np.ndarray:
-    return np.where(values >= 0, 1.0, -1.0)
-
-
 def _rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 2, size=n) * 2.0 - 1.0
 
 
 def _r1_prob(x1, a1, u1, xi, threshold):
-    return expit(0.5 * (_sgn(x1 - threshold) - xi * u1 + 0.2) * (a1 + 1.0))
+    return expit(0.5 * (sign_with_tie(x1 - threshold) - xi * u1 + 0.2) * (a1 + 1.0))
 
 
 def _r2_prob(x1, r1, a1, a2, u2, xi):
@@ -245,8 +242,7 @@ def fit_sra_baseline(dataset: Dataset, depth: int) -> tuple[Dtr, bool]:
         mu_pos, mu_neg = (np.clip(arm[a0].predict(h), *tail) for a0 in (1.0, -1.0))
         phi = _aipw_contrast(a, y, mu_pos, mu_neg, prop.predict(h))
         contrast = fit_linear(h, phi).predict(h)
-        stages.insert(0, fit_weighted_tree(h, np.where(contrast >= 0, 1, -1),
-                                           np.abs(contrast), depth))
+        stages.insert(0, fit_weighted_tree(h, sign_with_tie(contrast), np.abs(contrast), depth))
         converged &= all(getattr(m, "converged", True) for m in (prop, *arm.values()))
         next_value = np.maximum(mu_pos, mu_neg)
     return Dtr(stages=tuple(stages), kind="sra"), converged

@@ -63,9 +63,9 @@ def save_csv_rowwise(dataset, path):
             writer.writerow(row)
 
 
-def interval_at(nuisance, h, a, tail):
+def interval_at(nuisance, h, a):
     """Interval for action a at one history: row 0 of arm_intervals on arm a."""
-    (lower, upper), _, _ = arm_intervals(nuisance, np.atleast_2d(h), tail, a)
+    (lower, upper), _, _ = arm_intervals(nuisance, np.atleast_2d(h), a)
     return Interval(float(lower[0]), float(upper[0]))
 
 

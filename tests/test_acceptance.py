@@ -134,7 +134,7 @@ def test_criterion_4_bound_property_suite():
     ns = synthetic_nuisance(0.5, {-1: 0.2, 1: 0.8},
                             {(-1, 1): 0.6, (1, 1): 0.7, (-1, -1): 0.5, (1, -1): 0.5},
                             (0.0, 1.0))
-    hand = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
+    hand = interval_at(ns, np.zeros(1), 1)
     checks.append(("hand-derived example equals (0.34, 0.76) to 1e-12",
                    abs(hand.lower - 0.34) < 1e-12 and abs(hand.upper - 0.76) < 1e-12))
     lo, hi = oracle_interval(0.5, {-1: 0.2, 1: 0.8},
@@ -146,7 +146,7 @@ def test_criterion_4_bound_property_suite():
     for _ in range(1000):
         ns = random_nuisance(rng)
         a = int(rng.choice([-1, 1]))
-        interval = interval_at(ns, np.zeros(1), a, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), a)
         validity &= 0.0 <= interval.lower <= interval.upper <= 1.0
 
         lam = float(rng.uniform())
@@ -165,7 +165,7 @@ def test_criterion_4_bound_property_suite():
         # property of the raw formula, so compare only uncrossed configurations
         if raw_in[0] <= raw_in[1] and raw_out[0] <= raw_out[1]:
             wide_ns = synthetic_nuisance(pz, pa, mu_cells, (-widen, 1.0 + widen))
-            outer = interval_at(wide_ns, np.zeros(1), a, (-widen, 1.0 + widen))
+            outer = interval_at(wide_ns, np.zeros(1), a)
             monotone &= outer.lower <= interval.lower + 1e-12
             monotone &= outer.upper >= interval.upper - 1e-12
 
@@ -174,7 +174,7 @@ def test_criterion_4_bound_property_suite():
         tight = synthetic_nuisance(
             float(rng.uniform(0.05, 0.95)), {-1: 1.0 - clip, 1: 1.0 - clip},
             {(z, aa): mu_val for z in (-1, 1) for aa in (-1, 1)}, (0.0, 1.0))
-        collapsed = interval_at(tight, np.zeros(1), 1, (0.0, 1.0))
+        collapsed = interval_at(tight, np.zeros(1), 1)
         collapse &= (collapsed.upper - collapsed.lower) <= 2 * clip * 1.0 + 1e-12
 
     checks.append(("interval validity on 1000 random configurations", validity))
@@ -198,8 +198,8 @@ def test_criterion_5_closed_form_reductions():
         H = ds.histories(1)
         rule_actions = q_rule.action_matrix(1, H)
         for i in range(ds.n):
-            plus = interval_at(ns, H[i], +1, (0.0, 1.0))
-            minus = interval_at(ns, H[i], -1, (0.0, 1.0))
+            plus = interval_at(ns, H[i], +1)
+            minus = interval_at(ns, H[i], -1)
             direct = sign_with_tie(
                 np.array([weighted_q(plus, 0.5) - weighted_q(minus, 0.5)]))[0]
             agree &= direct == rule_actions[i]
@@ -212,13 +212,13 @@ def test_criterion_5_closed_form_reductions():
     triples = 0
     for _ in range(250):
         ns = random_nuisance(rng)
-        plus = interval_at(ns, np.zeros(1), +1, (0.0, 1.0))
-        minus = interval_at(ns, np.zeros(1), -1, (0.0, 1.0))
+        plus = interval_at(ns, np.zeros(1), +1)
+        minus = interval_at(ns, np.zeros(1), -1)
         L = plus.lower - minus.upper
         U = plus.upper - minus.lower
         for b in (-1, 1):
             contrast = relative_contrast_pieces(
-                np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0))[1][0]
+                np.zeros((1, 1)), np.array([b]), ns)[1][0]
             action = -b if contrast > 0 else b
             prop_agree &= action == improve_rule_single(L, U, b)
             triples += 1
@@ -234,10 +234,9 @@ def test_criterion_5_closed_form_reductions():
         ns = random_nuisance(rng)
         b = int(rng.choice([-1, 1]))
         generic = relative_contrast_pieces(
-            np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0),
-            (ns, (0.0, 1.0), zero, (0.0, 0.0)))[1][0]
+            np.zeros((1, 1)), np.array([b]), ns, (ns, zero))[1][0]
         terminal &= abs(generic - relative_contrast_pieces(
-            np.zeros((1, 1)), np.array([b]), ns, (0.0, 1.0))[1][0]) < 1e-12
+            np.zeros((1, 1)), np.array([b]), ns)[1][0]) < 1e-12
     checks.append(("zero-continuation reduction exact to 1e-12", terminal))
     report_criterion(5, checks)
 

@@ -1,5 +1,7 @@
 """Partial-identification interval formulas against an independent oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,7 +57,7 @@ def psi_ends(ns, c_low, c_high):
     With P(A|Z) and E[Y|Z,A] equal in both instrument arms, psi does not
     depend on z, so the interval ends are exactly psi at C_low and C_high.
     """
-    return interval_at(ns, np.zeros(1), 1, (c_low, c_high))
+    return interval_at(dataclasses.replace(ns, outcome_range=(c_low, c_high)), np.zeros(1), 1)
 
 
 class TestPsi:
@@ -79,7 +81,7 @@ class TestMpInterval:
     def test_hand_derived_example(self):
         # independent-oracle value computed from the displayed formulas
         ns = make_nuisance(**HAND_EXAMPLE)
-        interval = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), 1)
         assert interval.lower == pytest.approx(0.34, abs=1e-12)
         assert interval.upper == pytest.approx(0.76, abs=1e-12)
         lo, hi = oracle_bounds(0.5, HAND_EXAMPLE["pa_pos"], HAND_EXAMPLE["mu"], 1, 0.0, 1.0)
@@ -89,21 +91,21 @@ class TestMpInterval:
     def test_perfect_compliance_point_identifies(self):
         mu = {(z, a): 0.42 for z in (-1, 1) for a in (-1, 1)}
         ns = make_nuisance(0.5, {-1: 1.0, 1: 1.0}, mu)
-        interval = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), 1)
         assert interval.lower == pytest.approx(0.42)
         assert interval.upper == pytest.approx(0.42)
 
     def test_vacuous_when_action_never_seen(self):
         mu = {(z, a): 0.9 for z in (-1, 1) for a in (-1, 1)}
         ns = make_nuisance(0.5, {-1: 0.0, 1: 0.0}, mu)
-        interval = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), 1)
         assert interval == Interval(0.0, 1.0)
 
     def test_crossed_interval_is_repaired(self):
         # contradictory z arms under near-perfect compliance force a crossing
         mu = {(-1, 1): 0.9, (1, 1): 0.1, (-1, -1): 0.5, (1, -1): 0.5}
         ns = make_nuisance(0.5, {-1: 1.0, 1: 1.0}, mu)
-        interval = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
+        interval = interval_at(ns, np.zeros(1), 1)
         assert interval.lower <= interval.upper
         assert interval.lower == pytest.approx(interval.upper)  # collapsed to midpoint
 
@@ -127,7 +129,7 @@ class TestMpInterval:
         # oracle ends may cross; the implementation repairs but must agree otherwise
         lo_c, hi_c = np.clip(lo, 0, 1), np.clip(hi, 0, 1)
         # through the nuisance set, and on the arrays of its values directly
-        for interval in (interval_at(ns, np.zeros(1), a, (0.0, 1.0)),
+        for interval in (interval_at(ns, np.zeros(1), a),
                          Interval(lower[0], upper[0])):
             if lo_c <= hi_c:
                 assert interval.lower == pytest.approx(lo_c, abs=1e-12)
@@ -148,10 +150,10 @@ class TestMpInterval:
         # widening [C_low, C_high] never shrinks the interval
         mu = {(z, a): mu_val for z in (-1, 1) for a in (-1, 1)}
         ns = make_nuisance(pz, {-1: pa_neg, 1: pa_pos}, mu)
-        inner = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
+        inner = interval_at(ns, np.zeros(1), 1)
         wide_ns = make_nuisance(pz, {-1: pa_neg, 1: pa_pos}, mu,
                                 outcome_range=(-widen, 1.0 + widen))
-        outer = interval_at(wide_ns, np.zeros(1), 1, (-widen, 1.0 + widen))
+        outer = interval_at(wide_ns, np.zeros(1), 1)
         assert outer.lower <= inner.lower + 1e-12
         assert outer.upper >= inner.upper - 1e-12
 
@@ -179,14 +181,14 @@ class TestArmIntervals:
             ns = history_nuisance(rng, 3, tail)
             H = rng.normal(size=(200, 3))
             arm = rng.choice([-1, 1], size=200)
-            plus, minus, n_both = arm_intervals(ns, H, tail, 1)
-            on_arm, other, n_rows = arm_intervals(ns, H, tail, arm)
+            plus, minus, n_both = arm_intervals(ns, H, 1)
+            on_arm, other, n_rows = arm_intervals(ns, H, arm)
             pos = arm == 1
             for got, (first, second) in ((on_arm, (plus, minus)), (other, (minus, plus))):
                 assert np.array_equal(got.lower, np.where(pos, first.lower, second.lower))
                 assert np.array_equal(got.upper, np.where(pos, first.upper, second.upper))
             assert n_rows == n_both
-            neg_first = arm_intervals(ns, H, tail, -1)
+            neg_first = arm_intervals(ns, H, -1)
             assert all(np.array_equal(x, y) for x, y in zip(neg_first[0] + neg_first[1],
                                                             minus + plus))
             repaired += n_rows

@@ -19,7 +19,7 @@ import ivdtr.sim
 from ivdtr.bounds import arm_intervals
 from ivdtr.cli import run
 from ivdtr.data import dataset_from_arrays, save_csv
-from ivdtr.dtr_core import dtr_from_json
+from ivdtr.dtr_core import dtr_from_json, dtr_to_json
 from ivdtr.nuisance import NumericalError
 from ivdtr.sim import SimConfig, generate
 
@@ -79,12 +79,13 @@ def write_contrast_sign_policy(path):
     return path
 
 
-def split_policy(feature=0, threshold=0.0, leaf=1):
+def split_policy(feature=0, threshold=0.0, leaf=1, root=0, left=None):
     """A two-stage policy document whose stage 1 is one split and stage 2 a
-    constant +1."""
-    tree = {"type": "tree", "max_depth": 1, "root": {"node": 0},
+    constant +1; root is the split's node index and left its left child, a -1
+    leaf unless given."""
+    tree = {"type": "tree", "max_depth": 1, "root": {"node": root},
             "nodes": [{"feature": feature, "threshold": threshold,
-                       "left": {"leaf": -1}, "right": {"leaf": leaf}}]}
+                       "left": left or {"leaf": -1}, "right": {"leaf": leaf}}]}
     return {"kind": "iv_optimal", "stages": [tree, {"type": "constant", "label": 1}]}
 
 
@@ -181,7 +182,7 @@ class TestFit:
             widths = []
             for H, est in fits:
                 if est.stage == entry["stage"]:
-                    plus, minus, _ = arm_intervals(est.nuisance, H, est.rule.tail, 1)
+                    plus, minus, _ = arm_intervals(est.nuisance, H, 1)
                     widths += [plus.upper - plus.lower, minus.upper - minus.lower]
             widths = np.concatenate(widths)
             assert entry["interval_width_quantiles"] == {
@@ -349,6 +350,13 @@ class TestEvaluate:
         assert run(["evaluate", "--policy", str(path), "--out", str(out)]) == 2
         assert "policy has 3 stages, expected 2" in read_error(capsys)["error"]
         assert not out.exists()
+
+    def test_integer_lambda_is_a_scalar_weight(self, tmp_path):
+        doc = {**split_policy(), "lambda": 1}
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        assert run(["evaluate", "--policy", str(path), "--out", str(tmp_path / "eval.json")]) == 0
+        assert dtr_to_json(dtr_from_json(doc))["lambda"] == 1.0
 
     def test_truncated_policy_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -570,8 +578,15 @@ class TestExitCodes:
         ({"kind": "constant", "stages": [{"type": "constant", "label": 4}] * 2},
          "malformed {what} JSON: label"),
         (split_policy(feature=7), "feature 7 is past a 2-column history"),
+        ({"kind": "iv_optimal", "stages": [{"type": "tree", "max_depth": 1, "root": {"node": 3},
+                                            "nodes": []}, {"type": "constant", "label": 1}]},
+         "malformed {what} JSON: node"),
+        (split_policy(root=-1), "malformed {what} JSON: node"),
+        (split_policy(left={"node": 0}), "malformed {what} JSON: node"),
+        ({**split_policy(), "lambda": True}, "malformed {what} JSON"),
     ], ids=["contrast_sign", "negative_feature", "fractional_feature", "nan_threshold",
-            "inf_threshold", "leaf_label_0", "constant_label_4", "feature_past_history"])
+            "inf_threshold", "leaf_label_0", "constant_label_4", "feature_past_history",
+            "node_out_of_range", "negative_node", "cyclic_node", "bool_lambda"])
     def test_malformed_policy_file_exits_2(self, tmp_path, sim_csv, capsys, policy, error):
         path = tmp_path / "policy.json"
         if policy == "contrast_sign":
@@ -611,6 +626,18 @@ class TestExitCodes:
         config = write_config(tmp_path, "cfg.json", {**doc, "out": str(out), "crossfit": -1})
         assert run([command, "--config", str(config)]) == 2
         assert "crossfit must be >= 0" in read_error(capsys)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    @pytest.mark.parametrize("key, value", [("c1", float("nan")), ("c1", float("inf")),
+                                            ("xi", float("nan")), ("xi", float("inf"))])
+    def test_non_finite_c1_or_xi_exits_2(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "out.json"
+        doc = {"evaluate": {"policy": "std"},
+               "simulate": {"replications": 1, "n_train": 200}}[command]
+        config = write_config(tmp_path, "cfg.json", {**doc, "out": str(out), key: value})
+        assert run([command, "--config", str(config)]) == 2
+        assert f"{key} must be positive and finite" in read_error(capsys)["error"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "simulate"])

@@ -184,7 +184,7 @@ class TestPolicyStages:
     def test_sign_of_contrast_tie_is_positive(self):
         mu = {(z, a): 0.5 for z in (-1, 1) for a in (-1, 1)}
         ns = synthetic_nuisance(0.5, {-1: 0.5, 1: 0.5}, mu, (0.0, 1.0))
-        stage = SignOfContrast(ns, (0.0, 1.0), 0.5)
+        stage = SignOfContrast(ns, 0.5)
         assert stage.decide(np.zeros(2))[0] == 1
 
     def test_sign_with_tie(self):
@@ -246,7 +246,7 @@ class TestBackwardInduct:
         estimates, q_rule = backward_induct(models, WeightSpec.minmax())
         for est in estimates:
             H = models[est.stage - 1].H
-            plus, minus, _ = arm_intervals(est.nuisance, H, est.rule.tail, 1)
+            plus, minus, _ = arm_intervals(est.nuisance, H, 1)
             q_pos, q_neg = weighted_q(plus, 0.5), weighted_q(minus, 0.5)
             assert np.all(plus.lower <= q_pos + 1e-12)
             assert np.all(q_pos <= plus.upper + 1e-12)
@@ -255,7 +255,7 @@ class TestBackwardInduct:
             np.testing.assert_allclose(est.contrast, q_pos - q_neg)
             np.testing.assert_array_equal(
                 est.widths, np.concatenate([plus.upper - plus.lower, minus.upper - minus.lower]))
-            _, value = fit_stage(est.nuisance, H, est.rule.tail, est.rule.lam, est.stage)
+            _, value = fit_stage(est.nuisance, H, est.rule.lam, est.stage)
             np.testing.assert_array_equal(
                 value, np.where(sign_with_tie(est.contrast) == 1, q_pos, q_neg))
         # q-rule agrees with training-sample contrasts and signs at every history
@@ -272,12 +272,10 @@ class TestBackwardInduct:
         worst, _ = backward_induct(models, WeightSpec.worst())
         best, _ = backward_induct(models, WeightSpec.best())
         for est in worst:
-            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H,
-                                           est.rule.tail, 1)
+            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H, 1)
             np.testing.assert_allclose(est.contrast, plus.lower - minus.lower)
         for est in best:
-            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H,
-                                           est.rule.tail, 1)
+            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H, 1)
             np.testing.assert_allclose(est.contrast, plus.upper - minus.upper)
 
     def test_stage1_pseudo_outcome_range(self):
@@ -285,7 +283,7 @@ class TestBackwardInduct:
         models = fit_stage_models(ds, BOUNDS2)
         estimates, _ = backward_induct(models, WeightSpec.minmax())
         stage2 = estimates[1]
-        _, value = fit_stage(stage2.nuisance, models[1].H, stage2.rule.tail, stage2.rule.lam, 2)
+        _, value = fit_stage(stage2.nuisance, models[1].H, stage2.rule.lam, 2)
         assert np.all(value >= 0.0) and np.all(value <= 1.0)
         po = pseudo_outcomes(ds.rewards(1), value)
         assert np.all(po >= 0.0) and np.all(po <= 2.0)
@@ -305,8 +303,8 @@ class TestBackwardInduct:
         action = sign_with_tie(est.contrast)
         # decision-for-decision equal to the min-max rule from the same intervals
         for i in range(k1.n):
-            plus = interval_at(est.nuisance, H[i], +1, (0.0, 1.0))
-            minus = interval_at(est.nuisance, H[i], -1, (0.0, 1.0))
+            plus = interval_at(est.nuisance, H[i], +1)
+            minus = interval_at(est.nuisance, H[i], -1)
             direct = weighted_q(plus, 0.5) - weighted_q(minus, 0.5)
             assert sign_with_tie(np.array([direct]))[0] == action[i]
 
@@ -373,8 +371,8 @@ class TestBackwardInduct:
         mu_pos, mu_neg = 0.65, 0.35
         mu = {(1, 1): mu_pos, (-1, 1): mu_pos, (1, -1): mu_neg, (-1, -1): mu_neg}
         ns = synthetic_nuisance(0.5, {-1: 0.0, 1: 1.0}, mu, (0.0, 1.0))
-        plus = interval_at(ns, np.zeros(1), +1, (0.0, 1.0))
-        minus = interval_at(ns, np.zeros(1), -1, (0.0, 1.0))
+        plus = interval_at(ns, np.zeros(1), +1)
+        minus = interval_at(ns, np.zeros(1), -1)
         contrast = weighted_q(plus, 0.5) - weighted_q(minus, 0.5)
         assert contrast == pytest.approx(0.75 * (mu_pos - mu_neg) - 0.25, abs=1e-12)
 

@@ -59,9 +59,9 @@ class TestRelativeContrastStageK:
             ns = random_nuisance(rng)
             h = np.zeros(1)
             for a_base in (-1, 1):
-                got = relative_contrast_pieces(ONE_ROW, np.array([a_base]), ns, (0.0, 1.0))[1][0]
-                flip = interval_at(ns, h, -a_base, (0.0, 1.0))
-                base = interval_at(ns, h, a_base, (0.0, 1.0))
+                got = relative_contrast_pieces(ONE_ROW, np.array([a_base]), ns)[1][0]
+                flip = interval_at(ns, h, -a_base)
+                base = interval_at(ns, h, a_base)
                 assert got == pytest.approx(flip.lower - base.upper, abs=1e-12)
 
     def test_positive_contrast_means_flip_is_safe(self):
@@ -73,18 +73,18 @@ class TestRelativeContrastStageK:
             mu_by_cell={(1, 1): 0.9, (-1, 1): 1.0, (1, -1): 0.2, (-1, -1): 0.2},
             outcome_range=(0.0, 1.0),
         )
-        flip = interval_at(ns, np.zeros(1), +1, (0.0, 1.0))
+        flip = interval_at(ns, np.zeros(1), +1)
         assert (flip.lower, flip.upper) == pytest.approx((0.7, 0.9), abs=1e-12)
-        base = interval_at(ns, np.zeros(1), -1, (0.0, 1.0))
-        got = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns, (0.0, 1.0))[1][0]
+        base = interval_at(ns, np.zeros(1), -1)
+        got = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns)[1][0]
         assert got == pytest.approx(flip.lower - base.upper, abs=1e-12)
 
     def test_identical_arms_keep_baseline(self):
         ns = synthetic_nuisance(
             0.5, {-1: 0.5, 1: 0.5},
             {(z, a): 0.6 for z in (-1, 1) for a in (-1, 1)}, (0.0, 1.0))
-        contrast = relative_contrast_pieces(ONE_ROW, np.array([1]), ns, (0.0, 1.0))[1][0]
-        arm = interval_at(ns, np.zeros(1), 1, (0.0, 1.0))
+        contrast = relative_contrast_pieces(ONE_ROW, np.array([1]), ns)[1][0]
+        arm = interval_at(ns, np.zeros(1), 1)
         assert contrast == pytest.approx(arm.lower - arm.upper, abs=1e-12)
         assert contrast < 0
 
@@ -94,9 +94,9 @@ class TestRelativeContrastStageK:
         ns = synthetic_nuisance(
             0.5, {-1: 0.0, 1: 1.0},
             {(1, 1): 1.0, (-1, 1): 0.0, (-1, -1): 0.0, (1, -1): 0.0}, (0.0, 1.0))
-        assert interval_at(ns, np.zeros(1), +1, (0.0, 1.0)) == pytest.approx((0.5, 1.0))
-        assert interval_at(ns, np.zeros(1), -1, (0.0, 1.0)) == pytest.approx((0.0, 0.5))
-        contrast = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns, (0.0, 1.0))[1][0]
+        assert interval_at(ns, np.zeros(1), +1) == pytest.approx((0.5, 1.0))
+        assert interval_at(ns, np.zeros(1), -1) == pytest.approx((0.0, 0.5))
+        contrast = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns)[1][0]
         assert contrast == pytest.approx(0.0, abs=1e-12)
         # tie -> keep: a strictly positive contrast is required for a flip
         assert not contrast > 0
@@ -112,10 +112,9 @@ class TestRelativeContrastStagek:
             ns = random_nuisance(rng)
             for a_base in (-1, 1):
                 generic = relative_contrast_pieces(
-                    ONE_ROW, np.array([a_base]), ns, (0.0, 1.0),
-                    (ns, (0.0, 1.0), zero, (0.0, 0.0)))[1][0]
+                    ONE_ROW, np.array([a_base]), ns, (ns, zero))[1][0]
                 terminal = relative_contrast_pieces(
-                    ONE_ROW, np.array([a_base]), ns, (0.0, 1.0))[1][0]
+                    ONE_ROW, np.array([a_base]), ns)[1][0]
                 assert generic == pytest.approx(terminal, abs=1e-12)
 
     def test_constant_rewards_keep_baseline(self):
@@ -128,8 +127,7 @@ class TestRelativeContrastStagek:
             {(z, a): 0.0 for z in (-1, 1) for a in (-1, 1)}, (0.0, 0.0))
         for a_base in (-1, 1):
             c = relative_contrast_pieces(
-                ONE_ROW, np.array([a_base]), ns, (0.0, 1.0),
-                (ns, (0.0, 1.0), zero, (0.0, 0.0)))[1][0]
+                ONE_ROW, np.array([a_base]), ns, (ns, zero))[1][0]
             assert c <= 0.0
 
 
@@ -141,12 +139,12 @@ class TestSingleStageAgreement:
         for _ in range(200):
             ns = random_nuisance(rng)
             h = np.zeros(1)
-            plus = interval_at(ns, h, +1, (0.0, 1.0))
-            minus = interval_at(ns, h, -1, (0.0, 1.0))
+            plus = interval_at(ns, h, +1)
+            minus = interval_at(ns, h, -1)
             L = plus.lower - minus.upper
             U = plus.upper - minus.lower
             for b in (-1, 1):
-                contrast = relative_contrast_pieces(ONE_ROW, np.array([b]), ns, (0.0, 1.0))[1][0]
+                contrast = relative_contrast_pieces(ONE_ROW, np.array([b]), ns)[1][0]
                 action = -b if contrast > 0 else b
                 assert action == improve_rule_single(L, U, b)
 
@@ -164,8 +162,8 @@ class TestSingleStageAgreement:
             nuisance_fit, _ = backward_induct(models, WeightSpec.minmax())
             ns = nuisance_fit[0].nuisance
             for i in range(ds.n):
-                plus = interval_at(ns, H[i], +1, (0.0, 1.0))
-                minus = interval_at(ns, H[i], -1, (0.0, 1.0))
+                plus = interval_at(ns, H[i], +1)
+                minus = interval_at(ns, H[i], -1)
                 L = plus.lower - minus.upper
                 U = plus.upper - minus.lower
                 assert est.improved_action[i] == improve_rule_single(L, U, b)

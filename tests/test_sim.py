@@ -98,6 +98,11 @@ class TestGenerate:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             SimConfig(c1=0.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="c1 must be positive and finite"):
+                SimConfig(c1=value)
+            with pytest.raises(ValueError, match="xi must be positive and finite"):
+                SimConfig(xi=value)
         with pytest.raises(ValueError, match="n_eval"):
             SimConfig(n_eval=0)
         with pytest.raises(ValueError, match="crossfit"):
