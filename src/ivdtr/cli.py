@@ -75,7 +75,7 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"{what} file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from None
-    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deeply nested
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
@@ -225,7 +225,7 @@ def _load_policy(spec: str, num_stages: int, what: str) -> Dtr:
     doc = _read_json(spec, what)
     try:
         policy = dtr_from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"malformed {what} JSON: {exc}") from None
     if policy.num_stages != num_stages:
         raise ConfigError(f"{what} has {policy.num_stages} stages, expected {num_stages}")

@@ -38,43 +38,42 @@ class Leaf:
     label: int
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    feature: int
-    threshold: float
-    left: Union["TreeNode", Leaf]   # taken when h[feature] < threshold
-    right: Union["TreeNode", Leaf]
+Child = Union[Leaf, int]  # a leaf, or the index of a node in its tree's node array
 
 
 @dataclass(frozen=True)
 class TreeRule:
-    root: Union[TreeNode, Leaf]
+    """A tree as its node array: nodes[i] is (feature, threshold, left, right), and
+    left is taken when h[feature] < threshold. Every node index, the root's and
+    each child's, points past its parent's, so parents come before children."""
+
+    nodes: tuple[tuple[int, float, Child, Child], ...]
+    root: Child
     max_depth: int
     degenerate: bool = False  # set when all training weights were zero
 
     def decide(self, H: np.ndarray) -> np.ndarray:
         H = np.atleast_2d(np.asarray(H, dtype=float))
+        for feature, _, _, _ in self.nodes:
+            if feature >= H.shape[1]:
+                raise DataError(f"tree feature {feature} is past a {H.shape[1]}-column history")
         out = np.empty(H.shape[0], dtype=int)
-        self._fill(self.root, H, np.arange(H.shape[0]), out)
+        stack = [(self.root, np.arange(H.shape[0]))]
+        while stack:
+            child, idx = stack.pop()
+            if isinstance(child, Leaf):
+                out[idx] = child.label
+            elif idx.size:
+                feature, threshold, left, right = self.nodes[child]
+                go_left = H[idx, feature] < threshold
+                stack += [(left, idx[go_left]), (right, idx[~go_left])]
         return out
 
-    def _fill(self, node, H, idx, out) -> None:
-        if isinstance(node, Leaf):
-            out[idx] = node.label
-            return
-        if node.feature >= H.shape[1]:
-            raise DataError(f"tree feature {node.feature} is past a {H.shape[1]}-column history")
-        go_left = H[idx, node.feature] < node.threshold
-        self._fill(node.left, H, idx[go_left], out)
-        self._fill(node.right, H, idx[~go_left], out)
-
     def depth(self) -> int:
-        def _d(node):
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(_d(node.left), _d(node.right))
-
-        return _d(self.root)
+        below: list[int] = [0] * len(self.nodes)  # each node's subtree depth, filled last to first
+        for i in reversed(range(len(self.nodes))):
+            below[i] = 1 + max(0 if isinstance(c, Leaf) else below[c] for c in self.nodes[i][2:])
+        return 0 if isinstance(self.root, Leaf) else below[self.root]
 
 
 def _leaf_stats(labels: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
@@ -125,7 +124,8 @@ def _best_split(X, labels, weights, min_leaf_weight):
     return best
 
 
-def _grow(X, labels, weights, depth, min_leaf_weight):
+def _grow(X, labels, weights, depth, min_leaf_weight, nodes: list) -> Child:
+    """Append the subtree's nodes to nodes, each before its children; return its root."""
     label, node_loss = _leaf_stats(labels, weights)
     if depth <= 0 or node_loss <= 0.0:
         return Leaf(label)
@@ -134,9 +134,12 @@ def _grow(X, labels, weights, depth, min_leaf_weight):
         return Leaf(label)
     _, _, feature, threshold = found
     go_left = X[:, feature] < threshold
-    left = _grow(X[go_left], labels[go_left], weights[go_left], depth - 1, min_leaf_weight)
-    right = _grow(X[~go_left], labels[~go_left], weights[~go_left], depth - 1, min_leaf_weight)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+    index = len(nodes)
+    nodes.append(None)
+    left, right = (_grow(X[rows], labels[rows], weights[rows], depth - 1, min_leaf_weight, nodes)
+                   for rows in (go_left, ~go_left))
+    nodes[index] = (feature, threshold, left, right)
+    return index
 
 
 def fit_weighted_tree(
@@ -161,11 +164,12 @@ def fit_weighted_tree(
         raise ValueError("labels must be +/-1")
     total = float(np.sum(weights))
     if total <= 0.0:
-        return TreeRule(root=Leaf(1), max_depth=depth, degenerate=True)
+        return TreeRule(nodes=(), root=Leaf(1), max_depth=depth, degenerate=True)
     if min_leaf_weight is None:
         min_leaf_weight = MIN_LEAF_WEIGHT_FRACTION * total
-    root = _grow(X, labels, weights, depth, min_leaf_weight)
-    return TreeRule(root=root, max_depth=depth)
+    nodes: list = []
+    root = _grow(X, labels, weights, depth, min_leaf_weight, nodes)
+    return TreeRule(nodes=tuple(nodes), root=root, max_depth=depth)
 
 
 # ------------------------------ policy stages ------------------------------
@@ -217,9 +221,6 @@ class Dtr:
         if not 1 <= k <= self.num_stages:
             raise ValueError(f"stage index {k} out of range 1..{self.num_stages}")
         return self.stages[k - 1].decide(H)
-
-    def action(self, k: int, h: np.ndarray) -> int:
-        return int(self.action_matrix(k, np.atleast_2d(h))[0])
 
 
 def constant_dtr(label: int, num_stages: int, kind: str = "constant") -> Dtr:
@@ -307,56 +308,42 @@ def backward_induct(
 # ------------------------------ serialization ------------------------------
 
 
-def _tree_nodes_to_json(node, nodes: list) -> dict:
-    """Flatten the tree into a node array; children are leaves or node indices."""
-    if isinstance(node, Leaf):
-        return {"leaf": node.label}
-    entry = {"feature": node.feature, "threshold": node.threshold}
-    index = len(nodes)
-    nodes.append(entry)
-    entry["left"] = _tree_nodes_to_json(node.left, nodes)
-    entry["right"] = _tree_nodes_to_json(node.right, nodes)
-    return {"node": index}
+def _is_a(value, kind) -> bool:
+    """Whether a JSON value is a kind (int, or int or float) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _label_from_json(label) -> int:
-    if label not in (-1, 1):
+    if not _is_a(label, (int, float)) or label not in (-1, 1):
         raise ValueError(f"label must be +/-1, got {label!r}")
     return int(label)
 
 
-def _tree_from_json(ref: dict, nodes: list, parent: int = -1):
-    """The subtree at ref. A node index must exceed its parent's (-1 at the root), as
-    dtr_to_json writes parents first; so no reference is out of range or cyclic."""
+def _child_to_json(child: Child) -> dict:
+    return {"leaf": child.label} if isinstance(child, Leaf) else {"node": child}
+
+
+def _child_from_json(ref: dict, parent: int, size: int) -> Child:
+    """A leaf, or a node index past its parent's (-1 at the root) and below size; so
+    no reference is out of range or cyclic."""
     if "leaf" in ref:
         return Leaf(_label_from_json(ref["leaf"]))
     index = ref["node"]
-    if not isinstance(index, int) or isinstance(index, bool) or not parent < index < len(nodes):
-        raise ValueError(f"node {index!r} is not an index in {parent + 1}..{len(nodes) - 1}")
-    entry = nodes[index]
-    feature, threshold = entry["feature"], float(entry["threshold"])
-    if not isinstance(feature, int) or isinstance(feature, bool) or feature < 0:
-        raise ValueError(f"feature must be a nonnegative integer, got {feature!r}")
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_tree_from_json(entry["left"], nodes, index),
-        right=_tree_from_json(entry["right"], nodes, index),
-    )
+    if not _is_a(index, int) or not parent < index < size:
+        raise ValueError(f"node {index!r} is not an index in {parent + 1}..{size - 1}")
+    return index
 
 
 def _stage_to_json(stage: PolicyStage) -> dict:
     if isinstance(stage, ConstantRule):
         return {"type": "constant", "label": stage.label}
     if isinstance(stage, TreeRule):
-        nodes: list = []
-        root = _tree_nodes_to_json(stage.root, nodes)
         return {
             "type": "tree",
-            "nodes": nodes,
-            "root": root,
+            "nodes": [{"feature": feature, "threshold": threshold, "left": _child_to_json(left),
+                       "right": _child_to_json(right)}
+                      for feature, threshold, left, right in stage.nodes],
+            "root": _child_to_json(stage.root),
             "max_depth": stage.max_depth,
             "degenerate": stage.degenerate,
         }
@@ -367,14 +354,25 @@ def _stage_from_json(doc: dict) -> PolicyStage:
     kind = doc["type"]
     if kind == "constant":
         return ConstantRule(label=_label_from_json(doc["label"]))
-    if kind == "tree":
-        root = _tree_from_json(doc["root"], doc["nodes"])
-        return TreeRule(
-            root=root,
-            max_depth=int(doc["max_depth"]),
-            degenerate=bool(doc.get("degenerate", False)),
-        )
-    raise ValueError(f"unknown stage type '{kind}'")
+    if kind != "tree":
+        raise ValueError(f"unknown stage type '{kind}'")
+    entries, nodes = doc["nodes"], []
+    for i, entry in enumerate(entries):
+        feature, threshold = entry["feature"], entry["threshold"]
+        if not _is_a(feature, int) or feature < 0:
+            raise ValueError(f"feature must be a nonnegative integer, got {feature!r}")
+        if not _is_a(threshold, (int, float)) or not math.isfinite(threshold):
+            raise ValueError(f"threshold must be a finite number, got {threshold!r}")
+        nodes.append((feature, float(threshold), _child_from_json(entry["left"], i, len(entries)),
+                      _child_from_json(entry["right"], i, len(entries))))
+    tree = TreeRule(nodes=tuple(nodes), root=_child_from_json(doc["root"], -1, len(entries)),
+                    max_depth=doc["max_depth"], degenerate=doc.get("degenerate", False))
+    if not _is_a(tree.max_depth, int) or tree.max_depth < tree.depth():
+        raise ValueError(f"max_depth must be an integer >= the tree's depth {tree.depth()}, "
+                         f"got {tree.max_depth!r}")
+    if not isinstance(tree.degenerate, bool):
+        raise ValueError(f"degenerate must be true or false, got {tree.degenerate!r}")
+    return tree
 
 
 def dtr_to_json(dtr: Dtr) -> dict:
@@ -390,10 +388,13 @@ def dtr_to_json(dtr: Dtr) -> dict:
 
 
 def dtr_from_json(doc: dict) -> Dtr:
-    lam_doc = doc.get("lambda")
-    lam = None
-    if lam_doc is not None:
-        scalar = isinstance(lam_doc, (int, float)) and not isinstance(lam_doc, bool)
-        lam = WeightSpec(float(lam_doc) if scalar else tuple(lam_doc))
     stages = tuple(_stage_from_json(s) for s in doc["stages"])
-    return Dtr(stages=stages, kind=str(doc.get("kind", "constant")), lam=lam)
+    lam, kind = doc.get("lambda"), doc.get("kind", "constant")
+    if lam is not None:
+        per_stage = isinstance(lam, list) and len(lam) == len(stages)
+        if not all(_is_a(v, (int, float)) for v in (lam if per_stage else [lam])):
+            raise ValueError(f"lambda must be null, a number or one number per stage, got {lam!r}")
+        lam = WeightSpec(tuple(lam) if per_stage else lam)
+    if not isinstance(kind, str):
+        raise ValueError(f"kind must be a string, got {kind!r}")
+    return Dtr(stages=stages, kind=kind, lam=lam)

@@ -31,7 +31,7 @@ from scipy.special import expit
 from .bounds import RewardBounds, WeightSpec
 from .crossfit import fit_ivoptimal_crossfit
 from .data import DataError, Dataset, dataset_from_arrays
-from .dtr_core import (ConstantRule, Dtr, TreeNode, TreeRule, constant_dtr, fit_weighted_tree,
+from .dtr_core import (ConstantRule, Dtr, TreeRule, constant_dtr, fit_weighted_tree,
                        sign_with_tie)
 from .improve import fit_ivimproved
 from .nuisance import (DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models,
@@ -163,13 +163,10 @@ def _quadrature(policy: Dtr, config: SimConfig) -> tuple[np.ndarray, np.ndarray]
     in x1 between the feature-0 cuts and the stage-1 signal threshold, and the
     midpoint of each cell between the feature-1 cuts in x2."""
     cuts = {0: {config.stage1_signal_threshold}, 1: set()}
-    nodes = [stage.root for stage in policy.stages if isinstance(stage, TreeRule)]
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, TreeNode):
-            if node.feature in cuts:  # a1 and r1 splits are enumerated by the integrand
-                cuts[node.feature].add(node.threshold)
-            nodes += [node.left, node.right]
+    for stage in policy.stages:
+        for feature, threshold, _, _ in stage.nodes if isinstance(stage, TreeRule) else ():
+            if feature in cuts:  # a1 and r1 splits are enumerated by the integrand
+                cuts[feature].add(threshold)
     edges1, edges2 = (np.array([-1.0, *sorted(t for t in cuts[j] if -1.0 < t < 1.0), 1.0])
                       for j in (0, 1))
     t, w = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)

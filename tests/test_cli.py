@@ -79,13 +79,13 @@ def write_contrast_sign_policy(path):
     return path
 
 
-def split_policy(feature=0, threshold=0.0, leaf=1, root=0, left=None):
+def split_policy(feature=0, threshold=0.0, leaf=1, root=0, left=None, **tree_keys):
     """A two-stage policy document whose stage 1 is one split and stage 2 a
     constant +1; root is the split's node index and left its left child, a -1
-    leaf unless given."""
+    leaf unless given; tree_keys override or add stage 1's other keys."""
     tree = {"type": "tree", "max_depth": 1, "root": {"node": root},
             "nodes": [{"feature": feature, "threshold": threshold,
-                       "left": left or {"leaf": -1}, "right": {"leaf": leaf}}]}
+                       "left": left or {"leaf": -1}, "right": {"leaf": leaf}}], **tree_keys}
     return {"kind": "iv_optimal", "stages": [tree, {"type": "constant", "label": 1}]}
 
 
@@ -364,6 +364,13 @@ class TestEvaluate:
         assert run(["evaluate", "--policy", str(bad)]) == 2
         assert "not valid JSON" in read_error(capsys)["error"]
 
+    def test_deeply_nested_policy_json(self, tmp_path, capsys):
+        # the JSON decoder recurses once per level of nesting
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(["evaluate", "--policy", str(bad)]) == 2
+        assert "policy is not valid JSON" in read_error(capsys)["error"]
+
     def test_missing_policy_key(self, capsys):
         assert run(["evaluate"]) == 2
         assert "policy" in read_error(capsys)["error"]
@@ -584,9 +591,28 @@ class TestExitCodes:
         (split_policy(root=-1), "malformed {what} JSON: node"),
         (split_policy(left={"node": 0}), "malformed {what} JSON: node"),
         ({**split_policy(), "lambda": True}, "malformed {what} JSON"),
+        (split_policy(max_depth=0), "malformed {what} JSON: max_depth"),
+        (split_policy(max_depth=-3), "malformed {what} JSON: max_depth"),
+        (split_policy(max_depth="2"), "malformed {what} JSON: max_depth"),
+        (split_policy(max_depth=1.7), "malformed {what} JSON: max_depth"),
+        ({**split_policy(), "lambda": [True, False]}, "malformed {what} JSON: lambda"),
+        ({**split_policy(), "lambda": ["0.5", "0.5"]}, "malformed {what} JSON: lambda"),
+        ({**split_policy(), "lambda": [0.5]}, "malformed {what} JSON: lambda"),
+        (split_policy(leaf=True), "malformed {what} JSON: label"),
+        ({"kind": "constant", "stages": [{"type": "constant", "label": True}] * 2},
+         "malformed {what} JSON: label"),
+        (split_policy(threshold="0.25"), "malformed {what} JSON: threshold"),
+        (split_policy(threshold=True), "malformed {what} JSON: threshold"),
+        (split_policy(threshold=10 ** 400), "malformed {what} JSON"),
+        (split_policy(degenerate="no"), "malformed {what} JSON: degenerate"),
+        ({**split_policy(), "kind": 5}, "malformed {what} JSON: kind"),
     ], ids=["contrast_sign", "negative_feature", "fractional_feature", "nan_threshold",
             "inf_threshold", "leaf_label_0", "constant_label_4", "feature_past_history",
-            "node_out_of_range", "negative_node", "cyclic_node", "bool_lambda"])
+            "node_out_of_range", "negative_node", "cyclic_node", "bool_lambda",
+            "max_depth_0", "negative_max_depth", "string_max_depth", "fractional_max_depth",
+            "bool_lambda_array", "string_lambda_array", "short_lambda_array",
+            "bool_leaf_label", "bool_constant_label", "string_threshold", "bool_threshold",
+            "huge_int_threshold", "string_degenerate", "number_kind"])
     def test_malformed_policy_file_exits_2(self, tmp_path, sim_csv, capsys, policy, error):
         path = tmp_path / "policy.json"
         if policy == "contrast_sign":
@@ -602,6 +628,33 @@ class TestExitCodes:
         assert run(["evaluate", "--policy", str(path), "--out", str(out)]) == 2
         assert error.format(what="policy") in read_error(capsys)["error"]
         assert not out.exists()
+
+    def test_deep_and_shared_reference_trees_evaluate(self, tmp_path):
+        # a 1,500-node chain, and 40 nodes whose two children are both the next
+        # node: 2**40 root-to-leaf paths that only the last split decides
+        def tree_policy(nodes):
+            tree = {"type": "tree", "nodes": nodes, "root": {"node": 0},
+                    "max_depth": len(nodes), "degenerate": False}
+            return {"kind": "iv_optimal", "lambda": 0.5,
+                    "stages": [tree, {"type": "constant", "label": 1}]}
+
+        def evaluate(doc):
+            path, out = tmp_path / "policy.json", tmp_path / "value.json"
+            path.write_text(json.dumps(doc))
+            assert run(["evaluate", "--policy", str(path), "--out", str(out)]) == 0
+            return json.loads(out.read_text())["raw_value"]
+
+        def split(i, left, right):
+            return {"feature": 0, "threshold": -0.9 + 1.8 * i / 1500, "left": left,
+                    "right": right}
+
+        chain = [split(i, {"leaf": -1}, {"node": i + 1}) for i in range(1499)]
+        evaluate(tree_policy(chain + [split(1499, {"leaf": -1}, {"leaf": 1})]))
+        shared = tree_policy([split(i, {"node": i + 1}, {"node": i + 1}) for i in range(39)]
+                             + [split(39, {"leaf": -1}, {"leaf": 1})])
+        assert dtr_to_json(dtr_from_json(shared)) == shared
+        last = tree_policy([split(39, {"leaf": -1}, {"leaf": 1})])
+        assert evaluate(shared) == pytest.approx(evaluate(last), abs=1e-12)
 
     def test_sra_baseline_without_treatment_variation_exits_2(self, tmp_path, capsys):
         ds, _ = generate(SimConfig(c1=4.0, xi=1.0), 400, np.random.default_rng(0))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from synth import interval_at, synthetic_nuisance, weighted_loss
 
 import ivdtr.nuisance
@@ -14,7 +16,6 @@ from ivdtr.dtr_core import (
     Dtr,
     Leaf,
     SignOfContrast,
-    TreeNode,
     TreeRule,
     backward_induct,
     constant_dtr,
@@ -98,8 +99,8 @@ class TestFitWeightedTree:
         X = np.array([[0.0], [0.1], [0.2], [0.4], [0.5], [0.9]])
         labels = np.where(X.ravel() > 0.3, 1.0, -1.0)
         tree = fit_weighted_tree(X, labels, np.ones(6), depth=1, min_leaf_weight=0.0)
-        assert isinstance(tree.root, TreeNode)
-        assert 0.2 < tree.root.threshold < 0.4
+        assert tree.root == 0 and len(tree.nodes) == 1
+        assert 0.2 < tree.nodes[0][1] < 0.4
         assert weighted_loss(tree, X, labels, np.ones(6)) == 0.0
 
     def test_zero_weights_degenerate(self):
@@ -176,8 +177,7 @@ class TestPolicyStages:
         assert ConstantRule(-1).decide(np.array([3.0, 4.0]))[0] == -1
 
     def test_tree_rule_example(self):
-        tree = TreeRule(root=TreeNode(feature=0, threshold=0.5,
-                                      left=Leaf(-1), right=Leaf(1)), max_depth=1)
+        tree = TreeRule(nodes=((0, 0.5, Leaf(-1), Leaf(1)),), root=0, max_depth=1)
         assert tree.decide(np.array([0.7, 0.0]))[0] == 1
         assert tree.decide(np.array([0.2, 0.0]))[0] == -1
 
@@ -403,11 +403,8 @@ class TestProjectPolicy:
 
 class TestSerialization:
     def test_tree_and_constant_roundtrip(self):
-        tree = TreeRule(
-            root=TreeNode(0, 0.5, Leaf(-1),
-                          TreeNode(1, -0.25, Leaf(1), Leaf(-1))),
-            max_depth=2,
-        )
+        tree = TreeRule(nodes=((0, 0.5, Leaf(-1), 1), (1, -0.25, Leaf(1), Leaf(-1))),
+                        root=0, max_depth=2)
         dtr = Dtr(stages=(tree, ConstantRule(-1)), kind="iv_optimal",
                   lam=WeightSpec(0.5))
         doc = json.loads(json.dumps(dtr_to_json(dtr)))
@@ -419,6 +416,45 @@ class TestSerialization:
                                       dtr.action_matrix(1, H))
         np.testing.assert_array_equal(back.action_matrix(2, H),
                                       dtr.action_matrix(2, H))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_node_arrays_roundtrip(self, data):
+        # any valid node array, shared children and unreachable nodes included,
+        # writes back as the same document and decides as a per-row walk does
+        n = data.draw(st.integers(0, 8))
+
+        def child(parent):
+            leaf = st.sampled_from([-1, 1]).map(lambda label: {"leaf": label})
+            if parent + 1 == n:
+                return data.draw(leaf)
+            return data.draw(leaf | st.integers(parent + 1, n - 1).map(lambda i: {"node": i}))
+
+        nodes = [{"feature": data.draw(st.integers(0, 2)),
+                  "threshold": data.draw(st.floats(-2.0, 2.0)),
+                  "left": child(i), "right": child(i)} for i in range(n)]
+        tree = {"type": "tree", "nodes": nodes, "root": child(-1), "max_depth": n,
+                "degenerate": data.draw(st.booleans())}
+        unit = st.floats(0.0, 1.0)
+        doc = {"kind": "iv_optimal", "stages": [tree],
+               "lambda": data.draw(st.none() | unit | st.lists(unit, min_size=1, max_size=1))}
+        dtr = dtr_from_json(doc)
+        assert dtr_to_json(dtr) == doc
+        assert dtr_from_json(json.loads(json.dumps(doc))) == dtr
+
+        def walk(ref, h):
+            while "node" in ref:
+                node = nodes[ref["node"]]
+                ref = node["left" if h[node["feature"]] < node["threshold"] else "right"]
+            return ref["leaf"]
+
+        def depth(ref):
+            return 0 if "leaf" in ref else 1 + max(depth(nodes[ref["node"]][side])
+                                                    for side in ("left", "right"))
+
+        H = np.random.default_rng(n).uniform(-2.5, 2.5, size=(50, 3))
+        assert dtr.action_matrix(1, H).tolist() == [walk(tree["root"], h) for h in H]
+        assert dtr.stages[0].depth() == depth(tree["root"])
 
     def test_sign_rule_is_not_serialized(self):
         # the sign rule holds fitted models; only trees and constants are files
@@ -434,4 +470,4 @@ class TestSerialization:
     def test_constant_dtr_kind(self):
         dtr = constant_dtr(-1, 2, kind="std")
         assert dtr.kind == "std"
-        assert dtr.action(1, np.zeros(3)) == -1
+        assert dtr.action_matrix(1, np.zeros(3)).tolist() == [-1]

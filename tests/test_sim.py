@@ -14,7 +14,7 @@ from ivdtr.bounds import WeightSpec
 from ivdtr.crossfit import fit_ivoptimal_crossfit
 from ivdtr.data import DataError
 from ivdtr.dtr_core import (
-    Dtr, Leaf, SignOfContrast, TreeNode, TreeRule, backward_induct, constant_dtr,
+    Dtr, Leaf, SignOfContrast, TreeRule, backward_induct, constant_dtr,
 )
 from ivdtr.nuisance import fit_stage_models
 from ivdtr.sim import (
@@ -135,8 +135,8 @@ class TestTrueValue:
 
     def test_tree_policy_matches_quadrature_oracle(self):
         # stage-2 rule splits on r1; stage-1 rule splits on x1
-        stage1 = TreeRule(root=TreeNode(0, 0.2, Leaf(-1), Leaf(1)), max_depth=1)
-        stage2 = TreeRule(root=TreeNode(3, 0.5, Leaf(-1), Leaf(1)), max_depth=1)
+        stage1 = TreeRule(nodes=((0, 0.2, Leaf(-1), Leaf(1)),), root=0, max_depth=1)
+        stage2 = TreeRule(nodes=((3, 0.5, Leaf(-1), Leaf(1)),), root=0, max_depth=1)
         policy = Dtr(stages=(stage1, stage2), kind="constant")
         cfg = SimConfig(c1=4.0, xi=2.0)
         oracle = quadrature_policy_value(policy, 2.0)
@@ -178,13 +178,18 @@ class TestTrueValue:
 
 def random_tree(rng, n_features, depth=2):
     """A random tree of depth <= 2 with thresholds in (-1, 1)."""
+    nodes = []
+
     def grow(level):
         if level == depth or (level > 0 and rng.random() < 0.3):
             return Leaf(int(rng.choice([-1, 1])))
-        return TreeNode(int(rng.integers(n_features)), float(rng.uniform(-1, 1)),
-                        grow(level + 1), grow(level + 1))
+        index = len(nodes)
+        nodes.append([int(rng.integers(n_features)), float(rng.uniform(-1, 1))])
+        nodes[index] += [grow(level + 1), grow(level + 1)]
+        return index
 
-    return TreeRule(root=grow(0), max_depth=depth)
+    root = grow(0)
+    return TreeRule(nodes=tuple(map(tuple, nodes)), root=root, max_depth=depth)
 
 
 def random_policy(rng):
@@ -218,8 +223,8 @@ class TestQuadrature:
 
     def test_signal_threshold_cut_matches_quadrature_oracle(self):
         # treated on x1 >= -0.9, so R1's signal jumps at the threshold 0.3
-        stage1 = TreeRule(root=TreeNode(0, -0.9, Leaf(-1), Leaf(1)), max_depth=1)
-        stage2 = TreeRule(root=TreeNode(3, 0.5, Leaf(1), Leaf(-1)), max_depth=1)
+        stage1 = TreeRule(nodes=((0, -0.9, Leaf(-1), Leaf(1)),), root=0, max_depth=1)
+        stage2 = TreeRule(nodes=((3, 0.5, Leaf(1), Leaf(-1)),), root=0, max_depth=1)
         policy = Dtr(stages=(stage1, stage2))
         cfg = SimConfig(c1=4.0, xi=2.0, stage1_signal_threshold=0.3)
         exact = true_value(policy, cfg).raw_value
