@@ -16,19 +16,21 @@ to the midpoint, with a diagnostic count.
 
 mp_bounds_matrix is this formula on arrays of the conditional quantities alone,
 with the arm a free to differ by row; it makes no model calls.
-arm_intervals predicts each model of a NuisanceSet once and bounds an arm
-(+1, -1, or one per row) and the other arm from them, on the set's outcome_range.
+arm_intervals predicts each model of a NuisanceSet once, bounds both arms on the
+set's outcome_range, and selects an arm (+1, -1, or one per row) and the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import DataError
-from .nuisance import NuisanceSet
+
+if TYPE_CHECKING:  # nuisance imports this module for StageModels.intervals
+    from .nuisance import NuisanceSet
 
 
 class Interval(NamedTuple):
@@ -202,20 +204,26 @@ def arm_intervals(
     arm over nuisance.outcome_range, and the total repair count of both.
 
     P(Z=+1|H), P(A=+1|H,Z=z) for each z and the four outcome cells are each
-    predicted once; each arm's inputs are selected from them row by row.
+    predicted once, and both arms are bounded on every row.
     """
     pz_pos = nuisance.pz_pos(H)
     pa_pos = [nuisance.pa_pos(H, z) for z in (-1, 1)]
-    mu = {(z, a): nuisance.mu_val(H, z, a) for z in (-1, 1) for a in (-1, 1)}
+    bounded = [mp_bounds_matrix(pz_pos, tuple(p if a == 1 else 1.0 - p for p in pa_pos),
+                                tuple(nuisance.mu_val(H, z, a) for z in (-1, 1)),
+                                nuisance.outcome_range) for a in (1, -1)]
+    plus, minus = (Interval(lower, upper) for lower, upper, _ in bounded)
+    return (*select_arm(plus, minus, arm), bounded[0][2] + bounded[1][2])
+
+
+def select_arm(plus: Interval, minus: Interval, arm) -> tuple[Interval, Interval]:
+    """Per-row intervals on arm (+1, -1, or one +/-1 per row) and on the other
+    arm, row by row from the intervals on +1 and on -1 (a scalar arm orders the
+    two, uncopied)."""
+    if np.ndim(arm) == 0:
+        return (plus, minus) if arm == 1 else (minus, plus)
     on_pos = np.asarray(arm) == 1
-    intervals, n_repaired = [], 0
-    for pos in (on_pos, ~on_pos):
-        p_a = tuple(np.where(pos, p, 1.0 - p) for p in pa_pos)
-        mu_a = tuple(np.where(pos, mu[(z, 1)], mu[(z, -1)]) for z in (-1, 1))
-        lower, upper, repaired = mp_bounds_matrix(pz_pos, p_a, mu_a, nuisance.outcome_range)
-        intervals.append(Interval(lower, upper))
-        n_repaired += repaired
-    return intervals[0], intervals[1], n_repaired
+    return tuple(Interval(*(np.where(pos, p, m) for p, m in zip(plus, minus)))
+                 for pos in (on_pos, ~on_pos))
 
 
 def weighted_q(interval: Interval, lam: float):

@@ -59,11 +59,14 @@ _JSON_TYPES = {"string": str, "boolean": bool, "integer": int, "number": (int, f
 
 
 def _valid(value, kinds: str) -> bool:
-    """Whether a JSON value is of one of the kinds; a bool is no number."""
+    """Whether a JSON value is of one of the kinds; a bool is no number, nor is
+    an integer past the largest float."""
     if isinstance(value, bool):
         return "boolean" in kinds
     if isinstance(value, list) and "number array" in kinds:
         return all(_valid(v, "number") for v in value)
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "integer" in kinds
     return any(isinstance(value, _JSON_TYPES[kind]) for kind in kinds.split(" or "))
 
 
@@ -121,9 +124,11 @@ def _require(config: dict, key: str):
 
 def _reward_bounds(config: dict) -> RewardBounds:
     pairs = _require(config, "reward_bounds")
+    if not all(_valid(p, "number array") and len(p) == 2 for p in pairs):
+        raise ConfigError(f"reward_bounds must be [low, high] number pairs: {json.dumps(pairs)}")
     try:
         return RewardBounds.from_pairs(pairs)
-    except (TypeError, ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad reward_bounds: {exc}") from None
 
 

@@ -262,15 +262,15 @@ def pseudo_outcomes(rewards_k: np.ndarray, next_values: np.ndarray) -> np.ndarra
 
 
 def fit_stage(
+    models: StageModels,
     nuisance: NuisanceSet,
-    histories: np.ndarray,
     lambda_k: float,
     stage: int,
 ) -> tuple[StageQEstimate, np.ndarray]:
-    """Step I at one stage: intervals at +/-1 on the nuisance's outcome_range and
-    their contrast; returns the estimate and each sample's value under its sign."""
+    """Step I at one stage: intervals at +/-1 on the models' rows (once per nuisance)
+    and their contrast; returns the estimate and each sample's value under its sign."""
     rule = SignOfContrast(nuisance=nuisance, lam=float(lambda_k))
-    plus, minus, n_repaired = arm_intervals(nuisance, histories, 1)
+    plus, minus, n_repaired = models.intervals(nuisance, 1)
     q_pos, q_neg = weighted_q(plus, rule.lam), weighted_q(minus, rule.lam)
     contrast = q_pos - q_neg
     widths = np.concatenate([plus.upper - plus.lower, minus.upper - minus.lower])
@@ -300,7 +300,7 @@ def backward_induct(
             outcomes = np.clip(pseudo_outcomes(stage.r, next_value), tail[0], tail[1])
             nuisance = fit_stage_nuisance(stage, outcomes, tail,
                                           is_binary_outcome(outcomes, tail))
-        estimates[k - 1], next_value = fit_stage(nuisance, stage.H, lam.at(k), stage=k)
+        estimates[k - 1], next_value = fit_stage(stage, nuisance, lam.at(k), k)
     q_rule = Dtr(stages=tuple(est.rule for est in estimates), kind="iv_optimal", lam=lam)
     return list(estimates), q_rule
 

@@ -16,9 +16,10 @@ baseline. The relative value propagated backwards is
 The pass reads the stage models (fit_stage_models) as its only data: they
 supply each stage's histories, ranges and instrument, treatment and
 reward-cell fits. It fits only the cells of the relative continuation and of
-the sum. Each of the three outcomes is bounded on its cells' outcome_range by
-one arm_intervals call with the baseline actions as the per-row arm, which
-gives the intervals on a' and on -a' from one prediction of each model.
+the sum; the models fit and bound each distinct outcome vector once, whatever
+the baseline. Each of the three outcomes is bounded on its cells' outcome_range
+by StageModels.intervals with the baseline actions as the per-row arm, which
+gives the intervals on a' and on -a'.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import arm_intervals
 from .dtr_core import Dtr, fit_weighted_tree
 from .nuisance import StageModels, fit_stage_nuisance
 
@@ -51,25 +51,25 @@ class RelativeStageEstimate:
 
 
 def relative_contrast_pieces(
-    H: np.ndarray,
+    models: StageModels,
     baseline_action: np.ndarray,
     reward_nuisance,
     continuation: Optional[tuple] = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(keep_lower, contrast, n_repaired) per history row.
+    """(keep_lower, contrast, n_repaired) per history row of the models.
 
     continuation is None at stage K, where the flipped arm is bounded with the
     reward nuisance and keep_lower is zero; otherwise it is
     (sum_nuisance, continuation_nuisance). Each nuisance is bounded on its own
     outcome_range. n_repaired counts repairs on both arms of every nuisance used.
     """
-    keep_r, flip_r, n_rep = arm_intervals(reward_nuisance, H, baseline_action)
+    keep_r, flip_r, n_rep = models.intervals(reward_nuisance, baseline_action)
     if continuation is None:
         flip_lower, keep_lower = flip_r.lower, np.zeros_like(flip_r.lower)
     else:
         sum_ns, cont_ns = continuation
-        _, flip_s, rep_s = arm_intervals(sum_ns, H, baseline_action)
-        keep_c, _, rep_c = arm_intervals(cont_ns, H, baseline_action)
+        _, flip_s, rep_s = models.intervals(sum_ns, baseline_action)
+        keep_c, _, rep_c = models.intervals(cont_ns, baseline_action)
         flip_lower, keep_lower = flip_s.lower, keep_c.lower
         n_rep += rep_s + rep_c
     return keep_lower, flip_lower - keep_r.upper - keep_lower, n_rep
@@ -111,7 +111,7 @@ def relative_stage_estimates(
             continuation = (sum_ns, cont_ns)
 
         keep_lower, contrast, n_rep = relative_contrast_pieces(
-            stage.H, base_action, stage.reward, continuation)
+            stage, base_action, stage.reward, continuation)
         improved = np.where(contrast > 0, -base_action, base_action).astype(int)
         relative_value = keep_lower + np.maximum(contrast, 0.0)
 

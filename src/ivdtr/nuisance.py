@@ -6,9 +6,9 @@ quantity the partial-identification bounds need:
 
 StageModels holds one stage's data, reward range and tail range, and fits
 P(Z|H), P(A|H,Z) and the reward cells on [low_k, high_k] on first read. The
-backward passes read the stage models as their only data, so each fits only
-the cells of its pseudo-outcomes, and a row subset of the models (one
-cross-fitting complement) fits its own.
+backward passes read the stage models as their only data, which fit and bound
+each distinct outcome vector once (see StageModels), and a row subset of the
+models (one cross-fitting complement) fits its own.
 
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
@@ -34,11 +34,13 @@ fits are ridge least squares with the penalty on slopes only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
+
+from .bounds import Interval, arm_intervals, select_arm
 
 RIDGE = 1e-8
 MAX_ITER = 100
@@ -189,12 +191,13 @@ def fit_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
     return LinearModel(intercept=float(theta[0]), coefficients=theta[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NuisanceSet:
     """Fitted conditional models for one stage and one outcome variable.
 
     pz models P(Z=+1|H); pa[z] models P(A=+1|H,Z=z); mu[(z, a)] models
-    E[Y|H,Z=z,A=a] with predictions clipped to outcome_range.
+    E[Y|H,Z=z,A=a] with predictions clipped to outcome_range. Compared and
+    hashed by identity, so a set is a key of its StageModels' memo.
     """
 
     pz: object
@@ -227,7 +230,12 @@ class StageModels:
 
     pz models P(Z=+1|H), pa[z] models P(A=+1|H,Z=z) and reward holds the reward
     cells on reward_range; each is fitted on first read. They depend on the data
-    alone, so every outcome vector bounded at the stage shares them."""
+    alone, so every outcome vector bounded at the stage shares them.
+
+    The private memo holds each NuisanceSet fit_stage_nuisance made here, keyed by
+    the bytes of its outcome vector and range and its outcome kind, and each set's
+    intervals on both arms at H. dataclasses.replace (a cross-fitting complement)
+    makes an instance with an empty memo, which no full-sample fit reaches."""
 
     H: np.ndarray
     z: np.ndarray
@@ -235,6 +243,7 @@ class StageModels:
     r: np.ndarray
     reward_range: tuple[float, float]
     tail: tuple[float, float]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def pz(self):
@@ -257,6 +266,13 @@ class StageModels:
     @property
     def converged(self) -> bool:
         return all(getattr(m, "converged", True) for m in (self.pz, self.pa[1], self.pa[-1]))
+
+    def intervals(self, nuisance: NuisanceSet, arm) -> tuple[Interval, Interval, int]:
+        """arm_intervals(nuisance, H, arm), from both arms bounded once per nuisance."""
+        if nuisance not in self._memo:
+            self._memo[nuisance] = arm_intervals(nuisance, self.H, 1)
+        plus, minus, n_repaired = self._memo[nuisance]
+        return (*select_arm(plus, minus, arm), n_repaired)
 
     @cached_property
     def reward(self) -> NuisanceSet:
@@ -312,7 +328,8 @@ def fit_stage_nuisance(
     outcome_range: tuple[float, float],
     binary_outcome: bool,
 ) -> NuisanceSet:
-    """Outcome cells for y on top of one stage's instrument and treatment models.
+    """Outcome cells for y on top of one stage's instrument and treatment models,
+    fitted once per distinct (y, outcome_range, binary_outcome) on the models.
 
     y must already lie inside outcome_range (up to 1e-9); callers clip
     pseudo-outcomes into their certified range before fitting.
@@ -323,10 +340,13 @@ def fit_stage_nuisance(
         raise ValueError(
             f"outcomes [{np.min(y)}, {np.max(y)}] outside declared range [{lo}, {hi}]"
         )
-    mu, mu_empty = fit_mu_cells(models, y, outcome_range, binary_outcome)
-    return NuisanceSet(
-        pz=models.pz, pa=models.pa, mu=mu,
-        outcome_range=(float(lo), float(hi)),
-        empty_cells=models.empty_cells + mu_empty,
-        converged=models.converged and all(getattr(m, "converged", True) for m in mu.values()),
-    )
+    key = (y.tobytes(), np.asarray(outcome_range, dtype=float).tobytes(), bool(binary_outcome))
+    if key not in models._memo:
+        mu, mu_empty = fit_mu_cells(models, y, outcome_range, binary_outcome)
+        models._memo[key] = NuisanceSet(
+            pz=models.pz, pa=models.pa, mu=mu,
+            outcome_range=(float(lo), float(hi)),
+            empty_cells=models.empty_cells + mu_empty,
+            converged=models.converged and all(getattr(m, "converged", True) for m in mu.values()),
+        )
+    return models._memo[key]

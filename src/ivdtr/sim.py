@@ -20,6 +20,7 @@ rules by Monte Carlo. The standard of care (-1, -1) evaluates to 1.0 exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,6 +39,10 @@ from .nuisance import (DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models,
                        is_binary_outcome)
 
 GAUSS_LEGENDRE_ORDER = 16  # quadrature nodes per X1 interval
+# nodes and weights on [-1, 1], computed on first use: at import, leggauss's eigensolver
+# would add ~1 MB to the peak memory of every command, evaluating or not
+_legendre = functools.cache(functools.partial(np.polynomial.legendre.leggauss,
+                                              GAUSS_LEGENDRE_ORDER))
 
 REGIMES = (
     "pi_b_std", "pi_up_std",
@@ -169,7 +174,7 @@ def _quadrature(policy: Dtr, config: SimConfig) -> tuple[np.ndarray, np.ndarray]
                 cuts[feature].add(threshold)
     edges1, edges2 = (np.array([-1.0, *sorted(t for t in cuts[j] if -1.0 < t < 1.0), 1.0])
                       for j in (0, 1))
-    t, w = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
+    t, w = _legendre()
     half = np.diff(edges1)[:, None] / 2.0
     x1 = (edges1[:-1, None] + half * (1.0 + t)).ravel()
     x2 = (edges2[:-1] + edges2[1:]) / 2.0

@@ -9,7 +9,7 @@ import numpy as np
 
 from ivdtr.bounds import Interval, arm_intervals
 from ivdtr.data import dataset_from_arrays, expected_header, load_csv, save_csv
-from ivdtr.nuisance import ConstantModel, NuisanceSet
+from ivdtr.nuisance import ConstantModel, NuisanceSet, StageModels
 
 
 def synthetic_nuisance(pz_pos, pa_pos_by_z, mu_by_cell, outcome_range, clip=0.0):
@@ -67,6 +67,13 @@ def interval_at(nuisance, h, a):
     """Interval for action a at one history: row 0 of arm_intervals on arm a."""
     (lower, upper), _, _ = arm_intervals(nuisance, np.atleast_2d(h), a)
     return Interval(float(lower[0]), float(upper[0]))
+
+
+def stage_rows(H):
+    """StageModels on the history rows H alone, for bounding a given nuisance there."""
+    n = H.shape[0]
+    return StageModels(H=H, z=np.ones(n), a=np.ones(n), r=np.zeros(n),
+                       reward_range=(0.0, 1.0), tail=(0.0, 1.0))
 
 
 def random_nuisance(rng, outcome_range=(0.0, 1.0)):

@@ -14,6 +14,7 @@ from synth import (
     random_nuisance,
     random_single_stage_dataset,
     random_two_stage_dataset,
+    stage_rows,
     synthetic_nuisance,
     weighted_loss,
 )
@@ -218,7 +219,7 @@ def test_criterion_5_closed_form_reductions():
         U = plus.upper - minus.lower
         for b in (-1, 1):
             contrast = relative_contrast_pieces(
-                np.zeros((1, 1)), np.array([b]), ns)[1][0]
+                stage_rows(np.zeros((1, 1))), np.array([b]), ns)[1][0]
             action = -b if contrast > 0 else b
             prop_agree &= action == improve_rule_single(L, U, b)
             triples += 1
@@ -234,9 +235,9 @@ def test_criterion_5_closed_form_reductions():
         ns = random_nuisance(rng)
         b = int(rng.choice([-1, 1]))
         generic = relative_contrast_pieces(
-            np.zeros((1, 1)), np.array([b]), ns, (ns, zero))[1][0]
+            stage_rows(np.zeros((1, 1))), np.array([b]), ns, (ns, zero))[1][0]
         terminal &= abs(generic - relative_contrast_pieces(
-            np.zeros((1, 1)), np.array([b]), ns)[1][0]) < 1e-12
+            stage_rows(np.zeros((1, 1))), np.array([b]), ns)[1][0]) < 1e-12
     checks.append(("zero-continuation reduction exact to 1e-12", terminal))
     report_criterion(5, checks)
 

@@ -812,6 +812,9 @@ class TestExitCodes:
         ("evaluate", {"out": ""}, "out"),
         ("evaluate", {"c1": [3, 4]}, "c1"),
         ("simulate", {"c1": [4.0, None]}, "c1"),
+        ("evaluate", {"c1": 10 ** 400}, "c1"),
+        ("simulate", {"xi": [1, -10 ** 400]}, "xi"),
+        ("fit", {"lambda": [0.5, 10 ** 400]}, "lambda"),
     ])
     def test_malformed_value_exits_2_naming_the_key(self, tmp_path, sim_csv, command, doc, key):
         # a separate interpreter: at fault, an integer path opens the test's own fds;
@@ -832,6 +835,32 @@ class TestExitCodes:
         assert error["code"] == 2
         assert f"'{key}'" in error["error"]
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["fit", "improve"])
+    @pytest.mark.parametrize("bounds", [
+        [[False, True], [0, True]],
+        [["0", "1"], [0, 1]],
+        [[0, 1, 7], [0, 1]],
+        [[0], [0, 1]],
+        [[0, 10 ** 400], [0, 1]],
+        [0, 1],
+        [{"low": 0, "high": 1}, [0, 1]],
+    ], ids=["bools", "strings", "three_ends", "one_end", "past_largest_float", "flat",
+            "object"])
+    def test_malformed_reward_bounds_exit_2_before_any_fit(self, tmp_path, sim_csv, capsys,
+                                                           monkeypatch, command, bounds):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_stage_models ran")
+
+        monkeypatch.setattr(ivdtr.cli, "fit_stage_models", no_fit)
+        out = tmp_path / "out.json"
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": bounds, "out": str(out),
+            **({"baseline": "std"} if command == "improve" else {}),
+        })
+        assert run([command, "--config", str(config)]) == 2
+        assert "reward_bounds must be [low, high] number pairs" in read_error(capsys)["error"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [
         ("fit", "depth"), ("fit", "crossfit"), ("fit", "lambda"),

@@ -11,7 +11,9 @@ import ivdtr.crossfit
 from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.crossfit import crossfit_stage_contrasts, fit_ivoptimal_crossfit
 from ivdtr.data import Dataset, assign_batches
-from ivdtr.dtr_core import Dtr, backward_induct, dtr_to_json, fit_weighted_tree, sign_with_tie
+from ivdtr.dtr_core import (Dtr, backward_induct, constant_dtr, dtr_to_json, fit_weighted_tree,
+                            sign_with_tie)
+from ivdtr.improve import relative_stage_estimates
 from ivdtr.nuisance import fit_stage_models
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
@@ -78,6 +80,23 @@ class TestCrossfitStageContrasts:
         for est in fits:
             np.testing.assert_allclose(est.contrast, estimates[est.stage - 1].contrast,
                                        atol=1e-9)
+
+    def test_complement_starts_with_an_empty_memo(self):
+        # after the full-sample models have fitted and bounded every outcome
+        # of a lambda pass and an improvement pass, a complement made the way
+        # crossfit_stage_contrasts makes one carries none of it
+        ds = random_two_stage_dataset(np.random.default_rng(5), n=120)
+        models = fit_stage_models(ds, BOUNDS2)
+        backward_induct(models, LAM)
+        relative_stage_estimates(models, constant_dtr(-1, 2))
+        rows = np.arange(ds.n) % 3 != 0
+        for stage in models:
+            assert stage._memo
+            complement = dataclasses.replace(stage, H=stage.H[rows], z=stage.z[rows],
+                                             a=stage.a[rows], r=stage.r[rows])
+            assert complement._memo == {}
+            assert not {"pz", "pa", "reward"} & set(vars(complement))
+            assert complement.reward.pz is not stage.reward.pz
 
     def test_single_batch_rejected(self):
         ds = random_two_stage_dataset(np.random.default_rng(2), n=40)

@@ -255,7 +255,7 @@ class TestBackwardInduct:
             np.testing.assert_allclose(est.contrast, q_pos - q_neg)
             np.testing.assert_array_equal(
                 est.widths, np.concatenate([plus.upper - plus.lower, minus.upper - minus.lower]))
-            _, value = fit_stage(est.nuisance, H, est.rule.lam, est.stage)
+            _, value = fit_stage(models[est.stage - 1], est.nuisance, est.rule.lam, est.stage)
             np.testing.assert_array_equal(
                 value, np.where(sign_with_tie(est.contrast) == 1, q_pos, q_neg))
         # q-rule agrees with training-sample contrasts and signs at every history
@@ -283,7 +283,7 @@ class TestBackwardInduct:
         models = fit_stage_models(ds, BOUNDS2)
         estimates, _ = backward_induct(models, WeightSpec.minmax())
         stage2 = estimates[1]
-        _, value = fit_stage(stage2.nuisance, models[1].H, stage2.rule.lam, 2)
+        _, value = fit_stage(models[1], stage2.nuisance, stage2.rule.lam, 2)
         assert np.all(value >= 0.0) and np.all(value <= 1.0)
         po = pseudo_outcomes(ds.rewards(1), value)
         assert np.all(po >= 0.0) and np.all(po <= 2.0)

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from synth import interval_at, random_nuisance, random_two_stage_dataset, synthetic_nuisance
+from synth import (interval_at, random_nuisance, random_two_stage_dataset, stage_rows,
+                   synthetic_nuisance)
 
 from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.data import dataset_from_arrays
@@ -12,7 +13,7 @@ from ivdtr.nuisance import fit_stage_models
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
 BOUNDS1 = RewardBounds(lows=(0.0,), highs=(1.0,))
-ONE_ROW = np.zeros((1, 1))
+ONE_ROW = stage_rows(np.zeros((1, 1)))
 
 
 def improve_rule_single(L: float, U: float, baseline_action: int) -> int:

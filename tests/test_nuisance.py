@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 import ivdtr.nuisance
+from ivdtr.bounds import arm_intervals
 from ivdtr.data import assign_batches
 from ivdtr.nuisance import (
     RIDGE,
@@ -390,3 +391,33 @@ class TestFitStageNuisance:
             for a0 in (-1, 1):
                 vals = ns.mu_val(probe, z0, a0)
                 assert np.all(vals >= 0.0) and np.all(vals <= 2.0)
+
+    def test_models_fit_and_bound_each_outcome_vector_once(self, monkeypatch):
+        # equal bytes, range and kind give the same set, fitted once; any of
+        # the three differing gives a new fit; intervals() bounds a set once
+        H, z, a, y = self.compliant_data()
+        models = StageModels(H=H, z=z, a=a, r=y, reward_range=(0.0, 1.0), tail=(0.0, 2.0))
+        fits = []
+        fit_cells = ivdtr.nuisance.fit_mu_cells
+        monkeypatch.setattr(ivdtr.nuisance, "fit_mu_cells",
+                            lambda *args: fits.append(1) or fit_cells(*args))
+        first = fit_stage_nuisance(models, y, (0.0, 1.0), False)
+        assert fit_stage_nuisance(models, y.copy(), (0, 1), False) is first
+        assert len(fits) == 1
+        others = [fit_stage_nuisance(models, 1.0 - y, (0.0, 1.0), False),
+                  fit_stage_nuisance(models, y, (0.0, 2.0), False),
+                  fit_stage_nuisance(models, y, (0.0, 1.0), True)]
+        assert len(fits) == 4 and len({id(ns) for ns in [first, *others]}) == 4
+
+        bounded = []
+        bound = ivdtr.nuisance.arm_intervals
+        monkeypatch.setattr(ivdtr.nuisance, "arm_intervals",
+                            lambda *args: bounded.append(1) or bound(*args))
+        arm = np.where(np.arange(len(y)) % 3 == 0, -1, 1)
+        for per_row in (1, -1, arm, 1):
+            got = models.intervals(first, per_row)
+            expected = arm_intervals(first, H, per_row)
+            for got_end, end in zip((*got[0], *got[1]), (*expected[0], *expected[1])):
+                np.testing.assert_array_equal(got_end, end)
+            assert got[2] == expected[2]
+        assert len(bounded) == 1

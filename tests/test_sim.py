@@ -2,20 +2,23 @@
 baseline, cell runner."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from scipy.special import expit
 from synth import random_two_stage_dataset
 
+import ivdtr.bounds
 import ivdtr.nuisance
 import ivdtr.sim
 from ivdtr.bounds import WeightSpec
 from ivdtr.crossfit import fit_ivoptimal_crossfit
 from ivdtr.data import DataError
 from ivdtr.dtr_core import (
-    Dtr, Leaf, SignOfContrast, TreeRule, backward_induct, constant_dtr,
+    Dtr, Leaf, SignOfContrast, TreeRule, backward_induct, constant_dtr, dtr_to_json,
 )
+from ivdtr.improve import fit_ivimproved
 from ivdtr.nuisance import fit_stage_models
 from ivdtr.sim import (
     REGIMES,
@@ -386,3 +389,49 @@ class TestRunCell:
         ds, _ = generate(cfg, 1000, np.random.default_rng(12))
         fit_all_regimes(ds, cfg)
         assert len(calls) == 2 * 3 + 4 + 2 * 4 == 18
+
+    def test_stage_models_fit_and_bound_each_outcome_vector_once(self, monkeypatch):
+        # on the dataset above: linear fits are the 4 stage-1 cells of each of
+        # the 3 lambda passes' pseudo-outcomes, 4 in the SRA baseline, and the
+        # 4 cells of each of the 2 stage-1 improvement outcomes, which no
+        # baseline's stage 2 changes (continuation 0, sum r1), so the three
+        # baselines share them (40 fits when each refitted them). Each of the
+        # 7 outcome vectors is bounded once on both arms (36 when repeated).
+        counts = {"fit_linear": 0, "mp_bounds_matrix": 0}
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for module, name in ((ivdtr.nuisance, "fit_linear"), (ivdtr.sim, "fit_linear"),
+                             (ivdtr.bounds, "mp_bounds_matrix")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        cfg = SimConfig(c1=4.0, xi=1.0, n_train=1000, seed=5)
+        ds, _ = generate(cfg, 1000, np.random.default_rng(12))
+        fit_all_regimes(ds, cfg)
+        assert counts == {"fit_linear": 3 * 4 + 4 + 2 * 4, "mp_bounds_matrix": 2 * 7}
+
+    @pytest.mark.parametrize("xi", [1.0, 3.0])
+    def test_shared_models_fit_the_regimes_of_fresh_models(self, xi):
+        # every regime fitted on its own fit_stage_models has the policy JSON
+        # and true value, bit for bit, of fit_all_regimes on shared models
+        cfg = SimConfig(c1=4.0, xi=xi, seed=7)
+        for rep in (0, 1):
+            ds, _ = generate(cfg, cfg.n_train, np.random.default_rng([cfg.seed, rep]))
+            shared = fit_all_regimes(ds, cfg)
+            sra, _ = fit_sra_baseline(ds, cfg.depth)
+            fresh = {f"pi_up_{tag}": fit_ivimproved(fit_stage_models(ds, SIM_REWARD_BOUNDS),
+                                                    baseline, cfg.depth, baseline_id=tag)[0]
+                     for tag, baseline in (("std", constant_dtr(-1, 2, kind="std")),
+                                           ("prosp", constant_dtr(1, 2, kind="prosp")),
+                                           ("sra", sra))}
+            for name, lam in (("pi_iv_1", 1.0), ("pi_iv_0", 0.0), ("pi_iv_half", 0.5)):
+                fresh[name], _ = fit_ivoptimal_crossfit(
+                    fit_stage_models(ds, SIM_REWARD_BOUNDS), WeightSpec(lam), cfg.depth,
+                    m=cfg.crossfit_m, seed=cfg.seed)
+            for name, policy in fresh.items():
+                assert json.dumps(dtr_to_json(shared[name])) == json.dumps(dtr_to_json(policy))
+                assert true_value(shared[name], cfg).raw_value == \
+                    true_value(policy, cfg).raw_value
