@@ -20,7 +20,6 @@ from .dtr_core import (
     dtr_from_json,
     dtr_to_json,
     fit_weighted_tree,
-    pseudo_outcomes,
 )
 from .improve import fit_ivimproved, relative_stage_estimates
 from .crossfit import crossfit_stage_contrasts, fit_ivoptimal_crossfit

@@ -16,8 +16,8 @@ to the midpoint, with a diagnostic count.
 
 mp_bounds_matrix is this formula on arrays of the conditional quantities alone,
 with the arm a free to differ by row; it makes no model calls.
-arm_intervals predicts each model of a NuisanceSet once, bounds both arms on the
-set's outcome_range, and selects an arm (+1, -1, or one per row) and the other.
+arm_intervals predicts each model of a NuisanceSet once and bounds both arms on
+the set's outcome_range; each reader picks the ends it uses.
 """
 
 from __future__ import annotations
@@ -195,13 +195,9 @@ def mp_bounds_matrix(
     return lower, upper, n_repaired
 
 
-def arm_intervals(
-    nuisance: NuisanceSet,
-    H: np.ndarray,
-    arm: int | np.ndarray,
-) -> tuple[Interval, Interval, int]:
-    """Per-row intervals on arm (+1, -1, or one +/-1 per row) and on the other
-    arm over nuisance.outcome_range, and the total repair count of both.
+def arm_intervals(nuisance: NuisanceSet, H: np.ndarray) -> tuple[Interval, Interval, int]:
+    """Per-row intervals on arm +1 and on arm -1 over nuisance.outcome_range, and
+    the total repair count of both.
 
     P(Z=+1|H), P(A=+1|H,Z=z) for each z and the four outcome cells are each
     predicted once, and both arms are bounded on every row.
@@ -212,18 +208,7 @@ def arm_intervals(
                                 tuple(nuisance.mu_val(H, z, a) for z in (-1, 1)),
                                 nuisance.outcome_range) for a in (1, -1)]
     plus, minus = (Interval(lower, upper) for lower, upper, _ in bounded)
-    return (*select_arm(plus, minus, arm), bounded[0][2] + bounded[1][2])
-
-
-def select_arm(plus: Interval, minus: Interval, arm) -> tuple[Interval, Interval]:
-    """Per-row intervals on arm (+1, -1, or one +/-1 per row) and on the other
-    arm, row by row from the intervals on +1 and on -1 (a scalar arm orders the
-    two, uncopied)."""
-    if np.ndim(arm) == 0:
-        return (plus, minus) if arm == 1 else (minus, plus)
-    on_pos = np.asarray(arm) == 1
-    return tuple(Interval(*(np.where(pos, p, m) for p, m in zip(plus, minus)))
-                 for pos in (on_pos, ~on_pos))
+    return plus, minus, bounded[0][2] + bounded[1][2]
 
 
 def weighted_q(interval: Interval, lam: float):

@@ -243,9 +243,10 @@ def cmd_improve(config: dict) -> int:
     depth = config["depth"]
     tag = _require(config, "baseline")
     models = fit_stage_models(dataset, bounds)
+    baseline_converged = True   # a given baseline involves no fit
     if tag == "sra":
-        baseline, converged = fit_sra_baseline(dataset, depth)
-        _check_converged(config, [("SRA baseline", converged)])
+        baseline, baseline_converged = fit_sra_baseline(dataset, depth)
+        _check_converged(config, [("SRA baseline", baseline_converged)])
     else:
         baseline = _load_policy(tag, dataset.num_stages, "baseline policy")
     policy, estimates = fit_ivimproved(models, baseline, depth, baseline_id=tag)
@@ -257,7 +258,8 @@ def cmd_improve(config: dict) -> int:
         "n_repaired": est.n_repaired,
         "converged": est.converged,
     } for est in estimates]
-    report = {"command": "improve", "baseline": tag, "n": dataset.n}
+    report = {"command": "improve", "baseline": tag, "baseline_converged": baseline_converged,
+              "n": dataset.n}
     return _write_outputs(config, policy, report, stages)
 
 

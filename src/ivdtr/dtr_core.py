@@ -192,7 +192,7 @@ class SignOfContrast:
     lam: float
 
     def contrast(self, H: np.ndarray) -> np.ndarray:
-        plus, minus, _ = arm_intervals(self.nuisance, H, 1)
+        plus, minus, _ = arm_intervals(self.nuisance, H)
         return weighted_q(plus, self.lam) - weighted_q(minus, self.lam)
 
     def decide(self, H: np.ndarray) -> np.ndarray:
@@ -250,17 +250,6 @@ class StageQEstimate:
         return self.nuisance.converged
 
 
-def pseudo_outcomes(rewards_k: np.ndarray, next_values: np.ndarray) -> np.ndarray:
-    """Stage-k regression target: reward plus next-stage estimated value."""
-    rewards_k = np.asarray(rewards_k, dtype=float).ravel()
-    next_values = np.asarray(next_values, dtype=float).ravel()
-    if rewards_k.shape != next_values.shape:
-        raise ValueError(
-            f"length mismatch: {rewards_k.shape[0]} rewards vs {next_values.shape[0]} values"
-        )
-    return rewards_k + next_values
-
-
 def fit_stage(
     models: StageModels,
     nuisance: NuisanceSet,
@@ -270,7 +259,7 @@ def fit_stage(
     """Step I at one stage: intervals at +/-1 on the models' rows (once per nuisance)
     and their contrast; returns the estimate and each sample's value under its sign."""
     rule = SignOfContrast(nuisance=nuisance, lam=float(lambda_k))
-    plus, minus, n_repaired = models.intervals(nuisance, 1)
+    plus, minus, n_repaired = models.intervals(nuisance)
     q_pos, q_neg = weighted_q(plus, rule.lam), weighted_q(minus, rule.lam)
     contrast = q_pos - q_neg
     widths = np.concatenate([plus.upper - plus.lower, minus.upper - minus.lower])
@@ -297,7 +286,7 @@ def backward_induct(
             nuisance = stage.reward
         else:
             tail = stage.tail
-            outcomes = np.clip(pseudo_outcomes(stage.r, next_value), tail[0], tail[1])
+            outcomes = np.clip(stage.r + next_value, tail[0], tail[1])
             nuisance = fit_stage_nuisance(stage, outcomes, tail,
                                           is_binary_outcome(outcomes, tail))
         estimates[k - 1], next_value = fit_stage(stage, nuisance, lam.at(k), k)

@@ -17,9 +17,9 @@ The pass reads the stage models (fit_stage_models) as its only data: they
 supply each stage's histories, ranges and instrument, treatment and
 reward-cell fits. It fits only the cells of the relative continuation and of
 the sum; the models fit and bound each distinct outcome vector once, whatever
-the baseline. Each of the three outcomes is bounded on its cells' outcome_range
-by StageModels.intervals with the baseline actions as the per-row arm, which
-gives the intervals on a' and on -a'.
+the baseline. Each of the three outcomes is bounded on both arms on its cells'
+outcome_range by StageModels.intervals, and each end the contrast reads is
+taken per row on a' or on -a'.
 """
 
 from __future__ import annotations
@@ -63,16 +63,20 @@ def relative_contrast_pieces(
     (sum_nuisance, continuation_nuisance). Each nuisance is bounded on its own
     outcome_range. n_repaired counts repairs on both arms of every nuisance used.
     """
-    keep_r, flip_r, n_rep = models.intervals(reward_nuisance, baseline_action)
+    keep = np.asarray(baseline_action) == 1
+    plus, minus, n_rep = models.intervals(reward_nuisance)
+    keep_upper = np.where(keep, plus.upper, minus.upper)
     if continuation is None:
-        flip_lower, keep_lower = flip_r.lower, np.zeros_like(flip_r.lower)
+        flip_lower = np.where(keep, minus.lower, plus.lower)
+        keep_lower = np.zeros_like(flip_lower)
     else:
         sum_ns, cont_ns = continuation
-        _, flip_s, rep_s = models.intervals(sum_ns, baseline_action)
-        keep_c, _, rep_c = models.intervals(cont_ns, baseline_action)
-        flip_lower, keep_lower = flip_s.lower, keep_c.lower
+        plus_s, minus_s, rep_s = models.intervals(sum_ns)
+        plus_c, minus_c, rep_c = models.intervals(cont_ns)
+        flip_lower = np.where(keep, minus_s.lower, plus_s.lower)
+        keep_lower = np.where(keep, plus_c.lower, minus_c.lower)
         n_rep += rep_s + rep_c
-    return keep_lower, flip_lower - keep_r.upper - keep_lower, n_rep
+    return keep_lower, flip_lower - keep_upper - keep_lower, n_rep
 
 
 def relative_stage_estimates(

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .bounds import Interval, arm_intervals, select_arm
+from .bounds import Interval, arm_intervals
 
 RIDGE = 1e-8
 MAX_ITER = 100
@@ -267,12 +267,11 @@ class StageModels:
     def converged(self) -> bool:
         return all(getattr(m, "converged", True) for m in (self.pz, self.pa[1], self.pa[-1]))
 
-    def intervals(self, nuisance: NuisanceSet, arm) -> tuple[Interval, Interval, int]:
-        """arm_intervals(nuisance, H, arm), from both arms bounded once per nuisance."""
+    def intervals(self, nuisance: NuisanceSet) -> tuple[Interval, Interval, int]:
+        """arm_intervals(nuisance, H), computed once per nuisance."""
         if nuisance not in self._memo:
-            self._memo[nuisance] = arm_intervals(nuisance, self.H, 1)
-        plus, minus, n_repaired = self._memo[nuisance]
-        return (*select_arm(plus, minus, arm), n_repaired)
+            self._memo[nuisance] = arm_intervals(nuisance, self.H)
+        return self._memo[nuisance]
 
     @cached_property
     def reward(self) -> NuisanceSet:

@@ -64,8 +64,9 @@ def save_csv_rowwise(dataset, path):
 
 
 def interval_at(nuisance, h, a):
-    """Interval for action a at one history: row 0 of arm_intervals on arm a."""
-    (lower, upper), _, _ = arm_intervals(nuisance, np.atleast_2d(h), a)
+    """Interval for action a at one history: row 0 of arm_intervals' plus or minus."""
+    plus, minus, _ = arm_intervals(nuisance, np.atleast_2d(h))
+    lower, upper = plus if a == 1 else minus
     return Interval(float(lower[0]), float(upper[0]))
 
 

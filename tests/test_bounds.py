@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synth import interval_at, random_two_stage_dataset, synthetic_nuisance
+from synth import interval_at, random_two_stage_dataset, stage_rows, synthetic_nuisance
 
 from ivdtr.bounds import (
     Interval,
@@ -18,6 +18,7 @@ from ivdtr.bounds import (
     weighted_q,
 )
 from ivdtr.data import DataError
+from ivdtr.improve import relative_contrast_pieces
 from ivdtr.nuisance import LinearModel, LogisticModel, NuisanceSet
 
 
@@ -172,26 +173,35 @@ def history_nuisance(rng, d, outcome_range):
 
 
 class TestArmIntervals:
-    def test_per_row_arm_is_the_row_selection_of_both_arms(self):
-        rng = np.random.default_rng(7)
+    def test_contrast_pieces_select_per_row_from_both_arms(self):
+        rng, extra = np.random.default_rng(7), np.random.default_rng(8)
         repaired = 0
         for _ in range(25):
             low = rng.uniform(-1.0, 0.5)
             tail = (low, low + rng.uniform(0.1, 2.0))
             ns = history_nuisance(rng, 3, tail)
             H = rng.normal(size=(200, 3))
-            arm = rng.choice([-1, 1], size=200)
-            plus, minus, n_both = arm_intervals(ns, H, 1)
-            on_arm, other, n_rows = arm_intervals(ns, H, arm)
-            pos = arm == 1
-            for got, (first, second) in ((on_arm, (plus, minus)), (other, (minus, plus))):
-                assert np.array_equal(got.lower, np.where(pos, first.lower, second.lower))
-                assert np.array_equal(got.upper, np.where(pos, first.upper, second.upper))
-            assert n_rows == n_both
-            neg_first = arm_intervals(ns, H, -1)
-            assert all(np.array_equal(x, y) for x, y in zip(neg_first[0] + neg_first[1],
-                                                            minus + plus))
-            repaired += n_rows
+            baseline = rng.choice([-1, 1], size=200)
+            sum_ns, cont_ns = (history_nuisance(extra, 3, (low, low + extra.uniform(0.1, 2.0)))
+                               for _ in range(2))
+            (plus, minus, n_r), (plus_s, minus_s, n_s), (plus_c, minus_c, n_c) = (
+                arm_intervals(x, H) for x in (ns, sum_ns, cont_ns))
+            keep = baseline == 1
+            keep_upper = np.where(keep, plus.upper, minus.upper)
+
+            keep_lower, contrast, n_rep = relative_contrast_pieces(stage_rows(H), baseline, ns)
+            assert np.array_equal(keep_lower, np.zeros(200))
+            assert np.array_equal(contrast, np.where(keep, minus.lower, plus.lower) - keep_upper)
+            assert n_rep == n_r
+
+            keep_lower, contrast, n_rep = relative_contrast_pieces(
+                stage_rows(H), baseline, ns, (sum_ns, cont_ns))
+            expected_keep = np.where(keep, plus_c.lower, minus_c.lower)
+            assert np.array_equal(keep_lower, expected_keep)
+            assert np.array_equal(contrast, np.where(keep, minus_s.lower, plus_s.lower)
+                                  - keep_upper - expected_keep)
+            assert n_rep == n_r + n_s + n_c
+            repaired += n_rep
         assert repaired > 0  # the draws reach the midpoint repair
 
 

@@ -182,7 +182,7 @@ class TestFit:
             widths = []
             for H, est in fits:
                 if est.stage == entry["stage"]:
-                    plus, minus, _ = arm_intervals(est.nuisance, H, 1)
+                    plus, minus, _ = arm_intervals(est.nuisance, H)
                     widths += [plus.upper - plus.lower, minus.upper - minus.lower]
             widths = np.concatenate(widths)
             assert entry["interval_width_quantiles"] == {
@@ -512,6 +512,21 @@ class TestConfigSurface:
         if strict:
             assert "SRA baseline nuisance fit did not converge" in read_error(capsys)["error"]
         assert (tmp_path / "p.json").exists() == (not strict)
+
+    def test_report_shows_whether_the_baseline_converged(self, tmp_path, sim_csv, monkeypatch):
+        # without strict a non-converged SRA baseline exits 0 and shows in the
+        # report; a given baseline involves no fit
+        original = ivdtr.cli.fit_sra_baseline
+        monkeypatch.setattr(ivdtr.cli, "fit_sra_baseline",
+                            lambda *args: (original(*args)[0], False))
+        report = tmp_path / "r.json"
+        for tag, converged in (("sra", False), ("std", True), ("prosp", True)):
+            config = write_config(tmp_path, "cfg.json", {
+                "data": str(sim_csv), "reward_bounds": BOUNDS_DOC, "baseline": tag,
+                "out": str(tmp_path / "p.json"), "report": str(report),
+            })
+            assert run(["improve", "--config", str(config)]) == 0
+            assert json.loads(report.read_text())["baseline_converged"] is converged
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_strict_and_report_see_each_crossfit_complement(self, tmp_path, sim_csv, capsys,

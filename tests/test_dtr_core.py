@@ -23,7 +23,6 @@ from ivdtr.dtr_core import (
     dtr_to_json,
     fit_stage,
     fit_weighted_tree,
-    pseudo_outcomes,
     sign_with_tie,
 )
 from ivdtr.crossfit import fit_ivoptimal_crossfit
@@ -192,27 +191,6 @@ class TestPolicyStages:
             sign_with_tie(np.array([-0.5, 0.0, 2.0])), [-1, 1, 1])
 
 
-class TestPseudoOutcomes:
-    def test_definition(self):
-        np.testing.assert_allclose(
-            pseudo_outcomes(np.array([1.0, 0.0]), np.array([0.4, 0.9])), [1.4, 0.9])
-
-    def test_terminal_convention(self):
-        r = np.array([0.3, 0.9])
-        np.testing.assert_array_equal(pseudo_outcomes(r, np.zeros(2)), r)
-
-    def test_range_composition(self):
-        rng = np.random.default_rng(1)
-        r = rng.uniform(0, 1, 50)
-        v = rng.uniform(0, 1, 50)
-        po = pseudo_outcomes(r, v)
-        assert np.all(po >= 0.0) and np.all(po <= 2.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            pseudo_outcomes(np.zeros(3), np.zeros(2))
-
-
 def simulate_two_stage(n=600, seed=0):
     """Simple two-stage trajectory data with a strong instrument."""
     rng = np.random.default_rng(seed)
@@ -246,7 +224,7 @@ class TestBackwardInduct:
         estimates, q_rule = backward_induct(models, WeightSpec.minmax())
         for est in estimates:
             H = models[est.stage - 1].H
-            plus, minus, _ = arm_intervals(est.nuisance, H, 1)
+            plus, minus, _ = arm_intervals(est.nuisance, H)
             q_pos, q_neg = weighted_q(plus, 0.5), weighted_q(minus, 0.5)
             assert np.all(plus.lower <= q_pos + 1e-12)
             assert np.all(q_pos <= plus.upper + 1e-12)
@@ -272,10 +250,10 @@ class TestBackwardInduct:
         worst, _ = backward_induct(models, WeightSpec.worst())
         best, _ = backward_induct(models, WeightSpec.best())
         for est in worst:
-            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H, 1)
+            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H)
             np.testing.assert_allclose(est.contrast, plus.lower - minus.lower)
         for est in best:
-            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H, 1)
+            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H)
             np.testing.assert_allclose(est.contrast, plus.upper - minus.upper)
 
     def test_stage1_pseudo_outcome_range(self):
@@ -285,7 +263,7 @@ class TestBackwardInduct:
         stage2 = estimates[1]
         _, value = fit_stage(models[1], stage2.nuisance, stage2.rule.lam, 2)
         assert np.all(value >= 0.0) and np.all(value <= 1.0)
-        po = pseudo_outcomes(ds.rewards(1), value)
+        po = ds.rewards(1) + value
         assert np.all(po >= 0.0) and np.all(po <= 2.0)
 
     def test_k1_reduces_to_single_stage(self):

@@ -413,11 +413,10 @@ class TestFitStageNuisance:
         bound = ivdtr.nuisance.arm_intervals
         monkeypatch.setattr(ivdtr.nuisance, "arm_intervals",
                             lambda *args: bounded.append(1) or bound(*args))
-        arm = np.where(np.arange(len(y)) % 3 == 0, -1, 1)
-        for per_row in (1, -1, arm, 1):
-            got = models.intervals(first, per_row)
-            expected = arm_intervals(first, H, per_row)
-            for got_end, end in zip((*got[0], *got[1]), (*expected[0], *expected[1])):
-                np.testing.assert_array_equal(got_end, end)
-            assert got[2] == expected[2]
+        got = models.intervals(first)
+        assert all(models.intervals(first) is got for _ in range(3))
         assert len(bounded) == 1
+        expected = arm_intervals(first, H)
+        for got_end, end in zip((*got[0], *got[1]), (*expected[0], *expected[1])):
+            np.testing.assert_array_equal(got_end, end)
+        assert got[2] == expected[2]
