@@ -63,7 +63,7 @@ def relative_contrast_pieces(
     (sum_nuisance, continuation_nuisance). Each nuisance is bounded on its own
     outcome_range. n_repaired counts repairs on both arms of every nuisance used.
     """
-    keep = np.asarray(baseline_action) == 1
+    keep = baseline_action == 1
     plus, minus, n_rep = models.intervals(reward_nuisance)
     keep_upper = np.where(keep, plus.upper, minus.upper)
     if continuation is None:
