@@ -23,6 +23,7 @@ from .data import DataError
 from .nuisance import NuisanceSet, StageModels, fit_stage_nuisance, is_binary_outcome
 
 MIN_LEAF_WEIGHT_FRACTION = 0.01
+TIE_TOL = 1e-9  # tree losses and leaf masses this close, relative to the tree's weight, tie
 
 
 def sign_with_tie(values: np.ndarray) -> np.ndarray:
@@ -76,27 +77,28 @@ class TreeRule:
         return 0 if isinstance(self.root, Leaf) else below[self.root]
 
 
-def _leaf_stats(labels: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
-    """Weighted-majority leaf label (tie -> +1) and its misclassified mass."""
+def _leaf_stats(labels: np.ndarray, weights: np.ndarray, tol: float) -> tuple[int, float]:
+    """Weighted-majority leaf label (masses within tol -> +1) and its misclassified mass."""
     w_pos = float(np.sum(weights[labels > 0]))
     w_neg = float(np.sum(weights[labels < 0]))
-    if w_pos >= w_neg:
+    if w_pos >= w_neg - tol:
         return 1, w_neg
     return -1, w_pos
 
 
-def _best_split(X, labels, weights, min_leaf_weight):
+def _best_split(X, labels, weights, min_leaf_weight, tol):
     """Exhaustive (feature, adjacent-midpoint) search minimizing weighted loss.
 
-    Returns (loss, imbalance, feature, threshold) or None when no admissible
-    split exists. Ties break toward the most count-balanced split, then on
-    (feature, threshold), so impure nodes with zero-gain splits still shatter
-    within the depth budget.
+    Returns (loss, feature, threshold) or None when no admissible split exists.
+    Losses within tol of the least count as tied, so that rounding never picks
+    among splits that tie in exact arithmetic. Ties break toward the most
+    count-balanced split, then the lowest (feature, threshold), so impure nodes
+    with zero-gain splits still shatter within the depth budget.
     """
     n, d = X.shape
     w_pos = np.where(labels > 0, weights, 0.0)
     w_neg = np.where(labels < 0, weights, 0.0)
-    best = None
+    scans = []  # (feature, sorted values, cut positions, cut losses) per splittable feature
     for j in range(d):
         order = np.argsort(X[:, j], kind="stable")
         xs = X[order, j]
@@ -111,32 +113,35 @@ def _best_split(X, labels, weights, min_leaf_weight):
         admissible = ((left_pos + left_neg) >= min_leaf_weight) & (
             (right_pos + right_neg) >= min_leaf_weight
         )
-        if not np.any(admissible):
-            continue
-        loss = np.minimum(left_pos, left_neg) + np.minimum(right_pos, right_neg)
-        loss = np.where(admissible, loss, np.inf)
-        imbalance = np.abs(2 * (cut + 1) - n)
-        i = int(np.argmin(np.where(loss == np.min(loss), imbalance, np.inf)))
-        threshold = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
-        candidate = (float(loss[i]), int(imbalance[i]), j, threshold)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+        if np.any(admissible):
+            loss = np.minimum(left_pos, left_neg) + np.minimum(right_pos, right_neg)
+            scans.append((j, xs, cut, np.where(admissible, loss, np.inf)))
+    if not scans:
+        return None
+    tied_below = min(float(np.min(loss)) for _, _, _, loss in scans) + tol
+    best = None
+    for j, xs, cut, loss in scans:
+        imbalance = np.where(loss <= tied_below, np.abs(2 * (cut + 1) - n), n + 1)
+        i = int(np.argmin(imbalance))  # the first, so the lowest threshold, of the most balanced
+        if imbalance[i] <= n and (best is None or imbalance[i] < best[0]):
+            best = (int(imbalance[i]), float(loss[i]), j, 0.5 * (xs[cut[i]] + xs[cut[i] + 1]))
+    return best[1:]
 
 
-def _grow(X, labels, weights, depth, min_leaf_weight, nodes: list) -> Child:
+def _grow(X, labels, weights, depth, min_leaf_weight, tol, nodes: list) -> Child:
     """Append the subtree's nodes to nodes, each before its children; return its root."""
-    label, node_loss = _leaf_stats(labels, weights)
+    label, node_loss = _leaf_stats(labels, weights, tol)
     if depth <= 0 or node_loss <= 0.0:
         return Leaf(label)
-    found = _best_split(X, labels, weights, min_leaf_weight)
-    if found is None or found[0] > node_loss:
+    found = _best_split(X, labels, weights, min_leaf_weight, tol)
+    if found is None or found[0] > node_loss + tol:
         return Leaf(label)
-    _, _, feature, threshold = found
+    _, feature, threshold = found
     go_left = X[:, feature] < threshold
     index = len(nodes)
     nodes.append(None)
-    left, right = (_grow(X[rows], labels[rows], weights[rows], depth - 1, min_leaf_weight, nodes)
+    left, right = (_grow(X[rows], labels[rows], weights[rows], depth - 1, min_leaf_weight, tol,
+                         nodes)
                    for rows in (go_left, ~go_left))
     nodes[index] = (feature, threshold, left, right)
     return index
@@ -151,7 +156,8 @@ def fit_weighted_tree(
 ) -> TreeRule:
     """Greedy CART-style tree minimizing sum_i w_i * 1{pred(x_i) != label_i}.
 
-    min_leaf_weight defaults to 1% of the total weight.
+    min_leaf_weight defaults to 1% of the total weight. Losses and leaf masses
+    within TIE_TOL times the total weight tie (see _best_split and _leaf_stats).
     """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.asarray(labels, dtype=float).ravel()
@@ -168,7 +174,7 @@ def fit_weighted_tree(
     if min_leaf_weight is None:
         min_leaf_weight = MIN_LEAF_WEIGHT_FRACTION * total
     nodes: list = []
-    root = _grow(X, labels, weights, depth, min_leaf_weight, nodes)
+    root = _grow(X, labels, weights, depth, min_leaf_weight, TIE_TOL * total, nodes)
     return TreeRule(nodes=tuple(nodes), root=root, max_depth=depth)
 
 

@@ -159,6 +159,32 @@ class TestFitWeightedTree:
                 X, labels, weights)
             assert loss2 <= loss1 + 1e-12
 
+    @staticmethod
+    def zero_gain_design(seed):
+        # each history twice, labeled +1 and -1 with half the weight: every split
+        # leaves both children's minority mass summing to the node's exactly
+        rng = np.random.default_rng(seed)
+        X = np.repeat(rng.normal(size=(20, 3)), 2, axis=0)
+        labels = np.tile([1.0, -1.0], 20)
+        weights = np.repeat(rng.uniform(0.1, 1.0, size=20), 2) * np.tile([1.0, 0.5], 20)
+        return X, labels, weights
+
+    def test_exact_zero_gain_ties_take_the_balanced_split(self):
+        for seed in range(20):
+            X, labels, weights = self.zero_gain_design(seed)
+            tree = fit_weighted_tree(X, labels, weights, depth=1, min_leaf_weight=0.0)
+            xs = np.sort(X[:, 0])
+            assert tree.nodes[tree.root][:2] == (0, 0.5 * (xs[19] + xs[20]))
+
+    def test_last_bit_weight_noise_leaves_the_tree_unchanged(self):
+        for seed in range(20):
+            X, labels, weights = self.zero_gain_design(seed)
+            u = np.random.default_rng(100 + seed).random(weights.size)
+            for depth in (1, 2):
+                tree = fit_weighted_tree(X, labels, weights, depth, min_leaf_weight=0.0)
+                assert fit_weighted_tree(X, labels, weights * (1.0 + 1e-12 * u), depth,
+                                         min_leaf_weight=0.0) == tree
+
     def test_shatters_distinct_points(self):
         # at depth ceil(log2 n), n <= 8 distinct 1-d points are fit exactly
         rng = np.random.default_rng(21)
