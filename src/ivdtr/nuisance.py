@@ -12,24 +12,31 @@ models (one cross-fitting complement) fits its own.
 
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
-included, so separated or single-class designs stay finite). X @ theta is
-computed once per trial step, for its log-likelihood, and the accepted step's
-product gives the next gradient's fitted means, which the Hessian reuses. The
-log-likelihood takes one softplus max(t, 0) + log1p(exp(-|t|)) per row, with
-t = (1 - 2y) * eta. The Hessian's right factor is a column-major copy of X,
-made once per fit: that product is faster and has the same bits as the
-row-major one (the bit-for-bit reference test checks this against the BLAS
-in use). X stays row-major everywhere else, because a column-major left
-factor, or a column-major X in the matrix-vector products, changes the last
-bits of their sums and so the fitted outputs.
+included, so separated or single-class designs stay finite). Each fit starts
+at its labels' log-odds, theta = (log((k + 1/2) / (n - k + 1/2)), 0, ..., 0)
+with k = sum(y), so an imbalanced design does not walk its intercept out from
+0; the start reads the fit's own labels only, so a cross-fitting complement
+learns nothing from its held-out batch. X @ theta is computed once per trial
+step, for its log-likelihood, and the accepted step's product gives the next
+gradient's fitted means, which the Hessian reuses. The log-likelihood takes
+one softplus max(t, 0) + log1p(exp(-|t|)) per row, with t = (1 - 2y) * eta.
+The Hessian's right factor is a column-major copy of X, made once per fit:
+that product is faster and has the same bits as the row-major one (the
+bit-for-bit reference test checks this against the BLAS in use). X stays
+row-major everywhere else, because a column-major left factor, or a
+column-major X in the matrix-vector products, changes the last bits of their
+sums and so the fitted outputs.
 
 A fit converges when the gradient norm is at most GRAD_TOL, or when the full
 Newton step is rejected while its predicted gain grad @ step is at most
 STALL_GAIN * |ll|: ll can no longer resolve that gain, so the fit takes the
-step (near the optimum, the exact minimizer of the quadratic model) and
-stops. A step that leaves theta bitwise unchanged ends the loop with
-converged=False, as the remaining iterations would repeat it exactly. Linear
-fits are ridge least squares with the penalty on slopes only.
+step (near the optimum, the exact minimizer of the quadratic model) and stops.
+When the gradient test passes after at least one Newton step, the fit first
+takes a finishing step solve(H, grad) on the Hessian H of the previous
+iteration, so it lands on the optimum rather than up to GRAD_TOL short of it.
+A step that leaves theta bitwise unchanged ends the loop with converged=False,
+as the remaining iterations would repeat it exactly. Linear fits are ridge
+least squares with the penalty on slopes only.
 """
 
 from __future__ import annotations
@@ -135,15 +142,21 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     sign = 1.0 - 2.0 * y
     XF = np.asfortranarray(X)  # the Hessian's right factor only; see the module docstring
 
-    p = X.shape[1]
+    n, p = X.shape
+    positives = float(np.sum(y))
     theta = np.zeros(p)
+    theta[0] = np.log((positives + 0.5) / (n - positives + 0.5))  # the labels' own log-odds
     eta = X @ theta
     ridge = 2.0 * RIDGE * np.eye(p)
     ll = penalized_loglik(theta, eta, sign)
     converged = False
+    hess = None
     for _ in range(MAX_ITER):
         grad, mu = loglik_gradient(theta, eta, X, y)
         if np.linalg.norm(grad) <= GRAD_TOL:
+            if hess is not None:
+                # finishing step on the previous Hessian: the optimum, not GRAD_TOL from it
+                theta = theta + np.linalg.solve(hess, grad)
             converged = True
             break
         hess = X.T @ ((mu * (1.0 - mu))[:, None] * XF) + ridge

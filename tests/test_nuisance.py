@@ -47,18 +47,24 @@ def reference_fit_logistic(features, labels):
     """Independent Newton/IRLS with step-halving in its longest form: two
     softplus terms per row, X @ theta computed afresh for every gradient and
     mean, a row-major Hessian, and all 100 iterations run even when a step
-    leaves theta unchanged. A rejected full step whose predicted gain
-    grad @ step is at most 1e-13 * |ll| is taken as the optimum, and the fit
-    stops converged."""
+    leaves theta unchanged. It starts at the labels' log-odds. A rejected
+    full step whose predicted gain grad @ step is at most 1e-13 * |ll| is
+    taken as the optimum, and the fit stops converged; a passed gradient test
+    after a Newton step adds one finishing step on the previous Hessian."""
     X = np.hstack([np.ones((features.shape[0], 1)), features])
     y = np.asarray(labels, dtype=float)
-    p = X.shape[1]
+    n, p = X.shape
+    k = float(np.sum(y))
     theta = np.zeros(p)
+    theta[0] = np.log((k + 0.5) / (n - k + 0.5))
     ll = two_term_loglik(theta, X, y)
     converged = False
+    hess = None
     for _ in range(100):
         grad = X.T @ (y - expit(X @ theta)) - 2.0 * RIDGE * theta
         if np.linalg.norm(grad) <= 1e-8:
+            if hess is not None:
+                theta = theta + np.linalg.solve(hess, grad)
             converged = True
             break
         mu = expit(X @ theta)
@@ -98,10 +104,10 @@ def longdouble_optimum(features, labels):
 
 
 def pinned_stuck_design(xi, rep, stage, model):
-    """A simulated stage fit (c1=4, seed 0, replication rep) that reaches its
-    optimum without meeting the absolute gradient tolerance, where the full
-    Newton step's gain is below the log-likelihood's rounding: model "pz" is
-    P(Z=+1|H), model "pa-" is P(A=+1|H,Z=-1)."""
+    """A simulated stage fit (c1=4, seed 0, replication rep) whose gradient
+    norm near the optimum is about the absolute gradient tolerance, where the
+    full Newton step's gain is below the log-likelihood's rounding: model "pz"
+    is P(Z=+1|H), model "pa-" is P(A=+1|H,Z=-1)."""
     train_seed, _ = np.random.SeedSequence(entropy=0, spawn_key=(rep,)).spawn(2)
     dataset, _ = generate(SimConfig(c1=4.0, xi=xi), 1000, np.random.default_rng(train_seed))
     H, z, a = dataset.histories(stage), dataset.instruments(stage), dataset.actions(stage)
@@ -128,6 +134,23 @@ def corpus_complement_design(held_batches, model):
 PINNED_STUCK = [(1.0, 4, 1, "pa-"), (3.0, 2, 2, "pz"), (3.0, 3, 2, "pa-"), (3.0, 16, 2, "pa-")]
 
 
+def ill_scaled_design(seed):
+    """Features at scales 10^3 to 10^6, as raw incomes are: the gradient's
+    rounding floor can lie above the absolute tolerance, and then only the
+    stall stop ends the fit."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(200, 2001)), int(rng.integers(1, 5))
+    scale = 10.0 ** rng.uniform(3.0, 6.0, size=d)
+    Z = rng.normal(size=(n, d))
+    y = (rng.random(n) < expit(Z @ rng.normal(size=d))).astype(float)
+    return Z * scale, y
+
+
+ILL_SCALED = [ill_scaled_design(seed) for seed in (11, 206)]
+# fits that end by the stall stop
+STALLING = [pinned_stuck_design(*spec) for spec in PINNED_STUCK[1:]] + ILL_SCALED
+
+
 def random_design(seed):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(5, 400)), int(rng.integers(1, 5))
@@ -148,6 +171,7 @@ def newton_designs():
     yield corpus_complement_design([0], "pz")
     yield corpus_complement_design([0], "pa-")
     yield corpus_complement_design([0, 1, 2], "pz")
+    yield from ILL_SCALED
 
 
 class TestNewtonLoop:
@@ -164,8 +188,8 @@ class TestNewtonLoop:
                         reason="np.longdouble is no wider than float here")
     @pytest.mark.parametrize("spec", PINNED_STUCK)
     def test_pinned_stalled_fits_converge(self, spec, monkeypatch):
-        # the full step's gain falls below ll's rounding while the gradient
-        # norm is still above 1e-8, so only the stall stop ends these fits
+        # spec0 ends by the gradient test and the finishing step, the others
+        # by the stall stop; both must land on the optimum
         calls = {"penalized_loglik": 0, "loglik_gradient": 0}
 
         def counting(name):
@@ -183,6 +207,46 @@ class TestNewtonLoop:
         assert model.converged
         # the tracer counts these two calls as Newton iterations and ll evaluations
         assert 1 <= calls["loglik_gradient"] <= 10 and 1 <= calls["penalized_loglik"] <= 12
+        theta = np.concatenate([[model.intercept], model.coefficients])
+        optimum = longdouble_optimum(features, labels)
+        error = np.abs(theta - optimum) / np.maximum(1.0, np.abs(optimum))
+        assert float(np.max(error)) <= 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float here")
+    @pytest.mark.parametrize("design", list(newton_designs()))
+    def test_fitted_probabilities_match_the_optimum(self, design):
+        # the finishing step lands on the optimum, not GRAD_TOL short of it
+        features, labels = design
+        model = fit_logistic(features, labels)
+        X = np.hstack([np.ones((features.shape[0], 1)), features])
+        theta = np.concatenate([[model.intercept], model.coefficients])
+        optimum = longdouble_optimum(features, labels)
+        fitted_at_optimum = 1 / (1 + np.exp(-(X.astype(np.longdouble) @ optimum)))
+        assert float(np.max(np.abs(expit(X @ theta) - fitted_at_optimum))) <= 1e-11
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float here")
+    @pytest.mark.parametrize("design", STALLING)
+    def test_stall_stop_ends_the_fit_at_the_optimum(self, design, monkeypatch):
+        # a fit ends on a log-likelihood evaluation only when a rejected full
+        # step stalls; the gradient test and MAX_ITER end on a gradient
+        calls = []
+
+        def logging(name):
+            original = getattr(ivdtr.nuisance, name)
+
+            def logged(*args):
+                calls.append(name)
+                return original(*args)
+            return logged
+
+        for name in ("penalized_loglik", "loglik_gradient"):
+            monkeypatch.setattr(ivdtr.nuisance, name, logging(name))
+        features, labels = design
+        model = fit_logistic(features, labels)
+        assert model.converged and calls[-1] == "penalized_loglik"
+        assert calls.count("loglik_gradient") <= 10
         theta = np.concatenate([[model.intercept], model.coefficients])
         optimum = longdouble_optimum(features, labels)
         error = np.abs(theta - optimum) / np.maximum(1.0, np.abs(optimum))
