@@ -12,7 +12,6 @@ from .data import (
 from .dtr_core import (
     ConstantRule,
     Dtr,
-    SignOfContrast,
     StageQEstimate,
     TreeRule,
     backward_induct,

@@ -137,16 +137,21 @@ def parse_weight_spec(text: str, num_stages: int) -> WeightSpec:
     if text in named:
         return named[text]()
     if text.startswith("const:"):
-        values = [0.5] * num_stages
+        values: dict[int, float] = {}
         for part in text.split(","):
             fields = part.strip().split(":")
-            if len(fields) != 3 or fields[0] != "const":
-                raise ValueError(f"cannot parse lambda spec '{text}'")
-            stage, value = int(fields[1]), float(fields[2])
+            try:
+                if len(fields) != 3 or fields[0] != "const":
+                    raise ValueError(part)
+                stage, value = int(fields[1]), float(fields[2])
+            except ValueError:
+                raise ValueError(f"cannot parse lambda spec '{text}'") from None
             if not 1 <= stage <= num_stages:
                 raise ValueError(f"lambda spec stage {stage} out of range 1..{num_stages}")
-            values[stage - 1] = value
-        return WeightSpec(tuple(values))
+            if stage in values:
+                raise ValueError(f"lambda spec names stage {stage} twice")
+            values[stage] = value
+        return WeightSpec(tuple(values.get(k, 0.5) for k in range(1, num_stages + 1)))
     try:
         return WeightSpec(float(text))
     except ValueError:

@@ -6,7 +6,7 @@ with models that never saw the sample's own batch (Chernozhukov et al., 2018,
 "Double/debiased machine learning"). For every batch the whole backward
 induction, value propagation included, runs on the row subset of the stage
 models that is the batch complement, which fits its own models; the fitted
-stage rules then score the held-out batch's histories.
+stage estimates then score the held-out batch's histories.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ def crossfit_stage_contrasts(
         # a new StageModels carries no fit, so the complement fits its own
         complement = tuple(dataclasses.replace(s, H=s.H[rows], z=s.z[rows], a=s.a[rows],
                                                r=s.r[rows]) for s in models)
-        estimates, rule = backward_induct(complement, lam)
+        estimates = backward_induct(complement, lam)
         fits += estimates
-        for stage, contrast, sign_rule in zip(models, out, rule.stages):
-            contrast[held] = sign_rule.contrast(stage.H[held])
+        for stage, contrast, est in zip(models, out, estimates):
+            contrast[held] = est.contrast_at(stage.H[held])
     return tuple(out), fits
 
 
@@ -68,7 +68,7 @@ def fit_ivoptimal_crossfit(
     if m < 0:
         raise ValueError(f"crossfit must be >= 0, got {m}")
     if m < 2:
-        estimates, _ = backward_induct(models, lam)
+        estimates = backward_induct(models, lam)
         contrasts = [est.contrast for est in estimates]
     else:
         n = len(models[0].r)

@@ -3,7 +3,7 @@
 Step I fits, stage by stage from the last to the first, partial-identification
 intervals for each action's (pseudo-)outcome, combines them with the stage
 weight into a scalar Q value, and records the contrast between the two
-actions. Step II projects each stage's sign-of-contrast rule onto depth-limited
+actions. Step II projects the sign of each stage's contrast onto depth-limited
 classification trees by weighted 0/1 loss. Both steps read the stage models
 (fit_stage_models) as their only data.
 
@@ -190,22 +190,7 @@ class ConstantRule:
         return np.full(H.shape[0], self.label, dtype=int)
 
 
-@dataclass(frozen=True)
-class SignOfContrast:
-    """A stage's weighted-Q contrast on its nuisance's outcome_range; decides by its sign."""
-
-    nuisance: NuisanceSet
-    lam: float
-
-    def contrast(self, H: np.ndarray) -> np.ndarray:
-        plus, minus, _ = arm_intervals(self.nuisance, H)
-        return weighted_q(plus, self.lam) - weighted_q(minus, self.lam)
-
-    def decide(self, H: np.ndarray) -> np.ndarray:
-        return sign_with_tie(self.contrast(H))
-
-
-PolicyStage = Union[TreeRule, ConstantRule, SignOfContrast]
+PolicyStage = Union[TreeRule, ConstantRule]
 
 
 @dataclass(frozen=True)
@@ -238,22 +223,24 @@ def constant_dtr(label: int, num_stages: int, kind: str = "constant") -> Dtr:
 
 @dataclass(frozen=True)
 class StageQEstimate:
-    """One stage's fit: its sign rule, per-sample contrast, interval widths
-    (arm +1's, then arm -1's) and repair count."""
+    """One stage's fit: its nuisance and weight, per-sample contrast, interval
+    widths (arm +1's, then arm -1's) and repair count."""
 
     stage: int
-    rule: SignOfContrast
+    nuisance: NuisanceSet
+    lam: float
     contrast: np.ndarray
     widths: np.ndarray
     n_repaired: int
 
     @property
-    def nuisance(self) -> NuisanceSet:
-        return self.rule.nuisance
-
-    @property
     def converged(self) -> bool:
         return self.nuisance.converged
+
+    def contrast_at(self, H: np.ndarray) -> np.ndarray:
+        """The weighted-Q contrast at histories H, on the nuisance's outcome_range."""
+        plus, minus, _ = arm_intervals(self.nuisance, H)
+        return weighted_q(plus, self.lam) - weighted_q(minus, self.lam)
 
 
 def fit_stage(
@@ -264,22 +251,22 @@ def fit_stage(
 ) -> tuple[StageQEstimate, np.ndarray]:
     """Step I at one stage: intervals at +/-1 on the models' rows (once per nuisance)
     and their contrast; returns the estimate and each sample's value under its sign."""
-    rule = SignOfContrast(nuisance=nuisance, lam=float(lambda_k))
+    lam = float(lambda_k)
     plus, minus, n_repaired = models.intervals(nuisance)
-    q_pos, q_neg = weighted_q(plus, rule.lam), weighted_q(minus, rule.lam)
+    q_pos, q_neg = weighted_q(plus, lam), weighted_q(minus, lam)
     contrast = q_pos - q_neg
     widths = np.concatenate([plus.upper - plus.lower, minus.upper - minus.lower])
-    estimate = StageQEstimate(stage=stage, rule=rule, contrast=contrast, widths=widths,
-                              n_repaired=n_repaired)
+    estimate = StageQEstimate(stage=stage, nuisance=nuisance, lam=lam, contrast=contrast,
+                              widths=widths, n_repaired=n_repaired)
     return estimate, np.where(contrast >= 0, q_pos, q_neg)
 
 
 def backward_induct(
     models: Sequence[StageModels],
     lam: WeightSpec,
-) -> tuple[list[StageQEstimate], Dtr]:
+) -> list[StageQEstimate]:
     """Step I over k = K..1 on fit_stage_models(dataset, reward_bounds) (entry
-    k-1 for stage k); returns stage estimates and the sign-rule policy.
+    k-1 for stage k); returns the stage estimates.
 
     Stage K bounds the reward with the models' reward cells.
     """
@@ -296,8 +283,7 @@ def backward_induct(
             nuisance = fit_stage_nuisance(stage, outcomes, tail,
                                           is_binary_outcome(outcomes, tail))
         estimates[k - 1], next_value = fit_stage(stage, nuisance, lam.at(k), k)
-    q_rule = Dtr(stages=tuple(est.rule for est in estimates), kind="iv_optimal", lam=lam)
-    return list(estimates), q_rule
+    return list(estimates)
 
 
 # ------------------------------ serialization ------------------------------
@@ -332,17 +318,15 @@ def _child_from_json(ref: dict, parent: int, size: int) -> Child:
 def _stage_to_json(stage: PolicyStage) -> dict:
     if isinstance(stage, ConstantRule):
         return {"type": "constant", "label": stage.label}
-    if isinstance(stage, TreeRule):
-        return {
-            "type": "tree",
-            "nodes": [{"feature": feature, "threshold": threshold, "left": _child_to_json(left),
-                       "right": _child_to_json(right)}
-                      for feature, threshold, left, right in stage.nodes],
-            "root": _child_to_json(stage.root),
-            "max_depth": stage.max_depth,
-            "degenerate": stage.degenerate,
-        }
-    raise TypeError(f"cannot serialize stage {type(stage)!r}")
+    return {
+        "type": "tree",
+        "nodes": [{"feature": feature, "threshold": threshold, "left": _child_to_json(left),
+                   "right": _child_to_json(right)}
+                  for feature, threshold, left, right in stage.nodes],
+        "root": _child_to_json(stage.root),
+        "max_depth": stage.max_depth,
+        "degenerate": stage.degenerate,
+    }
 
 
 def _stage_from_json(doc: dict) -> PolicyStage:

@@ -1,4 +1,4 @@
-"""IV-improvement operator: never worse than a baseline policy, possibly better.
+"""IV-improvement operator: flip a baseline action only where the gain is certified.
 
 The per-stage relative contrast stored here uses the flip-positive convention:
 
@@ -9,7 +9,9 @@ where a' is the baseline action at h, lower/upper are partial-identification
 interval ends for the subscripted outcome, and V is the next stage's relative
 value. A strictly positive contrast means even the worst case of flipping the
 baseline action beats its best case, so the improved rule flips; ties keep the
-baseline. The relative value propagated backwards is
+baseline. The depth-limited tree fitted to the improved actions can still
+depart from the baseline on rows the rule keeps, so the fitted policy can fall
+below the baseline. The relative value propagated backwards is
 
   V(h) = keep(h) + max(0, C(h)),   keep_K = 0,  keep_k = lower_V(h, a').
 

@@ -13,9 +13,9 @@ Per trajectory, with confounding level xi and instrument strength c1:
 A policy's value is one integrand over (X1, X2), the expectation over (U1, R1,
 U2) enumerated exactly. Outcomes depend on the covariates only through X1 and
 tree and constant stages are constant on the cells cut by their thresholds, so
-such policies are integrated by quadrature (Gauss-Legendre in X1 between the
-cuts, cell midpoints in X2), exact to rounding; in-memory sign-of-contrast
-rules by Monte Carlo. The standard of care (-1, -1) evaluates to 1.0 exactly.
+policies are integrated by quadrature (Gauss-Legendre in X1 between the cuts,
+cell midpoints in X2), exact to rounding. The standard of care (-1, -1)
+evaluates to 1.0 exactly.
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ class SimConfig:
             raise ValueError("xi must be positive and finite")
         if self.n_train < 1:
             raise ValueError("n_train must be >= 1")
+        if self.depth < 0:
+            raise ValueError("depth must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_eval < 1:
             raise ValueError("n_eval must be >= 1")
         if self.replications < 1:
@@ -188,7 +192,7 @@ def true_value(policy: Dtr, config: SimConfig, x: Optional[np.ndarray] = None) -
     Without x, a policy of tree and constant stages is integrated by quadrature:
     monte_carlo_se is 0.0 and the report's n_eval counts the nodes. With x, an
     (n, 2) array of (x1, x2) points, the value is their Monte Carlo average
-    (common random numbers across regimes); a sign-of-contrast rule needs x.
+    (common random numbers across regimes); any other stage needs x.
     """
     if policy.num_stages != 2:
         raise ValueError("the evaluator handles two-stage policies")

@@ -194,10 +194,10 @@ def test_criterion_5_closed_form_reductions():
     decisions = 0
     for _ in range(5):
         ds = random_single_stage_dataset(rng, n=100)
-        estimates, q_rule = backward_induct(fit_stage_models(ds, BOUNDS1), WeightSpec.minmax())
+        estimates = backward_induct(fit_stage_models(ds, BOUNDS1), WeightSpec.minmax())
         ns = estimates[0].nuisance
         H = ds.histories(1)
-        rule_actions = q_rule.action_matrix(1, H)
+        rule_actions = sign_with_tie(estimates[0].contrast_at(H))
         for i in range(ds.n):
             plus = interval_at(ns, H[i], +1)
             minus = interval_at(ns, H[i], -1)
@@ -336,10 +336,10 @@ def test_criterion_8_crossfit_leakage():
         j = int(rng.integers(0, m))
         held = np.flatnonzero(batch == j)
         scrambled = scramble_batch(ds, held, rng)
-        _, refit = backward_induct(
+        refit = backward_induct(
             fit_stage_models(scrambled.subset(np.flatnonzero(batch != j)), BOUNDS2), lam)
         held_set = ds.subset(held)
         for k in (1, 2):
             clean &= bool(np.array_equal(
-                base[k - 1][held], refit.stages[k - 1].contrast(held_set.histories(k))))
+                base[k - 1][held], refit[k - 1].contrast_at(held_set.histories(k))))
     report_criterion(8, [("out-of-batch contrasts bit-identical on 20 trials", clean)])

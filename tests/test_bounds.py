@@ -272,3 +272,9 @@ class TestWeightSpec:
             parse_weight_spec("nope", 2)
         with pytest.raises(ValueError):
             parse_weight_spec("worst", 2)
+        assert parse_weight_spec("const:2:0.9", 2).values == (0.5, 0.9)
+        with pytest.raises(ValueError, match="names stage 1 twice"):
+            parse_weight_spec("const:1:0.2,const:1:0.9", 2)
+        for text in ("const:x:0.2", "const:1:y", "const:1", "const:1:0.2:3", "const:1:0.2,2:0.3"):
+            with pytest.raises(ValueError, match=f"^cannot parse lambda spec '{text}'$"):
+                parse_weight_spec(text, 2)

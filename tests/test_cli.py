@@ -161,14 +161,14 @@ class TestFit:
 
     def test_crossfit_report_pools_complement_widths(self, tmp_path, sim_csv, monkeypatch):
         # each stage's width quantiles are taken over the intervals of both
-        # arms in every batch-complement induction, recomputed from its rules
+        # arms in every batch-complement induction, recomputed from its estimates
         original = ivdtr.crossfit.backward_induct
         fits = []
 
         def recorded(models, *args, **kwargs):
-            estimates, rule = original(models, *args, **kwargs)
+            estimates = original(models, *args, **kwargs)
             fits.extend((models[est.stage - 1].H, est) for est in estimates)
-            return estimates, rule
+            return estimates
 
         monkeypatch.setattr(ivdtr.crossfit, "backward_induct", recorded)
         report = tmp_path / "r.json"
@@ -204,7 +204,7 @@ class TestImprove:
             assert 0.0 <= stage["deviation_fraction"] <= 1.0
 
     def test_baseline_fixed_point(self, tmp_path, sim_csv):
-        # improving the freshly fit sign rule deviates (almost) nowhere
+        # improving the freshly fit policy deviates (almost) nowhere
         fitted = tmp_path / "fit.json"
         config = write_config(tmp_path, "cfg.json", {
             "data": str(sim_csv), "reward_bounds": BOUNDS_DOC,
@@ -537,14 +537,13 @@ class TestConfigSurface:
         calls = []
 
         def first_unconverged(models, *args, **kwargs):
-            estimates, rule = original(models, *args, **kwargs)
+            estimates = original(models, *args, **kwargs)
             calls.append(len(models[0].r))
             if len(calls) == 1:
                 est = estimates[1]
-                nuisance = dataclasses.replace(est.nuisance, converged=False)
                 estimates[1] = dataclasses.replace(
-                    est, rule=dataclasses.replace(est.rule, nuisance=nuisance))
-            return estimates, rule
+                    est, nuisance=dataclasses.replace(est.nuisance, converged=False))
+            return estimates
 
         monkeypatch.setattr(ivdtr.crossfit, "backward_induct", first_unconverged)
         report = tmp_path / "r.json"
@@ -725,9 +724,10 @@ class TestExitCodes:
         ({"crossfit": 50}, "cross-fitting with m=50 leaves batches below 10 samples"),
         ({"crossfit": 5, "seed": -1}, "seed must be >= 0"),
         ({"lambda": [0.5]}, "lambda gives 1 weights for 2 stages"),
+        ({"lambda": "const:1:0.2,const:1:0.9"}, "lambda spec names stage 1 twice"),
         ({"reward_bounds": [[float("nan"), 1.0], [0.0, 1.0]]}, "[nan, 1.0] is not finite"),
     ], ids=["negative_depth", "batches_below_10_rows", "negative_seed", "short_lambda_array",
-            "nan_reward_bound"])
+            "repeated_lambda_stage", "nan_reward_bound"])
     def test_bad_fit_setting_exits_2(self, tmp_path, sim_csv, capsys, doc, error):
         out = tmp_path / "out.json"
         config = write_config(tmp_path, "cfg.json", {

@@ -59,11 +59,11 @@ class TestCrossfitStageContrasts:
             held = np.flatnonzero(batch == j)
             scrambled = scramble_batch(ds, held, rng)
             complement = fit_stage_models(scrambled.subset(np.flatnonzero(batch != j)), BOUNDS2)
-            _, refit = backward_induct(complement, LAM)
+            refit = backward_induct(complement, LAM)
             held_set = ds.subset(held)
             for k in (1, 2):
                 np.testing.assert_array_equal(
-                    base[k - 1][held], refit.stages[k - 1].contrast(held_set.histories(k)))
+                    base[k - 1][held], refit[k - 1].contrast_at(held_set.histories(k)))
 
     def test_identical_halves_match_in_sample(self):
         rng = np.random.default_rng(1)
@@ -71,7 +71,7 @@ class TestCrossfitStageContrasts:
         doubled = half.subset(np.tile(np.arange(100), 2))
         batch = np.concatenate([np.zeros(100, int), np.ones(100, int)])
         cf, fits = crossfit_stage_contrasts(fit_stage_models(doubled, BOUNDS2), batch, LAM)
-        estimates, _ = backward_induct(fit_stage_models(half, BOUNDS2), LAM)
+        estimates = backward_induct(fit_stage_models(half, BOUNDS2), LAM)
         for k in (1, 2):
             np.testing.assert_allclose(cf[k - 1][:100], estimates[k - 1].contrast, atol=1e-9)
             np.testing.assert_allclose(cf[k - 1][100:], estimates[k - 1].contrast, atol=1e-9)
@@ -148,7 +148,7 @@ class TestFitIvoptimalCrossfit:
         # m of 0 or 1 is the plain fit, bit for bit; a negative m is rejected
         ds = random_two_stage_dataset(np.random.default_rng(4), n=150)
         models = fit_stage_models(ds, BOUNDS2)
-        estimates, _ = backward_induct(models, LAM)
+        estimates = backward_induct(models, LAM)
         plain = dtr_to_json(Dtr(stages=tuple(
             fit_weighted_tree(stage.H, sign_with_tie(est.contrast), np.abs(est.contrast), 2)
             for stage, est in zip(models, estimates)), kind="iv_optimal", lam=LAM))

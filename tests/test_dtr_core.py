@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synth import interval_at, synthetic_nuisance, weighted_loss
+from synth import interval_at, stage_rows, synthetic_nuisance, weighted_loss
 
 import ivdtr.nuisance
 from ivdtr.bounds import RewardBounds, WeightSpec, arm_intervals, weighted_q
@@ -15,7 +15,6 @@ from ivdtr.dtr_core import (
     ConstantRule,
     Dtr,
     Leaf,
-    SignOfContrast,
     TreeRule,
     backward_induct,
     constant_dtr,
@@ -209,8 +208,9 @@ class TestPolicyStages:
     def test_sign_of_contrast_tie_is_positive(self):
         mu = {(z, a): 0.5 for z in (-1, 1) for a in (-1, 1)}
         ns = synthetic_nuisance(0.5, {-1: 0.5, 1: 0.5}, mu, (0.0, 1.0))
-        stage = SignOfContrast(ns, 0.5)
-        assert stage.decide(np.zeros(2))[0] == 1
+        est, _ = fit_stage(stage_rows(np.zeros((1, 2))), ns, 0.5, 1)
+        assert est.contrast_at(np.zeros(2))[0] == 0.0
+        assert sign_with_tie(est.contrast)[0] == 1
 
     def test_sign_with_tie(self):
         np.testing.assert_array_equal(
@@ -247,7 +247,7 @@ class TestBackwardInduct:
     def test_sandwich_and_consistency(self):
         ds = simulate_two_stage()
         models = fit_stage_models(ds, BOUNDS2)
-        estimates, q_rule = backward_induct(models, WeightSpec.minmax())
+        estimates = backward_induct(models, WeightSpec.minmax())
         for est in estimates:
             H = models[est.stage - 1].H
             plus, minus, _ = arm_intervals(est.nuisance, H)
@@ -259,22 +259,19 @@ class TestBackwardInduct:
             np.testing.assert_allclose(est.contrast, q_pos - q_neg)
             np.testing.assert_array_equal(
                 est.widths, np.concatenate([plus.upper - plus.lower, minus.upper - minus.lower]))
-            _, value = fit_stage(models[est.stage - 1], est.nuisance, est.rule.lam, est.stage)
+            _, value = fit_stage(models[est.stage - 1], est.nuisance, est.lam, est.stage)
             np.testing.assert_array_equal(
                 value, np.where(sign_with_tie(est.contrast) == 1, q_pos, q_neg))
-        # q-rule agrees with training-sample contrasts and signs at every history
+        # contrast_at agrees with the training-sample contrasts at every history
         for k in (1, 2):
-            H = ds.histories(k)
             np.testing.assert_array_equal(
-                q_rule.stages[k - 1].contrast(H), estimates[k - 1].contrast)
-            np.testing.assert_array_equal(
-                q_rule.action_matrix(k, H), sign_with_tie(estimates[k - 1].contrast))
+                estimates[k - 1].contrast_at(ds.histories(k)), estimates[k - 1].contrast)
 
     def test_lambda_extremes(self):
         ds = simulate_two_stage(seed=3)
         models = fit_stage_models(ds, BOUNDS2)
-        worst, _ = backward_induct(models, WeightSpec.worst())
-        best, _ = backward_induct(models, WeightSpec.best())
+        worst = backward_induct(models, WeightSpec.worst())
+        best = backward_induct(models, WeightSpec.best())
         for est in worst:
             plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H)
             np.testing.assert_allclose(est.contrast, plus.lower - minus.lower)
@@ -285,9 +282,9 @@ class TestBackwardInduct:
     def test_stage1_pseudo_outcome_range(self):
         ds = simulate_two_stage(seed=5)
         models = fit_stage_models(ds, BOUNDS2)
-        estimates, _ = backward_induct(models, WeightSpec.minmax())
+        estimates = backward_induct(models, WeightSpec.minmax())
         stage2 = estimates[1]
-        _, value = fit_stage(models[1], stage2.nuisance, stage2.rule.lam, 2)
+        _, value = fit_stage(models[1], stage2.nuisance, stage2.lam, 2)
         assert np.all(value >= 0.0) and np.all(value <= 1.0)
         po = ds.rewards(1) + value
         assert np.all(po >= 0.0) and np.all(po <= 2.0)
@@ -300,7 +297,7 @@ class TestBackwardInduct:
             actions=[ds.actions(1)],
             rewards=[ds.rewards(1)],
         )
-        estimates, q_rule = backward_induct(
+        estimates = backward_induct(
             fit_stage_models(k1, RewardBounds(lows=(0.0,), highs=(1.0,))), WeightSpec.minmax())
         est = estimates[0]
         H = k1.histories(1)
@@ -362,7 +359,7 @@ class TestBackwardInduct:
         a = z.copy()
         y = (rng.random(n) < 0.35 + 0.3 * (a == 1)).astype(float)
         ds = dataset_from_arrays([x], [z], [a], [y])
-        estimates, _ = backward_induct(
+        estimates = backward_induct(
             fit_stage_models(ds, RewardBounds(lows=(0.0,), highs=(1.0,))), WeightSpec.minmax())
         oracle = 0.75 * 0.3 - 0.25
         assert abs(float(np.mean(estimates[0].contrast)) - oracle) < 0.05
@@ -384,7 +381,7 @@ class TestBackwardInduct:
 class TestProjectPolicy:
     def test_all_positive_contrasts_give_constant_tree(self):
         models = fit_stage_models(simulate_two_stage(seed=11), BOUNDS2)
-        estimates, _ = backward_induct(models, WeightSpec.minmax())
+        estimates = backward_induct(models, WeightSpec.minmax())
         for est in estimates:
             forced = np.abs(est.contrast) + 0.1  # all positive, magnitudes kept
             tree = fit_weighted_tree(models[est.stage - 1].H, sign_with_tie(forced),
@@ -394,7 +391,7 @@ class TestProjectPolicy:
 
     def test_projection_loss_bounded_by_depth1(self):
         models = fit_stage_models(simulate_two_stage(seed=13), BOUNDS2)
-        estimates, _ = backward_induct(models, WeightSpec.minmax())
+        estimates = backward_induct(models, WeightSpec.minmax())
         for est in estimates:
             H = models[est.stage - 1].H
             w = np.abs(est.contrast)
@@ -461,11 +458,7 @@ class TestSerialization:
         assert dtr.stages[0].depth() == depth(tree["root"])
 
     def test_sign_rule_is_not_serialized(self):
-        # the sign rule holds fitted models; only trees and constants are files
-        _, q_rule = backward_induct(fit_stage_models(simulate_two_stage(seed=17), BOUNDS2),
-                                    WeightSpec.minmax())
-        with pytest.raises(TypeError, match="cannot serialize stage"):
-            dtr_to_json(q_rule)
+        # only trees and constants are files
         doc = {"kind": "iv_optimal", "lambda": 0.5,
                "stages": [{"type": "contrast_sign"}, {"type": "constant", "label": 1}]}
         with pytest.raises(ValueError, match="unknown stage type 'contrast_sign'"):

@@ -15,9 +15,7 @@ import ivdtr.sim
 from ivdtr.bounds import WeightSpec
 from ivdtr.crossfit import fit_ivoptimal_crossfit
 from ivdtr.data import DataError
-from ivdtr.dtr_core import (
-    Dtr, Leaf, SignOfContrast, TreeRule, backward_induct, constant_dtr, dtr_to_json,
-)
+from ivdtr.dtr_core import Dtr, Leaf, TreeRule, constant_dtr, dtr_from_json, dtr_to_json
 from ivdtr.improve import fit_ivimproved
 from ivdtr.nuisance import fit_stage_models
 from ivdtr.sim import (
@@ -116,6 +114,10 @@ class TestGenerate:
             SimConfig(replications=0)
         with pytest.raises(ValueError, match="n_train must be >= 1"):
             SimConfig(n_train=0)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            SimConfig(depth=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimConfig(seed=-1)
         cfg = SimConfig()
         with pytest.raises(ValueError):
             generate(cfg, 0, np.random.default_rng(0))
@@ -147,15 +149,10 @@ class TestTrueValue:
         assert abs(report.raw_value - oracle) < 4 * report.monte_carlo_se + 1e-4
 
     def test_se_scales_with_sample_size(self):
-        # the in-memory sign rule is the policy that Monte Carlo still evaluates
         cfg = SimConfig(c1=4.0, xi=1.0)
-        ds, _ = generate(cfg, 1000, np.random.default_rng(13))
-        _, sign_rule = backward_induct(fit_stage_models(ds, SIM_REWARD_BOUNDS),
-                                       WeightSpec.minmax())
-        assert all(isinstance(stage, SignOfContrast) for stage in sign_rule.stages)
-        small = true_value(sign_rule, cfg, x=np.random.default_rng(5).uniform(-1, 1, (4000, 2)))
-        large = true_value(sign_rule, cfg,
-                           x=np.random.default_rng(6).uniform(-1, 1, (64_000, 2)))
+        policy = random_policy(np.random.default_rng(13))
+        small = true_value(policy, cfg, x=np.random.default_rng(5).uniform(-1, 1, (4000, 2)))
+        large = true_value(policy, cfg, x=np.random.default_rng(6).uniform(-1, 1, (64_000, 2)))
         ratio = small.monte_carlo_se / large.monte_carlo_se
         assert 2.8 < ratio < 5.7  # ~sqrt(16) = 4
         assert abs(small.raw_value - large.raw_value) < 4 * small.monte_carlo_se
@@ -239,11 +236,15 @@ class TestQuadrature:
         x = np.random.default_rng(31).uniform(-1, 1, size=(500, 2))
         report = true_value(constant_dtr(1, 2), cfg, x=x)
         assert report.n_eval == 500 and report.monte_carlo_se > 0.0
-        ds, _ = generate(cfg, 300, np.random.default_rng(32))
-        _, sign_rule = backward_induct(fit_stage_models(ds, SIM_REWARD_BOUNDS),
-                                       WeightSpec.minmax())
+
+        class SignRule:  # a stage that is neither a tree nor a constant
+            def decide(self, H):
+                return np.ones(np.atleast_2d(H).shape[0], dtype=int)
+
+        policy = Dtr(stages=(SignRule(), SignRule()))
         with pytest.raises(ValueError, match="needs x"):
-            true_value(sign_rule, cfg)
+            true_value(policy, cfg)
+        assert true_value(policy, cfg, x=x).raw_value == report.raw_value
 
 
 class TestSraBaseline:
@@ -370,7 +371,10 @@ class TestRunCell:
         regimes = fit_all_regimes(ds, cfg)
         assert set(regimes) == set(REGIMES)
         for dtr in regimes.values():
+            # every fitted regime is a file and is valued by quadrature
             assert dtr.num_stages == 2
+            assert dtr_from_json(dtr_to_json(dtr)) == dtr
+            assert true_value(dtr, cfg).monte_carlo_se == 0.0
 
     def test_stage_models_fit_once_per_dataset(self, monkeypatch):
         # logistic fits: 3 instrument/treatment models per stage and the 4
