@@ -153,9 +153,10 @@ def parse_weight_spec(text: str, num_stages: int) -> WeightSpec:
             values[stage] = value
         return WeightSpec(tuple(values.get(k, 0.5) for k in range(1, num_stages + 1)))
     try:
-        return WeightSpec(float(text))
+        value = float(text)
     except ValueError:
         raise ValueError(f"cannot parse lambda spec '{text}'") from None
+    return WeightSpec(value)
 
 
 # ------------------------------ bounds ------------------------------

@@ -16,16 +16,19 @@ included, so separated or single-class designs stay finite). Each fit starts
 at its labels' log-odds, theta = (log((k + 1/2) / (n - k + 1/2)), 0, ..., 0)
 with k = sum(y), so an imbalanced design does not walk its intercept out from
 0; the start reads the fit's own labels only, so a cross-fitting complement
-learns nothing from its held-out batch. X @ theta is computed once per trial
-step, for its log-likelihood, and the accepted step's product gives the next
-gradient's fitted means, which the Hessian reuses. The log-likelihood takes
-one softplus max(t, 0) + log1p(exp(-|t|)) per row, with t = (1 - 2y) * eta.
-The Hessian's right factor is a column-major copy of X, made once per fit:
-that product is faster and has the same bits as the row-major one (the
-bit-for-bit reference test checks this against the BLAS in use). X stays
-row-major everywhere else, because a column-major left factor, or a
-column-major X in the matrix-vector products, changes the last bits of their
-sums and so the fitted outputs.
+learns nothing from its held-out batch. Each fit makes one column-major copy
+XF of X. X @ theta = theta @ XF.T is computed once per trial step, for its
+log-likelihood, and the accepted step's product gives the next gradient's
+means mu = 1 / (1 + exp(-eta)), which the Hessian (XF.T * mu(1 - mu)) @ XF
+reuses. Both products are faster on XF, and numpy's vectorized exp is ~3x
+faster than scipy's expit at 8,000 rows. exp(-eta) overflows to inf below
+eta = -709.78, giving the exact mean 0, so fit_logistic and
+LogisticModel.predict ignore overflow, once per call. The gradient's
+X.T @ (y - mu) stays on the row-major X: on XF its sums round differently,
+and some fits that end by the stall stop (below) end by the gradient test.
+The bit-for-bit reference test follows these layouts. The log-likelihood
+takes one softplus max(t, 0) + log1p(exp(-|t|)) per row, with
+t = (1 - 2y) * eta.
 
 A fit converges when the gradient norm is at most GRAD_TOL, or when the full
 Newton step is rejected while its predicted gain grad @ step is at most
@@ -45,7 +48,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .bounds import Interval, arm_intervals
 
@@ -80,10 +82,11 @@ class LogisticModel:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
 
+    @np.errstate(over="ignore")  # for logistic_mean
     def predict(self, features: np.ndarray, clip: float = DEFAULT_CLIP) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         eta = self.intercept + features @ self.coefficients
-        return np.clip(expit(eta), clip, 1.0 - clip)
+        return np.clip(logistic_mean(eta), clip, 1.0 - clip)
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,11 @@ class ConstantModel:
         return out
 
 
+def logistic_mean(eta: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-eta)); callers ignore exp's overflow, whose mean 0 is exact."""
+    return 1.0 / (1.0 + np.exp(-eta))
+
+
 def penalized_loglik(theta: np.ndarray, eta: np.ndarray, sign: np.ndarray) -> float:
     """Bernoulli log-likelihood at eta = X @ theta, with sign = 1 - 2y, minus
     RIDGE * ||theta||^2."""
@@ -126,10 +134,11 @@ def loglik_gradient(
     theta: np.ndarray, eta: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score of penalized_loglik at theta (eta = X @ theta), and the fitted means it used."""
-    mu = expit(eta)
+    mu = logistic_mean(eta)
     return X.T @ (y - mu) - 2.0 * RIDGE * theta, mu
 
 
+@np.errstate(over="ignore")  # for logistic_mean
 def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     """Ridge-penalized logistic regression via Newton/IRLS with step-halving."""
     X = _design(features)
@@ -140,13 +149,13 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
         raise ValueError("labels must be 0/1")
     _check_finite(X, y)
     sign = 1.0 - 2.0 * y
-    XF = np.asfortranarray(X)  # the Hessian's right factor only; see the module docstring
+    XF = np.asfortranarray(X)  # for X @ theta and the Hessian; see the module docstring
 
     n, p = X.shape
     positives = float(np.sum(y))
     theta = np.zeros(p)
     theta[0] = np.log((positives + 0.5) / (n - positives + 0.5))  # the labels' own log-odds
-    eta = X @ theta
+    eta = theta @ XF.T
     ridge = 2.0 * RIDGE * np.eye(p)
     ll = penalized_loglik(theta, eta, sign)
     converged = False
@@ -159,13 +168,13 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
                 theta = theta + np.linalg.solve(hess, grad)
             converged = True
             break
-        hess = X.T @ ((mu * (1.0 - mu))[:, None] * XF) + ridge
+        hess = (XF.T * (mu * (1.0 - mu))) @ XF + ridge
         step = np.linalg.solve(hess, grad)
         # step-halving: Newton step can overshoot when probabilities saturate
         scale = 1.0
         for _ in range(40):
             candidate = theta + scale * step
-            cand_eta = X @ candidate
+            cand_eta = candidate @ XF.T
             cand_ll = penalized_loglik(candidate, cand_eta, sign)
             if cand_ll >= ll - 1e-14:
                 break

@@ -116,6 +116,18 @@ class TestFit:
         assert run(["fit", "--config", str(config)]) == 2
         assert "lambda out of range" in read_error(capsys)["error"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.5", "lambda out of range [0, 1]: 1.5"),
+        ("abc", "cannot parse lambda spec 'abc'"),
+    ])
+    def test_lambda_flag_errors_exit_2(self, tmp_path, sim_csv, capsys, text, message):
+        # a bare number out of range is a range error, as in a config, not a parse error
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC,
+        })
+        assert run(["fit", "--config", str(config), "--lambda", text]) == 2
+        assert read_error(capsys)["error"] == message
+
     def test_rewards_outside_bounds_names_row(self, tmp_path, sim_csv, capsys):
         config = write_config(tmp_path, "cfg.json", {
             "data": str(sim_csv), "reward_bounds": [[0.0, 1.0], [0.2, 1.0]],

@@ -1,5 +1,7 @@
 """Logistic/linear fits against closed forms, finite differences, and oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -10,10 +12,12 @@ from ivdtr.data import assign_batches
 from ivdtr.nuisance import (
     RIDGE,
     ConstantModel,
+    LogisticModel,
     StageModels,
     fit_linear,
     fit_logistic,
     fit_stage_nuisance,
+    logistic_mean,
     loglik_gradient,
     penalized_loglik,
 )
@@ -36,9 +40,9 @@ def softplus(t):
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
-def two_term_loglik(theta, X, y):
-    """The penalized log-likelihood with both Bernoulli terms written out per row."""
-    eta = X @ theta
+def two_term_loglik(theta, eta, y):
+    """The penalized log-likelihood at eta = X @ theta with both Bernoulli
+    terms written out per row."""
     ll = np.sum(y * -softplus(-eta) + (1.0 - y) * -softplus(eta))
     return float(ll - RIDGE * theta @ theta)
 
@@ -46,35 +50,44 @@ def two_term_loglik(theta, X, y):
 def reference_fit_logistic(features, labels):
     """Independent Newton/IRLS with step-halving in its longest form: two
     softplus terms per row, X @ theta computed afresh for every gradient and
-    mean, a row-major Hessian, and all 100 iterations run even when a step
-    leaves theta unchanged. It starts at the labels' log-odds. A rejected
-    full step whose predicted gain grad @ step is at most 1e-13 * |ll| is
-    taken as the optimum, and the fit stops converged; a passed gradient test
-    after a Newton step adds one finishing step on the previous Hessian."""
+    mean, and all 100 iterations run even when a step leaves theta unchanged.
+    Its means are 1 / (1 + exp(-eta)); X @ theta is theta @ XF.T and the
+    Hessian (XF.T * s) @ XF on a column-major copy XF of the design, while the
+    gradient's X.T @ (y - mu) reads the row-major X. It starts at the labels'
+    log-odds. A rejected full step whose predicted gain grad @ step is at most
+    1e-13 * |ll| is taken as the optimum, and the fit stops converged; a
+    passed gradient test after a Newton step adds one finishing step on the
+    previous Hessian."""
     X = np.hstack([np.ones((features.shape[0], 1)), features])
+    XF = np.asfortranarray(X)
     y = np.asarray(labels, dtype=float)
     n, p = X.shape
+
+    def mean(theta):
+        with np.errstate(over="ignore"):  # exp(-eta) = inf is the exact mean 0
+            return 1.0 / (1.0 + np.exp(-(theta @ XF.T)))
+
     k = float(np.sum(y))
     theta = np.zeros(p)
     theta[0] = np.log((k + 0.5) / (n - k + 0.5))
-    ll = two_term_loglik(theta, X, y)
+    ll = two_term_loglik(theta, theta @ XF.T, y)
     converged = False
     hess = None
     for _ in range(100):
-        grad = X.T @ (y - expit(X @ theta)) - 2.0 * RIDGE * theta
+        grad = X.T @ (y - mean(theta)) - 2.0 * RIDGE * theta
         if np.linalg.norm(grad) <= 1e-8:
             if hess is not None:
                 theta = theta + np.linalg.solve(hess, grad)
             converged = True
             break
-        mu = expit(X @ theta)
+        mu = mean(theta)
         s = mu * (1.0 - mu)
-        hess = X.T @ (s[:, None] * X) + 2.0 * RIDGE * np.eye(p)
+        hess = (XF.T * s) @ XF + 2.0 * RIDGE * np.eye(p)
         step = np.linalg.solve(hess, grad)
         scale = 1.0
         for _ in range(40):
             candidate = theta + scale * step
-            cand_ll = two_term_loglik(candidate, X, y)
+            cand_ll = two_term_loglik(candidate, candidate @ XF.T, y)
             if cand_ll >= ll - 1e-14:
                 theta, ll = candidate, cand_ll
                 break
@@ -84,7 +97,7 @@ def reference_fit_logistic(features, labels):
         else:
             break
     else:
-        grad = X.T @ (y - expit(X @ theta)) - 2.0 * RIDGE * theta
+        grad = X.T @ (y - mean(theta)) - 2.0 * RIDGE * theta
         converged = np.linalg.norm(grad) <= 1e-8
     return theta[0], theta[1:], converged
 
@@ -260,7 +273,7 @@ class TestNewtonLoop:
             theta = rng.choice([-1.0, 1.0], size=p)
             y = (rng.random(n) < 0.5).astype(float)
             one_term = penalized_loglik(theta, X @ theta, 1.0 - 2.0 * y)
-            assert one_term == two_term_loglik(theta, X, y)
+            assert one_term == two_term_loglik(theta, X @ theta, y)
 
 
 class TestFitLogistic:
@@ -340,18 +353,46 @@ class TestPredictProb:
         assert model.predict(np.array([[0.0]]))[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_expit_four(self):
-        from ivdtr.nuisance import LogisticModel
-
         model = LogisticModel(intercept=4.0, coefficients=np.zeros(1))
         value = model.predict(np.array([[0.0]]), clip=0.01)[0]
         assert value == pytest.approx(min(expit(4.0), 0.99), abs=1e-10)
         assert value == pytest.approx(0.98201, abs=5e-6)
 
     def test_clip_floor(self):
-        from ivdtr.nuisance import LogisticModel
-
         model = LogisticModel(intercept=-100.0, coefficients=np.zeros(1))
         assert model.predict(np.array([[0.0]]), clip=0.001)[0] == 0.001
+
+
+class TestLogisticMean:
+    """The fits' and predictions' mean 1 / (1 + exp(-eta)) against expit."""
+
+    def test_within_stated_bound_of_expit(self):
+        # relative 1e-15 where expit is a normal float; below the smallest
+        # normal float where exp(-eta) overflows or the mean is subnormal
+        eta = np.linspace(-800.0, 800.0, 1_600_001)
+        with np.errstate(over="ignore"):
+            mean = logistic_mean(eta)
+        exact = expit(eta)
+        assert np.all(np.abs(mean - exact) <= 1e-15 * exact + np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("design", ILL_SCALED + [
+        (np.concatenate([np.full(50, -1.0), np.full(50, 1.0)])[:, None], np.repeat([0.0, 1.0], 50)),
+        # separable; an accepted step puts eta near -958, where exp(-eta) overflows
+        (np.array([[5220.3], [-586.9], [-22130.1], [9778.5]]), np.array([1.0, 0.0, 0.0, 1.0])),
+    ])
+    def test_fit_raises_no_runtime_warning(self, design):
+        features, labels = design
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_logistic(features, labels)
+        assert np.isfinite(model.intercept) and np.all(np.isfinite(model.coefficients))
+
+    def test_predict_at_800_is_exact_and_silent(self):
+        model = LogisticModel(intercept=0.0, coefficients=np.ones(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = model.predict(np.array([[-800.0], [800.0]]), clip=0.0)
+        np.testing.assert_array_equal(mean, [0.0, 1.0])
 
 
 class TestFitLinear:
