@@ -10,7 +10,6 @@ from .data import (
     save_csv,
 )
 from .dtr_core import (
-    ConstantRule,
     Dtr,
     StageQEstimate,
     TreeRule,

@@ -193,9 +193,7 @@ def mp_bounds_matrix(
     crossed = lower > upper
     n_repaired = int(np.count_nonzero(crossed))
     if n_repaired:
-        mid = 0.5 * (lower[crossed] + upper[crossed])
-        lower = lower.copy()
-        upper = upper.copy()
+        mid = 0.5 * (lower[crossed] + upper[crossed])  # np.clip's arrays are fresh
         lower[crossed] = mid
         upper[crossed] = mid
     return lower, upper, n_repaired

@@ -23,7 +23,13 @@ import numpy as np
 
 
 class DataError(ValueError):
-    """Raised on malformed input data (bad header, bad cell, bad shape)."""
+    """Raised on malformed input data (bad header, bad cell, bad shape). An error
+    in one row names it, counting from 1: Dataset counts array rows, load_csv
+    CSV rows (blank lines count)."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message if row is None else f"row {row}: {message}")
+        self.message, self.row = message, row
 
 
 @dataclass(frozen=True)
@@ -58,14 +64,16 @@ class Dataset:
             bad = np.argwhere((m != 1.0) & (m != -1.0))
             if len(bad):
                 i, k = bad[0]
-                raise DataError(f"row {i + 1}: stage {k + 1} {what} not in {{-1,+1}}: {m[i, k]:g}")
+                raise DataError(f"stage {k + 1} {what} not in {{-1,+1}}: {m[i, k]:g}", row=i + 1)
         bad = np.argwhere(~np.isfinite(self.r))
         if len(bad):
             i, k = bad[0]
-            raise DataError(f"row {i + 1}: stage {k + 1} reward not finite: {self.r[i, k]}")
+            raise DataError(f"stage {k + 1} reward not finite: {self.r[i, k]}", row=i + 1)
         for k, c in enumerate(covariates, start=1):
             if not np.all(np.isfinite(c)):
-                raise DataError(f"stage {k} covariates contain non-finite values")
+                i, j = np.argwhere(~np.isfinite(c))[0]
+                raise DataError(f"stage {k} covariate x{k}_{j + 1} not finite: {c[i, j]}",
+                                row=i + 1)
 
     @property
     def n(self) -> int:
@@ -180,13 +188,13 @@ def _read_rows(fh, width: int) -> np.ndarray:
         if not row:
             continue
         if len(row) != width:
-            raise DataError(f"row {idx}: expected {width} cells, got {len(row)}")
+            raise DataError(f"expected {width} cells, got {len(row)}", row=idx)
         try:
             values.append([float(cell) for cell in row])
         except ValueError as exc:
             if any(cell.strip() == "" for cell in row):
-                raise DataError(f"row {idx}: missing cell") from None
-            raise DataError(f"row {idx}: non-numeric cell ({exc})") from None
+                raise DataError("missing cell", row=idx) from None
+            raise DataError(f"non-numeric cell ({exc})", row=idx) from None
     return np.array(values)
 
 
@@ -206,10 +214,16 @@ def load_csv(path) -> Dataset:
 
     starts = np.cumsum([0] + [d + 3 for d in dims[:-1]])
     z_cols = starts + np.array(dims)
-    return Dataset(
-        covariates=tuple(table[:, s:s + d] for s, d in zip(starts, dims)),
-        z=table[:, z_cols], a=table[:, z_cols + 1], r=table[:, z_cols + 2],
-    )
+    try:
+        return Dataset(
+            covariates=tuple(table[:, s:s + d] for s, d in zip(starts, dims)),
+            z=table[:, z_cols], a=table[:, z_cols + 1], r=table[:, z_cols + 2],
+        )
+    except DataError as exc:  # on a parsed table, Dataset's only errors are bad cells
+        # the table skips blank rows; the CSV row counts them, from the header's 0
+        with open(path, newline="", encoding="utf-8") as fh:
+            nonblank = [idx for idx, row in enumerate(csv.reader(fh)) if row]
+        raise DataError(exc.message, row=nonblank[exc.row]) from None
 
 
 def save_csv(dataset: Dataset, path) -> None:

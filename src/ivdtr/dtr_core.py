@@ -182,22 +182,10 @@ def fit_weighted_tree(
 
 
 @dataclass(frozen=True)
-class ConstantRule:
-    label: int
-
-    def decide(self, H: np.ndarray) -> np.ndarray:
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        return np.full(H.shape[0], self.label, dtype=int)
-
-
-PolicyStage = Union[TreeRule, ConstantRule]
-
-
-@dataclass(frozen=True)
 class Dtr:
     """A K-stage policy; stage k maps the stage-k history vector to +/-1."""
 
-    stages: tuple[PolicyStage, ...]
+    stages: tuple[TreeRule, ...]
     kind: str = "constant"
     lam: Optional[WeightSpec] = None
 
@@ -215,7 +203,8 @@ class Dtr:
 
 
 def constant_dtr(label: int, num_stages: int, kind: str = "constant") -> Dtr:
-    return Dtr(stages=tuple(ConstantRule(label) for _ in range(num_stages)), kind=kind)
+    leaf = TreeRule(nodes=(), root=Leaf(label), max_depth=0)
+    return Dtr(stages=(leaf,) * num_stages, kind=kind)
 
 
 # ------------------------------ Q-learning ------------------------------
@@ -315,9 +304,7 @@ def _child_from_json(ref: dict, parent: int, size: int) -> Child:
     return index
 
 
-def _stage_to_json(stage: PolicyStage) -> dict:
-    if isinstance(stage, ConstantRule):
-        return {"type": "constant", "label": stage.label}
+def _stage_to_json(stage: TreeRule) -> dict:
     return {
         "type": "tree",
         "nodes": [{"feature": feature, "threshold": threshold, "left": _child_to_json(left),
@@ -329,10 +316,10 @@ def _stage_to_json(stage: PolicyStage) -> dict:
     }
 
 
-def _stage_from_json(doc: dict) -> PolicyStage:
+def _stage_from_json(doc: dict) -> TreeRule:
     kind = doc["type"]
-    if kind == "constant":
-        return ConstantRule(label=_label_from_json(doc["label"]))
+    if kind == "constant":  # the older form of a one-leaf tree
+        return TreeRule(nodes=(), root=Leaf(_label_from_json(doc["label"])), max_depth=0)
     if kind != "tree":
         raise ValueError(f"unknown stage type '{kind}'")
     entries, nodes = doc["nodes"], []

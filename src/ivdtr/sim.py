@@ -12,10 +12,10 @@ Per trajectory, with confounding level xi and instrument strength c1:
 
 A policy's value is one integrand over (X1, X2), the expectation over (U1, R1,
 U2) enumerated exactly. Outcomes depend on the covariates only through X1 and
-tree and constant stages are constant on the cells cut by their thresholds, so
-policies are integrated by quadrature (Gauss-Legendre in X1 between the cuts,
-cell midpoints in X2), exact to rounding. The standard of care (-1, -1)
-evaluates to 1.0 exactly.
+tree stages are constant on the cells cut by their thresholds, so policies are
+integrated by quadrature (Gauss-Legendre in X1 between the cuts, cell midpoints
+in X2), exact to rounding. The standard of care (-1, -1) evaluates to 1.0
+exactly.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ from scipy.special import expit
 from .bounds import RewardBounds, WeightSpec
 from .crossfit import fit_ivoptimal_crossfit
 from .data import DataError, Dataset, dataset_from_arrays
-from .dtr_core import (ConstantRule, Dtr, TreeRule, constant_dtr, fit_weighted_tree,
-                       sign_with_tie)
+from .dtr_core import Dtr, TreeRule, constant_dtr, fit_weighted_tree, sign_with_tie
 from .improve import fit_ivimproved
-from .nuisance import (DEFAULT_CLIP, fit_linear, fit_logistic, fit_stage_models,
-                       is_binary_outcome)
+from .nuisance import fit_linear, fit_logistic, fit_stage_models, is_binary_outcome
 
 GAUSS_LEGENDRE_ORDER = 16  # quadrature nodes per X1 interval
 # nodes and weights on [-1, 1], computed on first use: at import, leggauss's eigensolver
@@ -168,12 +166,12 @@ def _integrand(policy: Dtr, config: SimConfig, x: np.ndarray) -> np.ndarray:
 
 
 def _quadrature(policy: Dtr, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]^2 for a tree/constant policy: Gauss-Legendre
+    """Nodes and weights on [-1, 1]^2 for a policy of trees: Gauss-Legendre
     in x1 between the feature-0 cuts and the stage-1 signal threshold, and the
     midpoint of each cell between the feature-1 cuts in x2."""
     cuts = {0: {config.stage1_signal_threshold}, 1: set()}
     for stage in policy.stages:
-        for feature, threshold, _, _ in stage.nodes if isinstance(stage, TreeRule) else ():
+        for feature, threshold, _, _ in stage.nodes:
             if feature in cuts:  # a1 and r1 splits are enumerated by the integrand
                 cuts[feature].add(threshold)
     edges1, edges2 = (np.array([-1.0, *sorted(t for t in cuts[j] if -1.0 < t < 1.0), 1.0])
@@ -189,7 +187,7 @@ def _quadrature(policy: Dtr, config: SimConfig) -> tuple[np.ndarray, np.ndarray]
 def true_value(policy: Dtr, config: SimConfig, x: Optional[np.ndarray] = None) -> EvalReport:
     """Value of a two-stage policy, the latent expectation enumerated exactly.
 
-    Without x, a policy of tree and constant stages is integrated by quadrature:
+    Without x, a policy of tree stages is integrated by quadrature:
     monte_carlo_se is 0.0 and the report's n_eval counts the nodes. With x, an
     (n, 2) array of (x1, x2) points, the value is their Monte Carlo average
     (common random numbers across regimes); any other stage needs x.
@@ -201,7 +199,7 @@ def true_value(policy: Dtr, config: SimConfig, x: Optional[np.ndarray] = None) -
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] < 1:
             raise ValueError(f"x must be an (n, 2) array with n >= 1, got shape {x.shape}")
-    elif all(isinstance(stage, (TreeRule, ConstantRule)) for stage in policy.stages):
+    elif all(isinstance(stage, TreeRule) for stage in policy.stages):
         x, weights = _quadrature(policy, config)
     else:
         raise ValueError("a Monte Carlo evaluation needs x")
@@ -217,9 +215,9 @@ def true_value(policy: Dtr, config: SimConfig, x: Optional[np.ndarray] = None) -
 
 
 def _aipw_contrast(a, y, mu_pos, mu_neg, prop_pos):
-    """Doubly robust per-sample contrast estimate, propensity clipped."""
+    """Doubly robust per-sample contrast estimate; prop_pos comes from
+    LogisticModel.predict, which clips it to [DEFAULT_CLIP, 1 - DEFAULT_CLIP]."""
     prop = np.where(a == 1.0, prop_pos, 1.0 - prop_pos)
-    prop = np.clip(prop, DEFAULT_CLIP, 1.0)
     mu_own = np.where(a == 1.0, mu_pos, mu_neg)
     return mu_pos - mu_neg + a * (y - mu_own) / prop
 
@@ -283,7 +281,7 @@ def fit_all_regimes(dataset: Dataset, config: SimConfig) -> dict[str, Dtr]:
 
 def run_replication(config: SimConfig, rep: int) -> dict[str, float]:
     """One experiment replication: generate, fit nine regimes, evaluate all."""
-    train_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,)).spawn(2)[0]
+    train_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep, 0))
     dataset, _ = generate(config, config.n_train, np.random.default_rng(train_seed))
     regimes = fit_all_regimes(dataset, config)
     return {name: true_value(regimes[name], config).raw_value for name in REGIMES}

@@ -110,6 +110,11 @@ class TestMpInterval:
         assert interval.lower <= interval.upper
         assert interval.lower == pytest.approx(interval.upper)  # collapsed to midpoint
 
+    def test_crossed_tail_rejected(self):
+        half = (np.array([0.5]), np.array([0.5]))
+        with pytest.raises(ValueError, match=r"tail bounds \[1.0, 0.0\] crossed"):
+            mp_bounds_matrix(np.array([0.5]), half, half, (1.0, 0.0))
+
     @given(
         st.floats(min_value=0.01, max_value=0.99),
         st.floats(min_value=0.0, max_value=1.0),
@@ -230,6 +235,10 @@ class TestRewardBounds:
         assert rb.stage(2) == (-0.5, 2.0)
         assert rb.tail(1) == (-0.5, 3.0)
         assert rb.tail(2) == (-0.5, 2.0)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="lows and highs must have equal length"):
+            RewardBounds(lows=(0.0,), highs=(1.0, 1.0))
 
     def test_crossed_pair_rejected(self):
         with pytest.raises(ValueError, match="lower > upper"):

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, outputs, determinism."""
 
+import builtins
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -119,6 +121,7 @@ class TestFit:
     @pytest.mark.parametrize("text, message", [
         ("1.5", "lambda out of range [0, 1]: 1.5"),
         ("abc", "cannot parse lambda spec 'abc'"),
+        ("const:3:0.2", "lambda spec stage 3 out of range 1..2"),
     ])
     def test_lambda_flag_errors_exit_2(self, tmp_path, sim_csv, capsys, text, message):
         # a bare number out of range is a range error, as in a config, not a parse error
@@ -127,6 +130,15 @@ class TestFit:
         })
         assert run(["fit", "--config", str(config), "--lambda", text]) == 2
         assert read_error(capsys)["error"] == message
+
+    def test_without_out_prints_the_policy(self, tmp_path, sim_csv, capsys):
+        out = tmp_path / "policy.json"
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(sim_csv), "reward_bounds": BOUNDS_DOC,
+        })
+        assert run(["fit", "--config", str(config), "--out", str(out)]) == 0
+        assert run(["fit", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
 
     def test_rewards_outside_bounds_names_row(self, tmp_path, sim_csv, capsys):
         config = write_config(tmp_path, "cfg.json", {
@@ -661,8 +673,9 @@ class TestExitCodes:
         def tree_policy(nodes):
             tree = {"type": "tree", "nodes": nodes, "root": {"node": 0},
                     "max_depth": len(nodes), "degenerate": False}
-            return {"kind": "iv_optimal", "lambda": 0.5,
-                    "stages": [tree, {"type": "constant", "label": 1}]}
+            leaf = {"type": "tree", "nodes": [], "root": {"leaf": 1}, "max_depth": 0,
+                    "degenerate": False}
+            return {"kind": "iv_optimal", "lambda": 0.5, "stages": [tree, leaf]}
 
         def evaluate(doc):
             path, out = tmp_path / "policy.json", tmp_path / "value.json"
@@ -738,8 +751,11 @@ class TestExitCodes:
         ({"lambda": [0.5]}, "lambda gives 1 weights for 2 stages"),
         ({"lambda": "const:1:0.2,const:1:0.9"}, "lambda spec names stage 1 twice"),
         ({"reward_bounds": [[float("nan"), 1.0], [0.0, 1.0]]}, "[nan, 1.0] is not finite"),
+        ({"depth": "two"}, "config key 'depth' must be"),
+        ({"reward_bounds": [[0.0, 1.0]]},
+         "reward_bounds must declare one [low, high] pair per stage"),
     ], ids=["negative_depth", "batches_below_10_rows", "negative_seed", "short_lambda_array",
-            "repeated_lambda_stage", "nan_reward_bound"])
+            "repeated_lambda_stage", "nan_reward_bound", "string_depth", "one_reward_bound_pair"])
     def test_bad_fit_setting_exits_2(self, tmp_path, sim_csv, capsys, doc, error):
         out = tmp_path / "out.json"
         config = write_config(tmp_path, "cfg.json", {
@@ -782,6 +798,47 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Traceback" in proc.stderr
         assert proc.stderr.rstrip().endswith("ValueError: an internal fault")
+
+    @pytest.mark.parametrize("command, text, error", [
+        ("fit", "[1, 2]", "config must be a JSON object"),
+        ("evaluate", '{"c1": [3, 4]}', "evaluate takes one number for each of 'c1' and 'xi'"),
+    ], ids=["config_not_an_object", "evaluate_c1_list"])
+    def test_config_document_errors_exit_2(self, tmp_path, capsys, command, text, error):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert run([command, "--config", str(config)]) == 2
+        assert read_error(capsys)["error"] == error
+
+    @pytest.mark.parametrize("text, error", [
+        ("", "empty dataset"),
+        ("\n", "malformed header: no stage columns found"),
+    ], ids=["empty_file", "blank_header"])
+    def test_unusable_csv_exits_2(self, tmp_path, capsys, text, error):
+        data = tmp_path / "train.csv"
+        data.write_text(text)
+        config = write_config(tmp_path, "cfg.json", {
+            "data": str(data), "reward_bounds": BOUNDS_DOC,
+        })
+        assert run(["fit", "--config", str(config)]) == 2
+        assert read_error(capsys)["error"] == error
+
+    @pytest.mark.parametrize("command, key", [("fit", "out"), ("simulate", "out_csv")])
+    def test_failed_output_write_exits_2(self, tmp_path, sim_csv, capsys, monkeypatch, command,
+                                         key):
+        # the path passes the check before any fit, and the write itself fails
+        def full_disk_open(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(ivdtr.cli, "open", full_disk_open, raising=False)
+        path = tmp_path / "written"
+        doc = {"fit": {"data": str(sim_csv), "reward_bounds": BOUNDS_DOC},
+               "simulate": {"replications": 1, "n_train": 200}}[command]
+        config = write_config(tmp_path, "cfg.json", {**doc, key: str(path)})
+        assert run([command, "--config", str(config)]) == 2
+        assert read_error(capsys)["error"] == f"cannot write {path}: {os.strerror(errno.ENOSPC)}"
+        assert not path.exists()
 
     def test_missing_data_file(self, tmp_path, capsys):
         config = write_config(tmp_path, "cfg.json", {

@@ -110,6 +110,14 @@ HEADER2 = "x1_1,z1,a1,r1,x2_1,z2,a2,r2\n"
     ("0.3,1,1,1.0,-0.2,0,-1,0.0", r"^row 2: stage 2 instrument not in \{-1,\+1\}: 0$"),
     ("0.3,1,2,1.0,-0.2,-1,-1,0.0", r"^row 2: stage 1 action not in \{-1,\+1\}: 2$"),
     ("0.3,1,1,1.0,-0.2,-1,-1", r"^row 2: expected 8 cells, got 7$"),
+    ("0.3,1,1,nan,-0.2,-1,-1,0.0", r"^row 2: stage 1 reward not finite: nan$"),
+    ("0.3,1,1,1.0,inf,-1,-1,0.0", r"^row 2: stage 2 covariate x2_1 not finite: inf$"),
+    # blank lines count, whether a cell fails to parse or to validate
+    ("\n0.3,1,1,1.0,foo,-1,-1,0.0", r"^row 3: non-numeric cell .*'foo'"),
+    ("\n0.3,1,1,1.0,-0.2,0,-1,0.0", r"^row 3: stage 2 instrument not in \{-1,\+1\}: 0$"),
+    ("\n0.3,1,2,1.0,-0.2,-1,-1,0.0", r"^row 3: stage 1 action not in \{-1,\+1\}: 2$"),
+    ("\n0.3,1,1,nan,-0.2,-1,-1,0.0", r"^row 3: stage 1 reward not finite: nan$"),
+    ("\n0.3,1,1,1.0,inf,-1,-1,0.0", r"^row 3: stage 2 covariate x2_1 not finite: inf$"),
 ])
 def test_rejected_cell_names_its_data_row(bad_row, message):
     with pytest.raises(DataError, match=message):
@@ -234,6 +242,13 @@ class TestDataset:
             dataclasses.replace(ds, r=ds.r[:2])
         with pytest.raises(DataError, match="share n rows"):
             Dataset(covariates=(ds.covariates[0], ds.covariates[1][:2]), z=ds.z, a=ds.a, r=ds.r)
+
+    def test_no_stages_or_no_rows_rejected(self):
+        with pytest.raises(DataError, match="num_stages must be >= 1"):
+            Dataset(covariates=(), z=np.empty((0, 0)), a=np.empty((0, 0)), r=np.empty((0, 0)))
+        with pytest.raises(DataError, match="^empty dataset$"):
+            dataset_from_arrays(covariates=[np.empty((0, 1))], instruments=[np.empty(0)],
+                                actions=[np.empty(0)], rewards=[np.empty(0)])
 
     def test_history_width(self):
         ds = loads_csv(TWO_STAGE_CSV)

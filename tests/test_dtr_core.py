@@ -12,7 +12,6 @@ import ivdtr.nuisance
 from ivdtr.bounds import RewardBounds, WeightSpec, arm_intervals, weighted_q
 from ivdtr.data import dataset_from_arrays
 from ivdtr.dtr_core import (
-    ConstantRule,
     Dtr,
     Leaf,
     TreeRule,
@@ -112,6 +111,14 @@ class TestFitWeightedTree:
             fit_weighted_tree(np.zeros((2, 1)), np.array([1.0, -1.0]),
                               np.array([1.0, -0.5]), depth=1)
 
+    @pytest.mark.parametrize("labels, depth, error", [
+        ([1.0, -1.0], -1, "depth must be >= 0"),
+        ([1.0, 0.0], 1, r"labels must be \+/-1"),
+    ], ids=["negative_depth", "zero_label"])
+    def test_bad_depth_or_label_rejected(self, labels, depth, error):
+        with pytest.raises(ValueError, match=error):
+            fit_weighted_tree(np.zeros((2, 1)), np.array(labels), np.ones(2), depth=depth)
+
     def test_depth_limit_honored(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(64, 3))
@@ -198,7 +205,14 @@ class TestFitWeightedTree:
 
 class TestPolicyStages:
     def test_constant_rule(self):
-        assert ConstantRule(-1).decide(np.array([3.0, 4.0]))[0] == -1
+        stage = constant_dtr(-1, 1).stages[0]
+        assert stage == TreeRule(nodes=(), root=Leaf(-1), max_depth=0)
+        assert stage.decide(np.array([3.0, 4.0])).tolist() == [-1]
+        assert stage.decide(np.zeros((3, 2))).tolist() == [-1, -1, -1]
+
+    def test_stage_index_out_of_range(self):
+        with pytest.raises(ValueError, match=r"stage index 3 out of range 1..2"):
+            constant_dtr(1, 2).action_matrix(3, np.zeros(2))
 
     def test_tree_rule_example(self):
         tree = TreeRule(nodes=((0, 0.5, Leaf(-1), Leaf(1)),), root=0, max_depth=1)
@@ -406,7 +420,7 @@ class TestSerialization:
     def test_tree_and_constant_roundtrip(self):
         tree = TreeRule(nodes=((0, 0.5, Leaf(-1), 1), (1, -0.25, Leaf(1), Leaf(-1))),
                         root=0, max_depth=2)
-        dtr = Dtr(stages=(tree, ConstantRule(-1)), kind="iv_optimal",
+        dtr = Dtr(stages=(tree, constant_dtr(-1, 1).stages[0]), kind="iv_optimal",
                   lam=WeightSpec(0.5))
         doc = json.loads(json.dumps(dtr_to_json(dtr)))
         back = dtr_from_json(doc)
@@ -463,6 +477,14 @@ class TestSerialization:
                "stages": [{"type": "contrast_sign"}, {"type": "constant", "label": 1}]}
         with pytest.raises(ValueError, match="unknown stage type 'contrast_sign'"):
             dtr_from_json(doc)
+
+    def test_constant_stage_reads_as_one_leaf_tree(self):
+        doc = {"kind": "std", "stages": [{"type": "constant", "label": -1}] * 2}
+        dtr = dtr_from_json(doc)
+        assert dtr == constant_dtr(-1, 2, kind="std")
+        assert dtr_to_json(dtr)["stages"][0] == {"type": "tree", "nodes": [],
+                                                 "root": {"leaf": -1}, "max_depth": 0,
+                                                 "degenerate": False}
 
     def test_constant_dtr_kind(self):
         dtr = constant_dtr(-1, 2, kind="std")

@@ -337,6 +337,11 @@ class TestFitLogistic:
             ) / (2 * eps)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize("fit", [fit_logistic, fit_linear], ids=["logistic", "linear"])
+    def test_rejects_zero_rows(self, fit):
+        with pytest.raises(ValueError, match="need at least one row"):
+            fit(np.zeros((0, 1)), np.zeros(0))
+
     def test_rejects_bad_labels_and_nonfinite(self):
         with pytest.raises(ValueError, match="0/1"):
             fit_logistic(np.zeros((3, 1)), np.array([0.0, 2.0, 1.0]))

@@ -157,6 +157,10 @@ class TestTrueValue:
         assert 2.8 < ratio < 5.7  # ~sqrt(16) = 4
         assert abs(small.raw_value - large.raw_value) < 4 * small.monte_carlo_se
 
+    def test_three_stage_policy_rejected(self):
+        with pytest.raises(ValueError, match="the evaluator handles two-stage policies"):
+            true_value(constant_dtr(1, 3), SimConfig())
+
     def test_zero_points_rejected(self):
         with pytest.raises(ValueError, match=r"n >= 1, got shape \(0, 2\)"):
             true_value(constant_dtr(1, 2), SimConfig(), x=np.empty((0, 2)))
@@ -237,7 +241,7 @@ class TestQuadrature:
         report = true_value(constant_dtr(1, 2), cfg, x=x)
         assert report.n_eval == 500 and report.monte_carlo_se > 0.0
 
-        class SignRule:  # a stage that is neither a tree nor a constant
+        class SignRule:  # a stage that is not a tree
             def decide(self, H):
                 return np.ones(np.atleast_2d(H).shape[0], dtype=int)
 
