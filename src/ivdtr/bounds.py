@@ -82,10 +82,8 @@ class RewardBounds:
             lo, hi = self.stage(k)
             bad = (rewards < lo - 1e-9) | (rewards > hi + 1e-9)
             if np.any(bad):
-                row = int(np.flatnonzero(bad)[0]) + 1
-                raise DataError(
-                    f"stage {k} reward outside declared bounds [{lo}, {hi}] at row {row}"
-                )
+                raise DataError(f"stage {k} reward outside declared bounds [{lo}, {hi}]",
+                                row=int(np.flatnonzero(bad)[0]) + 1)
 
 
 @dataclass(frozen=True)

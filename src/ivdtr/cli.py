@@ -214,7 +214,10 @@ def cmd_fit(config: dict) -> int:
     lam = _weight_spec(config["lambda"], dataset.num_stages)
     m = config["crossfit"]
 
-    models = fit_stage_models(dataset, bounds)
+    try:
+        models = fit_stage_models(dataset, bounds)
+    except DataError as exc:  # a reward outside its bounds, named by its CSV row
+        raise exc.in_csv(config["data"]) from None
     policy, estimates = fit_ivoptimal_crossfit(models, lam, config["depth"], m=m,
                                                seed=config["seed"])
     report = {"command": "fit", "n": dataset.n, "num_stages": dataset.num_stages, "crossfit": m}
@@ -242,7 +245,10 @@ def cmd_improve(config: dict) -> int:
     bounds = _reward_bounds(config)
     depth = config["depth"]
     tag = _require(config, "baseline")
-    models = fit_stage_models(dataset, bounds)
+    try:
+        models = fit_stage_models(dataset, bounds)
+    except DataError as exc:  # a reward outside its bounds, named by its CSV row
+        raise exc.in_csv(config["data"]) from None
     baseline_converged = True   # a given baseline involves no fit
     if tag == "sra":
         baseline, baseline_converged = fit_sra_baseline(dataset, depth)

@@ -24,12 +24,21 @@ import numpy as np
 
 class DataError(ValueError):
     """Raised on malformed input data (bad header, bad cell, bad shape). An error
-    in one row names it, counting from 1: Dataset counts array rows, load_csv
-    CSV rows (blank lines count)."""
+    in one row names it, counting from 1: Dataset and RewardBounds.check count
+    array rows, load_csv CSV rows (blank lines count)."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message if row is None else f"row {row}: {message}")
         self.message, self.row = message, row
+
+    def in_csv(self, path) -> DataError:
+        """This error with its row, a row of the table load_csv reads from path,
+        renamed as that file's row: the table skips blank lines, the file counts them."""
+        if self.row is None:
+            return self
+        with open(path, newline="", encoding="utf-8") as fh:
+            nonblank = [idx for idx, cells in enumerate(csv.reader(fh)) if cells]  # header 0
+        return DataError(self.message, row=nonblank[self.row])
 
 
 @dataclass(frozen=True)
@@ -220,10 +229,7 @@ def load_csv(path) -> Dataset:
             z=table[:, z_cols], a=table[:, z_cols + 1], r=table[:, z_cols + 2],
         )
     except DataError as exc:  # on a parsed table, Dataset's only errors are bad cells
-        # the table skips blank rows; the CSV row counts them, from the header's 0
-        with open(path, newline="", encoding="utf-8") as fh:
-            nonblank = [idx for idx, row in enumerate(csv.reader(fh)) if row]
-        raise DataError(exc.message, row=nonblank[exc.row]) from None
+        raise exc.in_csv(path) from None
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -87,45 +87,32 @@ def _leaf_stats(labels: np.ndarray, weights: np.ndarray, tol: float) -> tuple[in
 
 
 def _best_split(X, labels, weights, min_leaf_weight, tol):
-    """Exhaustive (feature, adjacent-midpoint) search minimizing weighted loss.
-
-    Returns (loss, feature, threshold) or None when no admissible split exists.
-    Losses within tol of the least count as tied, so that rounding never picks
-    among splits that tie in exact arithmetic. Ties break toward the most
-    count-balanced split, then the lowest (feature, threshold), so impure nodes
-    with zero-gain splits still shatter within the depth budget.
+    """Exhaustive (feature, adjacent-midpoint) search minimizing weighted loss, in
+    one pass: row i, column j of each matrix is the cut after the (i+1)-th
+    smallest value of feature j. Returns (loss, feature, threshold) or None when
+    no admissible split exists. Losses within tol of the least count as tied, so
+    that rounding never picks among splits that tie in exact arithmetic. Ties
+    break toward the most count-balanced split, then the lowest (feature,
+    threshold), so impure nodes with zero-gain splits still shatter within the
+    depth budget.
     """
-    n, d = X.shape
-    w_pos = np.where(labels > 0, weights, 0.0)
-    w_neg = np.where(labels < 0, weights, 0.0)
-    scans = []  # (feature, sorted values, cut positions, cut losses) per splittable feature
-    for j in range(d):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        cum_pos = np.cumsum(w_pos[order])
-        cum_neg = np.cumsum(w_neg[order])
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        if cut.size == 0:
-            continue
-        left_pos, left_neg = cum_pos[cut], cum_neg[cut]
-        right_pos = cum_pos[-1] - left_pos
-        right_neg = cum_neg[-1] - left_neg
-        admissible = ((left_pos + left_neg) >= min_leaf_weight) & (
-            (right_pos + right_neg) >= min_leaf_weight
-        )
-        if np.any(admissible):
-            loss = np.minimum(left_pos, left_neg) + np.minimum(right_pos, right_neg)
-            scans.append((j, xs, cut, np.where(admissible, loss, np.inf)))
-    if not scans:
+    n = X.shape[0]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    cum_pos = np.cumsum(np.where(labels > 0, weights, 0.0)[order], axis=0)
+    cum_neg = np.cumsum(np.where(labels < 0, weights, 0.0)[order], axis=0)
+    left_pos, left_neg = cum_pos[:-1], cum_neg[:-1]
+    right_pos, right_neg = cum_pos[-1:] - left_pos, cum_neg[-1:] - left_neg
+    admissible = ((xs[:-1] < xs[1:]) & (left_pos + left_neg >= min_leaf_weight)
+                  & (right_pos + right_neg >= min_leaf_weight))
+    if not admissible.any():
         return None
-    tied_below = min(float(np.min(loss)) for _, _, _, loss in scans) + tol
-    best = None
-    for j, xs, cut, loss in scans:
-        imbalance = np.where(loss <= tied_below, np.abs(2 * (cut + 1) - n), n + 1)
-        i = int(np.argmin(imbalance))  # the first, so the lowest threshold, of the most balanced
-        if imbalance[i] <= n and (best is None or imbalance[i] < best[0]):
-            best = (int(imbalance[i]), float(loss[i]), j, 0.5 * (xs[cut[i]] + xs[cut[i] + 1]))
-    return best[1:]
+    loss = np.minimum(left_pos, left_neg) + np.minimum(right_pos, right_neg)
+    loss[~admissible] = np.inf
+    imbalance = np.where(loss <= loss.min() + tol, np.abs(2 * np.arange(1, n) - n)[:, None], n + 1)
+    # the first in feature-major order: the lowest (feature, threshold) of the most balanced
+    j, i = divmod(int(np.argmin(imbalance.T)), n - 1)
+    return float(loss[i, j]), j, 0.5 * (xs[i, j] + xs[i + 1, j])
 
 
 def _grow(X, labels, weights, depth, min_leaf_weight, tol, nodes: list) -> Child:

@@ -24,7 +24,6 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -32,7 +31,7 @@ from scipy.special import expit
 from .bounds import RewardBounds, WeightSpec
 from .crossfit import fit_ivoptimal_crossfit
 from .data import DataError, Dataset, dataset_from_arrays
-from .dtr_core import Dtr, TreeRule, constant_dtr, fit_weighted_tree, sign_with_tie
+from .dtr_core import Dtr, constant_dtr, fit_weighted_tree, sign_with_tie
 from .improve import fit_ivimproved
 from .nuisance import fit_linear, fit_logistic, fit_stage_models, is_binary_outcome
 
@@ -98,7 +97,6 @@ class LatentTrace:
 @dataclass(frozen=True)
 class EvalReport:
     raw_value: float
-    monte_carlo_se: float
     n_eval: int
 
 
@@ -184,31 +182,15 @@ def _quadrature(policy: Dtr, config: SimConfig) -> tuple[np.ndarray, np.ndarray]
     return x, np.outer(half * w, np.diff(edges2)).ravel()
 
 
-def true_value(policy: Dtr, config: SimConfig, x: Optional[np.ndarray] = None) -> EvalReport:
-    """Value of a two-stage policy, the latent expectation enumerated exactly.
-
-    Without x, a policy of tree stages is integrated by quadrature:
-    monte_carlo_se is 0.0 and the report's n_eval counts the nodes. With x, an
-    (n, 2) array of (x1, x2) points, the value is their Monte Carlo average
-    (common random numbers across regimes); any other stage needs x.
-    """
+def true_value(policy: Dtr, config: SimConfig) -> EvalReport:
+    """Value of a two-stage policy of trees, integrated by quadrature with the
+    latent expectation enumerated exactly; the report's n_eval counts the nodes."""
     if policy.num_stages != 2:
         raise ValueError("the evaluator handles two-stage policies")
-    weights = None
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] < 1:
-            raise ValueError(f"x must be an (n, 2) array with n >= 1, got shape {x.shape}")
-    elif all(isinstance(stage, TreeRule) for stage in policy.stages):
-        x, weights = _quadrature(policy, config)
-    else:
-        raise ValueError("a Monte Carlo evaluation needs x")
+    x, weights = _quadrature(policy, config)
     total = _integrand(policy, config, x)
-    n_eval = total.size
     # np.average, not a dot product: a constant integrand averages to itself exactly
-    raw = float(np.average(total, weights=weights))
-    se = float(np.std(total, ddof=1) / math.sqrt(n_eval)) if weights is None and n_eval > 1 else 0.0
-    return EvalReport(raw_value=raw, monte_carlo_se=se, n_eval=n_eval)
+    return EvalReport(raw_value=float(np.average(total, weights=weights)), n_eval=total.size)
 
 
 # ------------------------------ SRA baseline ------------------------------

@@ -30,6 +30,46 @@ def weighted_loss(tree, X, labels, weights):
     return float(np.sum(weights * (pred != labels)))
 
 
+def reference_best_split(X, labels, weights, min_leaf_weight, tol):
+    """Reference for dtr_core._best_split: the same search, one feature at a time.
+
+    Returns (loss, feature, threshold) or None when no admissible split exists;
+    losses within tol of the least tie, and ties go to the most count-balanced
+    split, then the lowest (feature, threshold).
+    """
+    n, d = X.shape
+    w_pos = np.where(labels > 0, weights, 0.0)
+    w_neg = np.where(labels < 0, weights, 0.0)
+    scans = []  # (feature, sorted values, cut positions, cut losses) per splittable feature
+    for j in range(d):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        cum_pos = np.cumsum(w_pos[order])
+        cum_neg = np.cumsum(w_neg[order])
+        cut = np.flatnonzero(xs[:-1] < xs[1:])
+        if cut.size == 0:
+            continue
+        left_pos, left_neg = cum_pos[cut], cum_neg[cut]
+        right_pos = cum_pos[-1] - left_pos
+        right_neg = cum_neg[-1] - left_neg
+        admissible = ((left_pos + left_neg) >= min_leaf_weight) & (
+            (right_pos + right_neg) >= min_leaf_weight
+        )
+        if np.any(admissible):
+            loss = np.minimum(left_pos, left_neg) + np.minimum(right_pos, right_neg)
+            scans.append((j, xs, cut, np.where(admissible, loss, np.inf)))
+    if not scans:
+        return None
+    tied_below = min(float(np.min(loss)) for _, _, _, loss in scans) + tol
+    best = None
+    for j, xs, cut, loss in scans:
+        imbalance = np.where(loss <= tied_below, np.abs(2 * (cut + 1) - n), n + 1)
+        i = int(np.argmin(imbalance))  # the first, so the lowest threshold, of the most balanced
+        if imbalance[i] <= n and (best is None or imbalance[i] < best[0]):
+            best = (int(imbalance[i]), float(loss[i]), j, 0.5 * (xs[cut[i]] + xs[cut[i] + 1]))
+    return best[1:]
+
+
 def loads_csv(text):
     """load_csv on CSV text, through a temporary file."""
     with tempfile.TemporaryDirectory() as tmp:

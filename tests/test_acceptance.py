@@ -313,7 +313,7 @@ def test_criterion_7_dgp_analytic_checks():
 
     report = true_value(constant_dtr(-1, 2), config)
     checks.append(("standard-of-care raw value exactly 1.0",
-                   report.raw_value == 1.0 and report.monte_carlo_se == 0.0))
+                   report.raw_value == 1.0 and report.n_eval == 16))
 
     ctrl = ds.rewards(1)[a1 == -1.0]
     se_r = np.sqrt(0.25 / len(ctrl))

@@ -60,3 +60,47 @@ def test_pairs_alternate_the_first_side_and_failures_exit_1(monkeypatch, capsys)
     monkeypatch.setattr(bench_pairs, "run_bench",
                         lambda *args: bench_pairs.result_of(result_line(5.0, 0.2)))
     assert bench_pairs.main(argv) == 0
+
+
+def verdict_lines(parent, change):
+    """The verdicts of (ops_per_s, op_s_p50) parent and change runs."""
+    return bench_pairs.verdicts([bench_pairs.result_of(result_line(*v)) for v in parent],
+                                [bench_pairs.result_of(result_line(*v)) for v in change],
+                                END_TO_END)
+
+
+def test_worse_is_a_median_worse_by_more_than_the_bound():
+    parent = [(6.0, 0.20)] * 4
+    assert verdict_lines(parent, [(4.4, 0.26)] * 4) == [
+        "ops_per_s: worse (bound 0.25 of the parent's median)",
+        "op_s_p50: worse (bound 0.25 of the parent's median)",
+    ]
+    assert verdict_lines(parent, [(4.6, 0.24)] * 4) == [
+        "ops_per_s: within bound (bound 0.25 of the parent's median)",
+        "op_s_p50: within bound (bound 0.25 of the parent's median)",
+    ]
+
+
+def test_unresolved_is_a_parent_iqr_wider_than_the_bound():
+    # op_s_p50's parent IQR is 0.15 against 0.25 * 0.25 allowed; ops_per_s's is 0
+    parent = [(6.0, v) for v in (0.1, 0.2, 0.3, 0.4)]
+    assert verdict_lines(parent, [(6.0, v) for v in (0.26, 0.27, 0.28, 0.29)]) == [
+        "ops_per_s: within bound (bound 0.25 of the parent's median)",
+        "op_s_p50: unresolved (bound 0.25 of the parent's median)",
+    ]
+    # unless every change run beats every parent run
+    assert verdict_lines(parent, [(6.0, 0.09)] * 4)[1] == \
+        "op_s_p50: within bound (bound 0.25 of the parent's median)"
+
+
+def test_verdicts_follow_the_summary_lines(monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_bench",
+                        lambda *args: bench_pairs.result_of(result_line(5.0, 0.2)))
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "cli_fit_10k",
+                             "--pairs", "2", "--seconds", "1", "--seed0", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "op_s_p50 (s, lower is better): parent 0.2 [0.2-0.2], change 0.2, change wins 0/2",
+        "ops_per_s (1/s, higher is better): parent 5 [5-5], change 5, change wins 0/2",
+        "op_s_p50: within bound (bound 0.25 of the parent's median)",
+        "ops_per_s: within bound (bound 0.25 of the parent's median)",
+    ]

@@ -145,7 +145,21 @@ class TestFit:
             "data": str(sim_csv), "reward_bounds": [[0.0, 1.0], [0.2, 1.0]],
         })
         assert run(["fit", "--config", str(config)]) == 2
-        assert "at row" in read_error(capsys)["error"]
+        error = read_error(capsys)["error"]
+        assert re.fullmatch(r"row [1-9]\d*: stage 2 reward outside declared bounds \[0.2, 1.0\]",
+                            error)
+
+    @pytest.mark.parametrize("argv", [["fit"], ["improve", "--baseline", "std"]],
+                             ids=["fit", "improve"])
+    def test_reward_outside_bounds_names_its_csv_row(self, tmp_path, capsys, argv):
+        # the blank line counts, as it does for a malformed cell
+        data = tmp_path / "data.csv"
+        data.write_text("x1_1,z1,a1,r1\n0.1,1,1,1\n\n0.1,1,-1,5\n0.2,-1,1,0\n")
+        config = write_config(tmp_path, "cfg.json", {"data": str(data),
+                                                     "reward_bounds": [[0, 1]]})
+        assert run([*argv, "--config", str(config)]) == 2
+        assert read_error(capsys)["error"] == \
+            "row 3: stage 1 reward outside declared bounds [0.0, 1.0]"
 
     def test_unknown_config_key_rejected(self, tmp_path, sim_csv, capsys):
         config = write_config(tmp_path, "cfg.json", {

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synth import interval_at, stage_rows, synthetic_nuisance, weighted_loss
+from synth import (
+    interval_at,
+    reference_best_split,
+    stage_rows,
+    synthetic_nuisance,
+    weighted_loss,
+)
 
 import ivdtr.nuisance
 from ivdtr.bounds import RewardBounds, WeightSpec, arm_intervals, weighted_q
 from ivdtr.data import dataset_from_arrays
 from ivdtr.dtr_core import (
+    TIE_TOL,
     Dtr,
     Leaf,
     TreeRule,
@@ -20,6 +27,7 @@ from ivdtr.dtr_core import (
     dtr_from_json,
     dtr_to_json,
     fit_stage,
+    _best_split,
     fit_weighted_tree,
     sign_with_tie,
 )
@@ -190,6 +198,23 @@ class TestFitWeightedTree:
                 tree = fit_weighted_tree(X, labels, weights, depth, min_leaf_weight=0.0)
                 assert fit_weighted_tree(X, labels, weights * (1.0 + 1e-12 * u), depth,
                                          min_leaf_weight=0.0) == tree
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_split_search_matches_the_per_feature_reference(self, data):
+        # small integer features and weights make exact loss and balance ties common
+        n, d = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 4))
+        X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)),
+                     dtype=float).reshape(n, d)
+        labels = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n,
+                                             max_size=n)))
+        weights = np.array(data.draw(st.lists(st.integers(0, 3) | st.floats(0.0, 2.0),
+                                              min_size=n, max_size=n)), dtype=float)
+        total = float(np.sum(weights))
+        min_leaf_weight = data.draw(st.floats(0.0, 0.3)) * total
+        tol = data.draw(st.sampled_from([0.0, TIE_TOL * total, 1.0]))
+        assert _best_split(X, labels, weights, min_leaf_weight, tol) == \
+            reference_best_split(X, labels, weights, min_leaf_weight, tol)
 
     def test_shatters_distinct_points(self):
         # at depth ceil(log2 n), n <= 8 distinct 1-d points are fit exactly
