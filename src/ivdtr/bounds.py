@@ -197,15 +197,17 @@ def mp_bounds_matrix(
     return lower, upper, n_repaired
 
 
-def arm_intervals(nuisance: NuisanceSet, H: np.ndarray) -> tuple[Interval, Interval, int]:
+def arm_intervals(nuisance: NuisanceSet, H: np.ndarray,
+                  instrument: tuple | None = None) -> tuple[Interval, Interval, int]:
     """Per-row intervals on arm +1 and on arm -1 over nuisance.outcome_range, and
     the total repair count of both.
 
     P(Z=+1|H), P(A=+1|H,Z=z) for each z and the four outcome cells are each
-    predicted once, and both arms are bounded on every row.
+    predicted once, and both arms are bounded on every row. instrument, when
+    given, is (P(Z=+1|H), [P(A=+1|H,Z=-1), P(A=+1|H,Z=+1)]) as the set's own
+    models and clip predict them at H (StageModels.instrument).
     """
-    pz_pos = nuisance.pz_pos(H)
-    pa_pos = [nuisance.pa_pos(H, z) for z in (-1, 1)]
+    pz_pos, pa_pos = instrument or (nuisance.pz_pos(H), [nuisance.pa_pos(H, z) for z in (-1, 1)])
     bounded = [mp_bounds_matrix(pz_pos, tuple(p if a == 1 else 1.0 - p for p in pa_pos),
                                 tuple(nuisance.mu_val(H, z, a) for z in (-1, 1)),
                                 nuisance.outcome_range) for a in (1, -1)]

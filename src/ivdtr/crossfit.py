@@ -79,7 +79,8 @@ def fit_ivoptimal_crossfit(
             )
         contrasts, estimates = crossfit_stage_contrasts(models, batch, lam)
     stages = tuple(
-        fit_weighted_tree(stage.H, sign_with_tie(contrast), np.abs(contrast), depth)
+        fit_weighted_tree(stage.H, sign_with_tie(contrast), np.abs(contrast), depth,
+                          order=stage.order)
         for stage, contrast in zip(models, contrasts)
     )
     return Dtr(stages=stages, kind="iv_optimal", lam=lam), estimates

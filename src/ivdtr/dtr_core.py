@@ -79,57 +79,62 @@ class TreeRule:
 
 def _leaf_stats(labels: np.ndarray, weights: np.ndarray, tol: float) -> tuple[int, float]:
     """Weighted-majority leaf label (masses within tol -> +1) and its misclassified mass."""
-    w_pos = float(np.sum(weights[labels > 0]))
-    w_neg = float(np.sum(weights[labels < 0]))
+    w_pos = float(weights[labels > 0].sum())
+    w_neg = float(weights[labels < 0].sum())
     if w_pos >= w_neg - tol:
         return 1, w_neg
     return -1, w_pos
 
 
-def _best_split(X, labels, weights, min_leaf_weight, tol):
+def _best_split(X, order, labels, weights, min_leaf_weight, tol):
     """Exhaustive (feature, adjacent-midpoint) search minimizing weighted loss, in
-    one pass: row i, column j of each matrix is the cut after the (i+1)-th
-    smallest value of feature j. Returns (loss, feature, threshold) or None when
-    no admissible split exists. Losses within tol of the least count as tied, so
+    one pass over a node's rows: row j of order holds them sorted by feature j,
+    and row j, column i of each matrix is the cut after the (i+1)-th smallest
+    value of feature j. Returns (loss, feature, threshold) or None when no
+    admissible split exists. Losses within tol of the least count as tied, so
     that rounding never picks among splits that tie in exact arithmetic. Ties
     break toward the most count-balanced split, then the lowest (feature,
     threshold), so impure nodes with zero-gain splits still shatter within the
     depth budget.
     """
-    n = X.shape[0]
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    cum_pos = np.cumsum(np.where(labels > 0, weights, 0.0)[order], axis=0)
-    cum_neg = np.cumsum(np.where(labels < 0, weights, 0.0)[order], axis=0)
-    left_pos, left_neg = cum_pos[:-1], cum_neg[:-1]
-    right_pos, right_neg = cum_pos[-1:] - left_pos, cum_neg[-1:] - left_neg
-    admissible = ((xs[:-1] < xs[1:]) & (left_pos + left_neg >= min_leaf_weight)
+    n = order.shape[1]
+    xs = np.take_along_axis(X.T, order, axis=1)
+    cum_pos = np.cumsum(np.where(labels > 0, weights, 0.0)[order], axis=1)
+    cum_neg = np.cumsum(np.where(labels < 0, weights, 0.0)[order], axis=1)
+    left_pos, left_neg = cum_pos[:, :-1], cum_neg[:, :-1]
+    right_pos, right_neg = cum_pos[:, -1:] - left_pos, cum_neg[:, -1:] - left_neg
+    admissible = ((xs[:, :-1] < xs[:, 1:]) & (left_pos + left_neg >= min_leaf_weight)
                   & (right_pos + right_neg >= min_leaf_weight))
     if not admissible.any():
         return None
     loss = np.minimum(left_pos, left_neg) + np.minimum(right_pos, right_neg)
     loss[~admissible] = np.inf
-    imbalance = np.where(loss <= loss.min() + tol, np.abs(2 * np.arange(1, n) - n)[:, None], n + 1)
+    imbalance = np.where(loss <= loss.min() + tol, np.abs(2 * np.arange(1, n) - n), n + 1)
     # the first in feature-major order: the lowest (feature, threshold) of the most balanced
-    j, i = divmod(int(np.argmin(imbalance.T)), n - 1)
-    return float(loss[i, j]), j, 0.5 * (xs[i, j] + xs[i + 1, j])
+    j, i = divmod(int(np.argmin(imbalance)), n - 1)
+    return float(loss[j, i]), j, 0.5 * (xs[j, i] + xs[j, i + 1])
 
 
-def _grow(X, labels, weights, depth, min_leaf_weight, tol, nodes: list) -> Child:
-    """Append the subtree's nodes to nodes, each before its children; return its root."""
-    label, node_loss = _leaf_stats(labels, weights, tol)
+def _grow(X, labels, weights, rows, order, depth, min_leaf_weight, tol, nodes: list) -> Child:
+    """Append the subtree of X's rows (ascending) to nodes, each node before its
+    children; return its root. order is the rows sorted by each feature (None at
+    an unsorted root), and each child's is its parent's, stably partitioned."""
+    label, node_loss = _leaf_stats(labels[rows], weights[rows], tol)
     if depth <= 0 or node_loss <= 0.0:
         return Leaf(label)
-    found = _best_split(X, labels, weights, min_leaf_weight, tol)
+    if order is None:
+        order = np.argsort(X.T, axis=1, kind="stable")
+    found = _best_split(X, order, labels, weights, min_leaf_weight, tol)
     if found is None or found[0] > node_loss + tol:
         return Leaf(label)
     _, feature, threshold = found
     go_left = X[:, feature] < threshold
     index = len(nodes)
     nodes.append(None)
-    left, right = (_grow(X[rows], labels[rows], weights[rows], depth - 1, min_leaf_weight, tol,
-                         nodes)
-                   for rows in (go_left, ~go_left))
+    left, right = (_grow(X, labels, weights, rows[side[rows]],
+                         order[side[order]].reshape(order.shape[0], -1), depth - 1,
+                         min_leaf_weight, tol, nodes)
+                   for side in (go_left, ~go_left))
     nodes[index] = (feature, threshold, left, right)
     return index
 
@@ -140,28 +145,34 @@ def fit_weighted_tree(
     weights: np.ndarray,
     depth: int,
     min_leaf_weight: Optional[float] = None,
+    order: Optional[np.ndarray] = None,
 ) -> TreeRule:
     """Greedy CART-style tree minimizing sum_i w_i * 1{pred(x_i) != label_i}.
 
     min_leaf_weight defaults to 1% of the total weight. Losses and leaf masses
     within TIE_TOL times the total weight tie (see _best_split and _leaf_stats).
+    order, np.argsort(features.T, axis=1, kind="stable"), may be shared by trees
+    on the same features (StageModels.order); else an impure root sorts once.
     """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.asarray(labels, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if np.any(weights < 0):
+    if (weights < 0).any():
         raise ValueError("weights must be nonnegative")
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
+    if not ((labels == 1.0) | (labels == -1.0)).all():
         raise ValueError("labels must be +/-1")
-    total = float(np.sum(weights))
+    if order is not None and order.shape != X.T.shape:
+        raise ValueError(f"order must have shape {X.T.shape}, got {order.shape}")
+    total = float(weights.sum())
     if total <= 0.0:
         return TreeRule(nodes=(), root=Leaf(1), max_depth=depth, degenerate=True)
     if min_leaf_weight is None:
         min_leaf_weight = MIN_LEAF_WEIGHT_FRACTION * total
     nodes: list = []
-    root = _grow(X, labels, weights, depth, min_leaf_weight, TIE_TOL * total, nodes)
+    root = _grow(X, labels, weights, np.arange(X.shape[0]), order, depth, min_leaf_weight,
+                 TIE_TOL * total, nodes)
     return TreeRule(nodes=tuple(nodes), root=root, max_depth=depth)
 
 

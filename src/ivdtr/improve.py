@@ -146,7 +146,7 @@ def fit_ivimproved(
     estimates = relative_stage_estimates(models, baseline)
     stages = tuple(
         fit_weighted_tree(models[est.stage - 1].H, est.improved_action,
-                          np.abs(est.contrast), depth)
+                          np.abs(est.contrast), depth, order=models[est.stage - 1].order)
         for est in estimates
     )
     return Dtr(stages=stages, kind=f"iv_improved({baseline_id})"), estimates

@@ -5,10 +5,12 @@ quantity the partial-identification bounds need:
   P(Z=+1|H), P(A=+1|H,Z=z) for z in {-1,+1}, and E[Y|H,Z=z,A=a] per (z,a) cell.
 
 StageModels holds one stage's data, reward range and tail range, and fits
-P(Z|H), P(A|H,Z) and the reward cells on [low_k, high_k] on first read. The
-backward passes read the stage models as their only data, which fit and bound
-each distinct outcome vector once (see StageModels), and a row subset of the
-models (one cross-fitting complement) fits its own.
+P(Z|H), P(A|H,Z) and the reward cells on [low_k, high_k] on first read, as
+it computes H's per-column sort for its trees, the (z, a) cells' rows and
+the instrument predictions at H. The backward passes read the stage models
+as their only data, which fit and bound each distinct outcome vector once
+(see StageModels), and a row subset of the models (one cross-fitting
+complement) fits its own.
 
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
@@ -44,6 +46,7 @@ least squares with the penalty on slopes only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,7 +67,7 @@ class NumericalError(RuntimeError):
 
 def _check_finite(*arrays) -> None:
     for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("non-finite values in model input")
 
 
@@ -126,7 +129,7 @@ def penalized_loglik(theta: np.ndarray, eta: np.ndarray, sign: np.ndarray) -> fl
     RIDGE * ||theta||^2."""
     t = sign * eta
     # -log expit(eta) for y=1, -log(1-expit(eta)) for y=0: one softplus of t per row
-    ll = -np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
+    ll = -(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))).sum()
     return float(ll - RIDGE * theta @ theta)
 
 
@@ -145,14 +148,14 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     y = np.asarray(labels, dtype=float).ravel()
     if X.shape[0] < 1:
         raise ValueError("need at least one row")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("labels must be 0/1")
     _check_finite(X, y)
     sign = 1.0 - 2.0 * y
     XF = np.asfortranarray(X)  # for X @ theta and the Hessian; see the module docstring
 
     n, p = X.shape
-    positives = float(np.sum(y))
+    positives = float(y.sum())
     theta = np.zeros(p)
     theta[0] = np.log((positives + 0.5) / (n - positives + 0.5))  # the labels' own log-odds
     eta = theta @ XF.T
@@ -162,7 +165,7 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
     hess = None
     for _ in range(MAX_ITER):
         grad, mu = loglik_gradient(theta, eta, X, y)
-        if np.linalg.norm(grad) <= GRAD_TOL:
+        if math.sqrt(grad @ grad) <= GRAD_TOL:
             if hess is not None:
                 # finishing step on the previous Hessian: the optimum, not GRAD_TOL from it
                 theta = theta + np.linalg.solve(hess, grad)
@@ -185,7 +188,7 @@ def fit_logistic(features: np.ndarray, labels: np.ndarray) -> LogisticModel:
             scale *= 0.5
         else:
             break
-        if converged or np.array_equal(candidate, theta):
+        if converged or (candidate == theta).all():
             # a stall, or a fixed point every later iteration would repeat exactly
             theta = candidate
             break
@@ -252,7 +255,8 @@ class StageModels:
 
     pz models P(Z=+1|H), pa[z] models P(A=+1|H,Z=z) and reward holds the reward
     cells on reward_range; each is fitted on first read. They depend on the data
-    alone, so every outcome vector bounded at the stage shares them.
+    alone, so every outcome vector bounded at the stage shares them, as it does
+    order, cells and instrument, each computed on first read.
 
     The private memo holds each NuisanceSet fit_stage_nuisance made here, keyed by
     the bytes of its outcome vector and range and its outcome kind, and each set's
@@ -283,16 +287,37 @@ class StageModels:
 
     @property
     def empty_cells(self) -> tuple:
-        return tuple(("pa", z0) for z0 in (-1, 1) if not np.any(self.z == z0))
+        return tuple(("pa", z0) for z0 in (-1, 1) if not (self.z == z0).any())
 
     @property
     def converged(self) -> bool:
         return all(getattr(m, "converged", True) for m in (self.pz, self.pa[1], self.pa[-1]))
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Row j is the stable argsort of H's column j, for fit_weighted_tree."""
+        return np.argsort(self.H.T, axis=1, kind="stable")
+
+    @cached_property
+    def cells(self) -> dict:
+        """Keys (z, a) for z, a in {-1, +1}: the cell's row mask and H at those rows."""
+        masks = {(z0, a0): (self.z == z0) & (self.a == a0) for z0 in (-1, 1) for a0 in (-1, 1)}
+        return {cell: (rows, self.H[rows]) for cell, rows in masks.items()}
+
+    @cached_property
+    def instrument(self) -> tuple:
+        """P(Z=+1|H) and [P(A=+1|H,Z=-1), P(A=+1|H,Z=+1)], clipped by DEFAULT_CLIP."""
+        return (self.pz.predict(self.H, clip=DEFAULT_CLIP),
+                [self.pa[z0].predict(self.H, clip=DEFAULT_CLIP) for z0 in (-1, 1)])
+
     def intervals(self, nuisance: NuisanceSet) -> tuple[Interval, Interval, int]:
-        """arm_intervals(nuisance, H), computed once per nuisance."""
+        """arm_intervals(nuisance, H), computed once per nuisance; a set on these
+        models' pz and pa (if fitted) with DEFAULT_CLIP reuses instrument."""
         if nuisance not in self._memo:
-            self._memo[nuisance] = arm_intervals(nuisance, self.H)
+            own = (nuisance.clip == DEFAULT_CLIP and nuisance.pz is self.__dict__.get("pz")
+                   and nuisance.pa is self.__dict__.get("pa"))
+            self._memo[nuisance] = arm_intervals(nuisance, self.H,
+                                                 self.instrument if own else None)
         return self._memo[nuisance]
 
     @cached_property
@@ -327,20 +352,11 @@ def fit_mu_cells(
     binary_outcome: bool,
 ) -> tuple[dict, tuple]:
     """Per-(z,a)-cell outcome regressions on the stage's data; empty cells fall back to midpoint."""
-    mu: dict = {}
-    empty = []
-    midpoint = 0.5 * (outcome_range[0] + outcome_range[1])
-    for z0 in (-1, 1):
-        for a0 in (-1, 1):
-            rows = (models.z == z0) & (models.a == a0)
-            if not np.any(rows):
-                mu[(z0, a0)] = ConstantModel(midpoint)
-                empty.append((z0, a0))
-            elif binary_outcome:
-                mu[(z0, a0)] = fit_logistic(models.H[rows], y[rows])
-            else:
-                mu[(z0, a0)] = fit_linear(models.H[rows], y[rows])
-    return mu, tuple(empty)
+    fit = fit_logistic if binary_outcome else fit_linear
+    midpoint = ConstantModel(0.5 * (outcome_range[0] + outcome_range[1]))
+    mu = {cell: fit(H_rows, y[rows]) if rows.any() else midpoint
+          for cell, (rows, H_rows) in models.cells.items()}
+    return mu, tuple(cell for cell, model in mu.items() if model is midpoint)
 
 
 def fit_stage_nuisance(

@@ -140,27 +140,19 @@ def generate(config: SimConfig, n: int, rng: np.random.Generator) -> tuple[Datas
 
 def _integrand(policy: Dtr, config: SimConfig, x: np.ndarray) -> np.ndarray:
     """Expected total reward at each row (x1, x2) of x, with U1, R1 and U2
-    enumerated exactly."""
+    enumerated exactly on broadcast axes (u1, r1, u2) before the rows."""
     xi, n = config.xi, x.shape[0]
     x1 = x[:, 0]
+    bit = np.array([[0.0], [1.0]])  # the values of u1, r1 and u2
     a1 = policy.action_matrix(1, x).astype(float)
-    # stage-2 decisions depend on r1; evaluate the rule on both branches
-    a2_by_r1 = {}
-    for r1_val in (0.0, 1.0):
-        h2 = np.column_stack([x, a1, np.full(n, r1_val)])
-        a2_by_r1[r1_val] = policy.action_matrix(2, h2).astype(float)
-
-    total = np.zeros(n)
-    for u1 in (0.0, 1.0):
-        p_r1 = _r1_prob(x1, a1, u1, xi, config.stage1_signal_threshold)
-        for r1_val in (0.0, 1.0):
-            p_branch = p_r1 if r1_val == 1.0 else 1.0 - p_r1
-            a2 = a2_by_r1[r1_val]
-            stage2 = np.zeros(n)
-            for u2 in (0.0, 1.0):
-                stage2 += 0.5 * _r2_prob(x1, r1_val, a1, a2, u2, xi)
-            total += 0.5 * p_branch * (r1_val + stage2)
-    return total
+    # stage-2 decisions depend on r1: one call covers both branches, r1 = 0 first
+    h2 = np.column_stack([np.tile(x, (2, 1)), np.tile(a1, 2), np.repeat(bit, n)])
+    a2 = policy.action_matrix(2, h2).astype(float).reshape(2, n)
+    p_r1 = _r1_prob(x1, a1, bit, xi, config.stage1_signal_threshold)  # (u1, row)
+    p_branch = np.stack([1.0 - p_r1, p_r1], axis=1)  # (u1, r1, row)
+    p_r2 = _r2_prob(x1, bit[:, None], a1, a2[:, None], bit[None], xi)  # (r1, u2, row)
+    t = 0.5 * p_branch * (bit + (0.5 * p_r2[:, 0] + 0.5 * p_r2[:, 1]))
+    return t[0, 0] + t[0, 1] + t[1, 0] + t[1, 1]  # the sum in the enumeration's order
 
 
 def _quadrature(policy: Dtr, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:

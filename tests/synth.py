@@ -9,7 +9,9 @@ import numpy as np
 
 from ivdtr.bounds import Interval, arm_intervals
 from ivdtr.data import dataset_from_arrays, expected_header, load_csv, save_csv
+from ivdtr.dtr_core import MIN_LEAF_WEIGHT_FRACTION, TIE_TOL, Leaf, TreeRule, _leaf_stats
 from ivdtr.nuisance import ConstantModel, NuisanceSet, StageModels
+from ivdtr.sim import _r1_prob, _r2_prob
 
 
 def synthetic_nuisance(pz_pos, pa_pos_by_z, mu_by_cell, outcome_range, clip=0.0):
@@ -68,6 +70,81 @@ def reference_best_split(X, labels, weights, min_leaf_weight, tol):
         if imbalance[i] <= n and (best is None or imbalance[i] < best[0]):
             best = (int(imbalance[i]), float(loss[i]), j, 0.5 * (xs[cut[i]] + xs[cut[i] + 1]))
     return best[1:]
+
+
+def _sorting_best_split(X, labels, weights, min_leaf_weight, tol):
+    """The one-pass split search on a node's own rows, sorted here."""
+    n = X.shape[0]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    cum_pos = np.cumsum(np.where(labels > 0, weights, 0.0)[order], axis=0)
+    cum_neg = np.cumsum(np.where(labels < 0, weights, 0.0)[order], axis=0)
+    left_pos, left_neg = cum_pos[:-1], cum_neg[:-1]
+    right_pos, right_neg = cum_pos[-1:] - left_pos, cum_neg[-1:] - left_neg
+    admissible = ((xs[:-1] < xs[1:]) & (left_pos + left_neg >= min_leaf_weight)
+                  & (right_pos + right_neg >= min_leaf_weight))
+    if not admissible.any():
+        return None
+    loss = np.minimum(left_pos, left_neg) + np.minimum(right_pos, right_neg)
+    loss[~admissible] = np.inf
+    imbalance = np.where(loss <= loss.min() + tol, np.abs(2 * np.arange(1, n) - n)[:, None], n + 1)
+    j, i = divmod(int(np.argmin(imbalance.T)), n - 1)
+    return float(loss[i, j]), j, 0.5 * (xs[i, j] + xs[i + 1, j])
+
+
+def reference_fit_weighted_tree(features, labels, weights, depth, min_leaf_weight=None):
+    """Reference for dtr_core.fit_weighted_tree on valid input: the same greedy
+    tree, each node slicing its own rows and sorting them afresh."""
+    X = np.atleast_2d(np.asarray(features, dtype=float))
+    labels = np.asarray(labels, dtype=float).ravel()
+    weights = np.asarray(weights, dtype=float).ravel()
+    total = float(np.sum(weights))
+    if total <= 0.0:
+        return TreeRule(nodes=(), root=Leaf(1), max_depth=depth, degenerate=True)
+    if min_leaf_weight is None:
+        min_leaf_weight = MIN_LEAF_WEIGHT_FRACTION * total
+    tol, nodes = TIE_TOL * total, []
+
+    def grow(X, labels, weights, depth):
+        label, node_loss = _leaf_stats(labels, weights, tol)
+        if depth <= 0 or node_loss <= 0.0:
+            return Leaf(label)
+        found = _sorting_best_split(X, labels, weights, min_leaf_weight, tol)
+        if found is None or found[0] > node_loss + tol:
+            return Leaf(label)
+        _, feature, threshold = found
+        go_left = X[:, feature] < threshold
+        index = len(nodes)
+        nodes.append(None)
+        left, right = (grow(X[rows], labels[rows], weights[rows], depth - 1)
+                       for rows in (go_left, ~go_left))
+        nodes[index] = (feature, threshold, left, right)
+        return index
+
+    root = grow(X, labels, weights, depth)
+    return TreeRule(nodes=tuple(nodes), root=root, max_depth=depth)
+
+
+def reference_integrand(policy, config, x):
+    """Reference for sim._integrand: the latent expectation as nested loops over
+    u1, r1 and u2, summed in that order."""
+    xi, n = config.xi, x.shape[0]
+    x1 = x[:, 0]
+    a1 = policy.action_matrix(1, x).astype(float)
+    a2_by_r1 = {}
+    for r1_val in (0.0, 1.0):
+        h2 = np.column_stack([x, a1, np.full(n, r1_val)])
+        a2_by_r1[r1_val] = policy.action_matrix(2, h2).astype(float)
+    total = np.zeros(n)
+    for u1 in (0.0, 1.0):
+        p_r1 = _r1_prob(x1, a1, u1, xi, config.stage1_signal_threshold)
+        for r1_val in (0.0, 1.0):
+            p_branch = p_r1 if r1_val == 1.0 else 1.0 - p_r1
+            stage2 = np.zeros(n)
+            for u2 in (0.0, 1.0):
+                stage2 += 0.5 * _r2_prob(x1, r1_val, a1, a2_by_r1[r1_val], u2, xi)
+            total += 0.5 * p_branch * (r1_val + stage2)
+    return total
 
 
 def loads_csv(text):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from synth import (
     interval_at,
     reference_best_split,
+    reference_fit_weighted_tree,
     stage_rows,
     synthetic_nuisance,
     weighted_loss,
@@ -213,8 +214,34 @@ class TestFitWeightedTree:
         total = float(np.sum(weights))
         min_leaf_weight = data.draw(st.floats(0.0, 0.3)) * total
         tol = data.draw(st.sampled_from([0.0, TIE_TOL * total, 1.0]))
-        assert _best_split(X, labels, weights, min_leaf_weight, tol) == \
+        order = np.argsort(X.T, axis=1, kind="stable")
+        assert _best_split(X, order, labels, weights, min_leaf_weight, tol) == \
             reference_best_split(X, labels, weights, min_leaf_weight, tol)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_presorted_trees_match_the_per_node_sort_reference(self, data):
+        # children partition their parent's sorted rows; a fresh sort at every node
+        # must give the same tree, with the sort passed in or made by the tree
+        n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 4))
+        X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)),
+                     dtype=float).reshape(n, d)
+        labels = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n,
+                                             max_size=n)))
+        weights = np.array(data.draw(st.lists(st.integers(0, 3) | st.floats(0.0, 2.0),
+                                              min_size=n, max_size=n)), dtype=float)
+        depth = data.draw(st.integers(0, 3))
+        min_leaf_weight = data.draw(st.none() | st.floats(0.0, 0.3).map(
+            lambda f: f * float(np.sum(weights))))
+        expected = reference_fit_weighted_tree(X, labels, weights, depth, min_leaf_weight)
+        assert fit_weighted_tree(X, labels, weights, depth, min_leaf_weight) == expected
+        assert fit_weighted_tree(X, labels, weights, depth, min_leaf_weight,
+                                 order=np.argsort(X.T, axis=1, kind="stable")) == expected
+
+    def test_order_of_another_shape_rejected(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError, match=r"order must have shape \(2, 4\), got \(4, 2\)"):
+            fit_weighted_tree(X, np.ones(4), np.ones(4), 1, order=np.argsort(X, axis=0))
 
     def test_shatters_distinct_points(self):
         # at depth ceil(log2 n), n <= 8 distinct 1-d points are fit exactly

@@ -1,15 +1,18 @@
 """Logistic/linear fits against closed forms, finite differences, and oracles."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
+from synth import synthetic_nuisance
 
 import ivdtr.nuisance
 from ivdtr.bounds import arm_intervals
 from ivdtr.data import assign_batches
 from ivdtr.nuisance import (
+    DEFAULT_CLIP,
     RIDGE,
     ConstantModel,
     LogisticModel,
@@ -530,3 +533,23 @@ class TestFitStageNuisance:
         for got_end, end in zip((*got[0], *got[1]), (*expected[0], *expected[1])):
             np.testing.assert_array_equal(got_end, end)
         assert got[2] == expected[2]
+
+    def test_intervals_equal_arm_intervals_on_any_set(self):
+        # the stage's own sets reuse its instrument predictions at H; a set on
+        # other models, or on the stage's models with another clip, predicts its own
+        H, z, a, y = self.compliant_data()
+        models = StageModels(H=H, z=z, a=a, r=y, reward_range=(0.0, 1.0), tail=(0.0, 2.0))
+        own = [models.reward, fit_stage_nuisance(models, 2.0 * y, (0.0, 2.0), False)]
+        other = synthetic_nuisance(0.3, {-1: 0.2, 1: 0.9},
+                                   {(z0, a0): 0.5 for z0 in (-1, 1) for a0 in (-1, 1)},
+                                   (0.0, 1.0))
+        others = [other, dataclasses.replace(other, clip=DEFAULT_CLIP)]
+        unclipped = dataclasses.replace(own[0], clip=0.0)
+        for ns in (*own, *others, unclipped):
+            got, expected = models.intervals(ns), arm_intervals(ns, H)
+            for got_end, end in zip((*got[0], *got[1]), (*expected[0], *expected[1])):
+                np.testing.assert_array_equal(got_end, end)
+            assert got[2] == expected[2]
+        # perfect compliance saturates P(A|H,Z), so the clip changes the intervals
+        assert not np.array_equal(models.intervals(unclipped)[0].lower,
+                                  models.intervals(own[0])[0].lower)

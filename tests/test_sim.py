@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 from scipy.special import expit
-from synth import random_two_stage_dataset
+from synth import random_two_stage_dataset, reference_integrand
 
 import ivdtr.bounds
 import ivdtr.nuisance
@@ -187,6 +187,18 @@ class TestQuadrature:
             # 1e-12 admits an integrand constant in x (a2 = -1 throughout), whose
             # Monte Carlo SE is rounding noise
             assert abs(exact.raw_value - np.mean(total)) < 4 * se + 1e-12
+
+    @pytest.mark.parametrize("xi", [1.0, 3.0])
+    def test_integrand_matches_the_loop_reference(self, xi):
+        # broadcasting over (u1, r1, u2) sums the same terms in the same order
+        cfg = SimConfig(c1=4.0, xi=xi, stage1_signal_threshold=0.3)
+        rng = np.random.default_rng(int(xi) + 40)
+        policies = [random_policy(rng) for _ in range(10)] + [constant_dtr(1, 2),
+                                                              constant_dtr(-1, 2)]
+        for policy in policies:
+            for x in (rng.uniform(-1.0, 1.0, size=(500, 2)), ivdtr.sim._quadrature(policy, cfg)[0]):
+                np.testing.assert_array_equal(ivdtr.sim._integrand(policy, cfg, x),
+                                              reference_integrand(policy, cfg, x))
 
     def test_node_count_converged(self, monkeypatch):
         cfg = SimConfig(c1=4.0, xi=3.0, stage1_signal_threshold=0.1)
