@@ -13,8 +13,10 @@ one line per end-to-end metric of BENCHMARK.json: the parent's median
 [Q1-Q3], the change's median and the number of pairs the change won (ties
 count for neither side). Then one verdict line per metric, on its relative
 ``bound``: ``worse`` when the change's median is worse than the parent's by
-more than bound x the parent's median; else ``unresolved`` when the parent's
-IQR is wider than that, unless every change run beats every parent run; else
+more than bound x the parent's median; else ``better`` when the change wins at
+least 90% of the pairs and its median beats the parent's by more than the
+parent's IQR; else ``unresolved`` when the parent's IQR is wider than bound x
+the parent's median, unless every change run beats every parent run; else
 ``within bound``. Exits 1 if any run reports failed operations.
 """
 
@@ -46,24 +48,24 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _metrics(parent: list[dict], change: list[dict], end_to_end: list[dict]):
-    """(spec, sign, parent values, change values) per end-to-end metric that
-    every run reports; sign is +1 where higher is better, else -1."""
+    """(spec, sign, parent values, change values, change wins) per end-to-end
+    metric that every run reports; sign is +1 where higher is better, else -1."""
     for spec in end_to_end:
         name = spec["name"]
         if all(name in r["metrics"] for r in parent + change):
-            yield (spec, 1.0 if spec["better"] == "higher" else -1.0,
-                   *(np.array([r["metrics"][name]["value"] for r in side], dtype=float)
-                     for side in (parent, change)))
+            sign = 1.0 if spec["better"] == "higher" else -1.0
+            old, new = (np.array([r["metrics"][name]["value"] for r in side], dtype=float)
+                        for side in (parent, change))
+            yield spec, sign, old, new, int(np.sum(sign * (new - old) > 0))
 
 
 def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
     """One line per end-to-end metric that every run reports; parent[i] and
     change[i] are the result records of pair i."""
     lines = []
-    for spec, sign, old, new in _metrics(parent, change, end_to_end):
+    for spec, _, old, new, wins in _metrics(parent, change, end_to_end):
         name = spec["name"]
         q1, med, q3 = np.quantile(old, [0.25, 0.5, 0.75])
-        wins = int(np.sum(sign * (new - old) > 0))
         lines.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
                      f"parent {med:.4g} [{q1:.4g}-{q3:.4g}], change {np.median(new):.4g}, "
                      f"change wins {wins}/{len(old)}")
@@ -74,11 +76,14 @@ def verdicts(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> 
     """One verdict line per end-to-end metric that every run reports (see the
     module docstring)."""
     lines = []
-    for spec, sign, old, new in _metrics(parent, change, end_to_end):
+    for spec, sign, old, new, wins in _metrics(parent, change, end_to_end):
         q1, med, q3 = np.quantile(old, [0.25, 0.5, 0.75])
         allowed = spec["bound"] * abs(med)
-        if sign * (np.median(new) - med) < -allowed:
+        gain = sign * (np.median(new) - med)
+        if gain < -allowed:
             verdict = "worse"
+        elif wins >= 0.9 * len(old) and gain > q3 - q1:
+            verdict = "better"
         elif q3 - q1 > allowed and not np.min(sign * new) > np.max(sign * old):
             verdict = "unresolved"
         else:

@@ -215,7 +215,8 @@ def fit_sra_baseline(dataset: Dataset, depth: int) -> tuple[Dtr, bool]:
         y = dataset.rewards(k) + next_value
         tail = (float(r_min[k - 1:].sum()), float(r_max[k - 1:].sum()))
         fit_arm = fit_logistic if is_binary_outcome(y, tail) else fit_linear
-        arm = {a0: fit_arm(h[a == a0], y[a == a0]) for a0 in (-1.0, 1.0)}
+        arm = {a0: fit_arm(h.compress(a == a0, axis=0), y.compress(a == a0))
+               for a0 in (-1.0, 1.0)}
         prop = fit_logistic(h, (a == 1.0).astype(float))
         mu_pos, mu_neg = (np.clip(arm[a0].predict(h), *tail) for a0 in (1.0, -1.0))
         phi = _aipw_contrast(a, y, mu_pos, mu_neg, prop.predict(h))

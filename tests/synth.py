@@ -2,6 +2,7 @@
 and the test-only helpers built on the shipped code."""
 
 import csv
+import dataclasses
 import os
 import tempfile
 
@@ -9,7 +10,8 @@ import numpy as np
 
 from ivdtr.bounds import Interval, arm_intervals
 from ivdtr.data import dataset_from_arrays, expected_header, load_csv, save_csv
-from ivdtr.dtr_core import MIN_LEAF_WEIGHT_FRACTION, TIE_TOL, Leaf, TreeRule, _leaf_stats
+from ivdtr.dtr_core import (MIN_LEAF_WEIGHT_FRACTION, TIE_TOL, Leaf, TreeRule, _leaf_stats,
+                            backward_induct)
 from ivdtr.nuisance import ConstantModel, NuisanceSet, StageModels
 from ivdtr.sim import _r1_prob, _r2_prob
 
@@ -123,6 +125,24 @@ def reference_fit_weighted_tree(features, labels, weights, depth, min_leaf_weigh
 
     root = grow(X, labels, weights, depth)
     return TreeRule(nodes=tuple(nodes), root=root, max_depth=depth)
+
+
+def reference_crossfit_stage_contrasts(models, batch, lam):
+    """Reference for crossfit.crossfit_stage_contrasts on labels that fill 0..m-1:
+    the same backward inductions, each complement's and held-out batch's rows
+    selected by boolean mask."""
+    m = int(np.max(batch)) + 1
+    out = [np.zeros(len(stage.r)) for stage in models]
+    fits = []
+    for j in range(m):
+        held, rows = batch == j, batch != j
+        complement = tuple(dataclasses.replace(s, H=s.H[rows], z=s.z[rows], a=s.a[rows],
+                                               r=s.r[rows]) for s in models)
+        estimates = backward_induct(complement, lam)
+        fits += estimates
+        for stage, contrast, est in zip(models, out, estimates):
+            contrast[held] = est.contrast_at(stage.H[held])
+    return tuple(out), fits
 
 
 def reference_integrand(policy, config, x):

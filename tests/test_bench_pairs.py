@@ -88,9 +88,34 @@ def test_unresolved_is_a_parent_iqr_wider_than_the_bound():
         "ops_per_s: within bound (bound 0.25 of the parent's median)",
         "op_s_p50: unresolved (bound 0.25 of the parent's median)",
     ]
-    # unless every change run beats every parent run
-    assert verdict_lines(parent, [(6.0, 0.09)] * 4)[1] == \
+    # unless every change run beats every parent run; on this parent's long upper
+    # tail the change's median gain, 0.16, is inside the IQR, 0.3, so not better
+    skewed = [(6.0, v) for v in (0.1, 0.2, 0.3, 1.0)]
+    assert verdict_lines(skewed, [(6.0, 0.09)] * 4)[1] == \
         "op_s_p50: within bound (bound 0.25 of the parent's median)"
+
+
+def test_better_is_90_percent_wins_and_a_median_gain_beyond_the_parent_iqr():
+    # op_s_p50: parent median 0.2045 [0.20225-0.20675]; ops_per_s: a parent IQR of 0
+    parent = [(6.0, 0.200 + 0.001 * i) for i in range(10)]
+    nine_wins = [(6.1, 0.19)] * 9 + [(5.9, 0.3)]
+    assert verdict_lines(parent, nine_wins) == [
+        "ops_per_s: better (bound 0.25 of the parent's median)",
+        "op_s_p50: better (bound 0.25 of the parent's median)",
+    ]
+    # 8 wins of 10 are not enough, whatever the median gain
+    eight_wins = [(6.1, 0.19)] * 8 + [(5.9, 0.3)] * 2
+    assert verdict_lines(parent, eight_wins) == [
+        "ops_per_s: within bound (bound 0.25 of the parent's median)",
+        "op_s_p50: within bound (bound 0.25 of the parent's median)",
+    ]
+    # winning every pair by a median 0.001, inside the parent's IQR, is not better
+    inside_iqr = [(6.0, v - 0.001) for _, v in parent]
+    assert verdict_lines(parent, inside_iqr)[1] == \
+        "op_s_p50: within bound (bound 0.25 of the parent's median)"
+    # the same four 0.09 runs against the unskewed parent: gain 0.16 against an IQR of 0.15
+    assert verdict_lines([(6.0, v) for v in (0.1, 0.2, 0.3, 0.4)], [(6.0, 0.09)] * 4)[1] == \
+        "op_s_p50: better (bound 0.25 of the parent's median)"
 
 
 def test_verdicts_follow_the_summary_lines(monkeypatch, capsys):

@@ -5,12 +5,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from synth import random_two_stage_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from synth import random_two_stage_dataset, reference_crossfit_stage_contrasts
 
 import ivdtr.crossfit
 from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.crossfit import crossfit_stage_contrasts, fit_ivoptimal_crossfit
-from ivdtr.data import Dataset, assign_batches
+from ivdtr.data import Dataset, assign_batches, dataset_from_arrays
 from ivdtr.dtr_core import (Dtr, backward_induct, constant_dtr, dtr_to_json, fit_weighted_tree,
                             sign_with_tie)
 from ivdtr.improve import relative_stage_estimates
@@ -102,6 +104,55 @@ class TestCrossfitStageContrasts:
         ds = random_two_stage_dataset(np.random.default_rng(2), n=40)
         with pytest.raises(ValueError, match="at least 2"):
             crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), np.zeros(40, int), LAM)
+
+    def test_label_outside_the_batches_rejected(self):
+        # rows labelled -1 would never be held out, so they would keep contrast 0
+        ds = random_two_stage_dataset(np.random.default_rng(2), n=60)
+        with pytest.raises(ValueError, match=r"batch label -1 lies outside 0\.\.1"):
+            crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), np.arange(60) % 3 - 1, LAM)
+
+    def test_empty_batch_rejected(self):
+        # labels {0, 2}: batch 1's complement would be the whole sample
+        ds = random_two_stage_dataset(np.random.default_rng(2), n=60)
+        with pytest.raises(ValueError, match=r"batch label 1 of 0\.\.2 has no samples"):
+            crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), 2 * (np.arange(60) % 2),
+                                     LAM)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_row_selection_matches_the_mask_reference(self, data):
+        # complements and held-out batches are selected by index and cells by
+        # compress; boolean masks must give the same bytes, so the same fits
+        K, m = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(4 * m, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # one-valued instruments leave a z-arm empty; a = z leaves the (z, -z) cells empty
+        arms = st.sampled_from([(-1.0, 1.0), (-1.0,), (1.0,)])
+        z = [rng.choice(data.draw(arms), size=n) for _ in range(K)]
+        a = [z_k.copy() if data.draw(st.booleans()) else rng.choice(data.draw(arms), size=n)
+             for z_k in z]
+        r = [rng.integers(0, 2, size=n).astype(float) if data.draw(st.booleans())
+             else rng.random(n) for _ in range(K)]
+        covariates = [rng.normal(size=(n, data.draw(st.integers(0, 2)))) for _ in range(K)]
+        models = fit_stage_models(dataset_from_arrays(covariates, z, a, r),
+                                  RewardBounds(lows=(0.0,) * K, highs=(1.0,) * K))
+        batch = assign_batches(n, m, rng)
+        lam = data.draw(st.sampled_from([LAM, WeightSpec.best(), WeightSpec.worst()]))
+        contrasts, fits = crossfit_stage_contrasts(models, batch, lam)
+        expected, expected_fits = reference_crossfit_stage_contrasts(models, batch, lam)
+        for got, want in zip(contrasts, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert [est.stage for est in fits] == [est.stage for est in expected_fits]
+        for got, want in zip(fits, expected_fits):
+            np.testing.assert_array_equal(got.contrast, want.contrast)
+            np.testing.assert_array_equal(got.widths, want.widths)
+            assert got.n_repaired == want.n_repaired
+        for stage in models:
+            for (z0, a0), (rows, H_rows) in stage.cells.items():
+                mask = (stage.z == z0) & (stage.a == a0)
+                np.testing.assert_array_equal(rows, mask)
+                assert H_rows.shape == stage.H[mask].shape
+                np.testing.assert_array_equal(H_rows, stage.H[mask])
 
 
 class TestFitIvoptimalCrossfit:
