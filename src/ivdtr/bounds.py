@@ -15,22 +15,18 @@ are repaired by clipping to [C_low, C_high] and collapsing residual crossings
 to the midpoint, with a diagnostic count.
 
 mp_bounds_matrix is this formula on arrays of the conditional quantities alone,
-with the arm a free to differ by row; it makes no model calls.
-arm_intervals predicts each model of a NuisanceSet once and bounds both arms on
-the set's outcome_range; each reader picks the ends it uses.
+with the arm a free to differ by row; arm_intervals bounds both arms on such
+arrays, and each reader picks the ends it uses. Neither makes a model call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import DataError
-
-if TYPE_CHECKING:  # nuisance imports this module for StageModels.intervals
-    from .nuisance import NuisanceSet
 
 
 class Interval(NamedTuple):
@@ -197,20 +193,15 @@ def mp_bounds_matrix(
     return lower, upper, n_repaired
 
 
-def arm_intervals(nuisance: NuisanceSet, H: np.ndarray,
-                  instrument: tuple | None = None) -> tuple[Interval, Interval, int]:
-    """Per-row intervals on arm +1 and on arm -1 over nuisance.outcome_range, and
-    the total repair count of both.
-
-    P(Z=+1|H), P(A=+1|H,Z=z) for each z and the four outcome cells are each
-    predicted once, and both arms are bounded on every row. instrument, when
-    given, is (P(Z=+1|H), [P(A=+1|H,Z=-1), P(A=+1|H,Z=+1)]) as the set's own
-    models and clip predict them at H (StageModels.instrument).
-    """
-    pz_pos, pa_pos = instrument or (nuisance.pz_pos(H), [nuisance.pa_pos(H, z) for z in (-1, 1)])
+def arm_intervals(pz_pos: np.ndarray, pa_pos: Sequence[np.ndarray], mu: dict,
+                  outcome_range: tuple[float, float]) -> tuple[Interval, Interval, int]:
+    """Per-row intervals on arm +1 and on arm -1 over outcome_range, and the
+    total repair count of both. pz_pos is P(Z=+1|h), pa_pos is
+    [P(A=+1|h,Z=-1), P(A=+1|h,Z=+1)] and mu[(z, a)] is E[Y|h,Z=z,A=a], all at
+    the same rows."""
     bounded = [mp_bounds_matrix(pz_pos, tuple(p if a == 1 else 1.0 - p for p in pa_pos),
-                                tuple(nuisance.mu_val(H, z, a) for z in (-1, 1)),
-                                nuisance.outcome_range) for a in (1, -1)]
+                                tuple(mu[(z, a)] for z in (-1, 1)), outcome_range)
+               for a in (1, -1)]
     plus, minus = (Interval(lower, upper) for lower, upper, _ in bounded)
     return plus, minus, bounded[0][2] + bounded[1][2]
 

@@ -34,8 +34,10 @@ def crossfit_stage_contrasts(
 ) -> tuple[tuple[np.ndarray, ...], list[StageQEstimate]]:
     """Per-stage contrasts (entry k-1: (n,) at stage k), a sample's from a
     backward induction on its batch's complement, and those m inductions'
-    stage estimates; batch holds each sample's batch label in 0..m-1, and a
-    label outside that range or a batch without samples raises ValueError."""
+    stage estimates; batch holds each sample's batch label in 0..m-1. Another
+    length, a label outside 0..m-1 or a batch without samples raises ValueError."""
+    if len(batch) != len(models[0].r):
+        raise ValueError(f"batch has {len(batch)} labels for {len(models[0].r)} samples")
     m = int(np.max(batch)) + 1
     if m < 2:
         raise ValueError("cross-fitting needs at least 2 batches")

@@ -36,7 +36,7 @@ class DataError(ValueError):
         renamed as that file's row: the table skips blank lines, the file counts them."""
         if self.row is None:
             return self
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             nonblank = [idx for idx, cells in enumerate(csv.reader(fh)) if cells]  # header 0
         return DataError(self.message, row=nonblank[self.row])
 
@@ -208,8 +208,8 @@ def _read_rows(fh, width: int) -> np.ndarray:
 
 
 def load_csv(path) -> Dataset:
-    """Load a trajectory dataset from CSV; the header fixes the schema."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Load a trajectory dataset from CSV, skipping a leading UTF-8 byte-order mark."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = [c.strip() for c in next(csv.reader(fh))]
         except StopIteration:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import WeightSpec, arm_intervals, weighted_q
+from .bounds import WeightSpec, weighted_q
 from .data import DataError
 from .nuisance import NuisanceSet, StageModels, fit_stage_nuisance, is_binary_outcome
 
@@ -226,7 +226,7 @@ class StageQEstimate:
 
     def contrast_at(self, H: np.ndarray) -> np.ndarray:
         """The weighted-Q contrast at histories H, on the nuisance's outcome_range."""
-        plus, minus, _ = arm_intervals(self.nuisance, H)
+        plus, minus, _ = self.nuisance.intervals_at(H)
         return weighted_q(plus, self.lam) - weighted_q(minus, self.lam)
 
 

@@ -20,8 +20,8 @@ supply each stage's histories, ranges and instrument, treatment and
 reward-cell fits. It fits only the cells of the relative continuation and of
 the sum; the models fit and bound each distinct outcome vector once, whatever
 the baseline. Each of the three outcomes is bounded on both arms on its cells'
-outcome_range by StageModels.intervals, and each end the contrast reads is
-taken per row on a' or on -a'.
+outcome_range by StageModels.intervals, and relative_contrast_pieces takes
+each end it reads per row on a' or on -a'.
 """
 
 from __future__ import annotations
@@ -53,28 +53,25 @@ class RelativeStageEstimate:
 
 
 def relative_contrast_pieces(
-    models: StageModels,
     baseline_action: np.ndarray,
-    reward_nuisance,
+    reward: tuple,
     continuation: Optional[tuple] = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(keep_lower, contrast, n_repaired) per history row of the models.
+    """(keep_lower, contrast, n_repaired) per row of the intervals.
 
-    continuation is None at stage K, where the flipped arm is bounded with the
-    reward nuisance and keep_lower is zero; otherwise it is
-    (sum_nuisance, continuation_nuisance). Each nuisance is bounded on its own
-    outcome_range. n_repaired counts repairs on both arms of every nuisance used.
+    reward and the continuation's are (plus, minus, n_repaired) as arm_intervals
+    returns them. continuation is None at stage K, where the flipped arm is
+    bounded with the reward and keep_lower is zero; otherwise it is (sum,
+    continuation). n_repaired counts repairs on both arms of every interval used.
     """
     keep = baseline_action == 1
-    plus, minus, n_rep = models.intervals(reward_nuisance)
+    plus, minus, n_rep = reward
     keep_upper = np.where(keep, plus.upper, minus.upper)
     if continuation is None:
         flip_lower = np.where(keep, minus.lower, plus.lower)
         keep_lower = np.zeros_like(flip_lower)
     else:
-        sum_ns, cont_ns = continuation
-        plus_s, minus_s, rep_s = models.intervals(sum_ns)
-        plus_c, minus_c, rep_c = models.intervals(cont_ns)
+        (plus_s, minus_s, rep_s), (plus_c, minus_c, rep_c) = continuation
         flip_lower = np.where(keep, minus_s.lower, plus_s.lower)
         keep_lower = np.where(keep, plus_c.lower, minus_c.lower)
         n_rep += rep_s + rep_c
@@ -114,10 +111,10 @@ def relative_stage_estimates(
 
             cont_ns = fit_stage_nuisance(stage, cont_y, cont_tail, False)
             sum_ns = fit_stage_nuisance(stage, sum_y, sum_tail, False)
-            continuation = (sum_ns, cont_ns)
+            continuation = (stage.intervals(sum_ns), stage.intervals(cont_ns))
 
         keep_lower, contrast, n_rep = relative_contrast_pieces(
-            stage, base_action, stage.reward, continuation)
+            base_action, stage.intervals(stage.reward), continuation)
         improved = np.where(contrast > 0, -base_action, base_action).astype(int)
         relative_value = keep_lower + np.maximum(contrast, 0.0)
 

@@ -10,10 +10,11 @@ it computes H's per-column sort for its trees, the (z, a) cells' rows and
 the instrument predictions at H. The backward passes read the stage models
 as their only data, which fit and bound each distinct outcome vector once
 (see StageModels), and a row subset of the models (one cross-fitting
-complement) fits its own. An instrument arm's or a cell's rows are copied with
-compress, which copies the same rows as boolean indexing in the same order at
-about a seventh of its cost (17 us against 118 us for 8,000 of 10,000 rows of 4
-columns; numpy 2.4, one Xeon core).
+complement) fits its own. A set is bounded at any histories by its intervals_at,
+and at H by StageModels.intervals. An instrument arm's or a cell's rows are
+copied with compress, which copies the same rows as boolean indexing in the same
+order at about a seventh of its cost (17 us against 118 us for 8,000 of 10,000
+rows of 4 columns; numpy 2.4, one Xeon core).
 
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
@@ -114,12 +115,8 @@ class ConstantModel:
 
     value: float
 
-    def predict(self, features: np.ndarray, clip: float | None = None) -> np.ndarray:
-        n = np.atleast_2d(np.asarray(features, dtype=float)).shape[0]
-        out = np.full(n, self.value)
-        if clip is not None:
-            out = np.clip(out, clip, 1.0 - clip)
-        return out
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return np.full(len(np.atleast_2d(features)), self.value)
 
 
 def logistic_mean(eta: np.ndarray) -> np.ndarray:
@@ -219,36 +216,37 @@ def fit_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
     return LinearModel(intercept=float(theta[0]), coefficients=theta[1:])
 
 
+def _instrument_at(pz, pa: dict, H: np.ndarray) -> tuple:
+    """P(Z=+1|H) and [P(A=+1|H,Z=-1), P(A=+1|H,Z=+1)] as pz and pa predict them."""
+    return pz.predict(H), [pa[z0].predict(H) for z0 in (-1, 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class NuisanceSet:
     """Fitted conditional models for one stage and one outcome variable.
 
     pz models P(Z=+1|H); pa[z] models P(A=+1|H,Z=z); mu[(z, a)] models
-    E[Y|H,Z=z,A=a] with predictions clipped to outcome_range. Compared and
-    hashed by identity, so a set is a key of its StageModels' memo.
+    E[Y|H,Z=z,A=a] with predictions clipped to outcome_range (a logistic model's
+    also to DEFAULT_CLIP). Compared and hashed by identity, so a set is a key of
+    its StageModels' memo.
     """
 
     pz: object
     pa: dict          # keys -1, +1
     mu: dict          # keys (z, a) for z, a in {-1, +1}
     outcome_range: tuple[float, float]
-    clip: float = DEFAULT_CLIP
     empty_cells: tuple = ()
     converged: bool = True
 
-    def pz_pos(self, H: np.ndarray) -> np.ndarray:
-        return self.pz.predict(H, clip=self.clip)
+    def cells_at(self, H: np.ndarray) -> dict:
+        """Keys (z, a): each cell's prediction at H, clipped to outcome_range."""
+        return {cell: np.clip(model.predict(H), *self.outcome_range)
+                for cell, model in self.mu.items()}
 
-    def pa_pos(self, H: np.ndarray, z: int) -> np.ndarray:
-        return self.pa[int(z)].predict(H, clip=self.clip)
-
-    def mu_val(self, H: np.ndarray, z: int, a: int) -> np.ndarray:
-        model = self.mu[(int(z), int(a))]
-        if isinstance(model, LogisticModel):
-            pred = model.predict(H, clip=self.clip)
-        else:
-            pred = model.predict(H)
-        return np.clip(pred, self.outcome_range[0], self.outcome_range[1])
+    def intervals_at(self, H: np.ndarray) -> tuple[Interval, Interval, int]:
+        """arm_intervals at histories H, every model predicted there once."""
+        return arm_intervals(*_instrument_at(self.pz, self.pa, H), self.cells_at(H),
+                             self.outcome_range)
 
 
 @dataclass(frozen=True)
@@ -310,18 +308,15 @@ class StageModels:
 
     @cached_property
     def instrument(self) -> tuple:
-        """P(Z=+1|H) and [P(A=+1|H,Z=-1), P(A=+1|H,Z=+1)], clipped by DEFAULT_CLIP."""
-        return (self.pz.predict(self.H, clip=DEFAULT_CLIP),
-                [self.pa[z0].predict(self.H, clip=DEFAULT_CLIP) for z0 in (-1, 1)])
+        """P(Z=+1|H) and [P(A=+1|H,Z=-1), P(A=+1|H,Z=+1)]."""
+        return _instrument_at(self.pz, self.pa, self.H)
 
     def intervals(self, nuisance: NuisanceSet) -> tuple[Interval, Interval, int]:
-        """arm_intervals(nuisance, H), computed once per nuisance; a set on these
-        models' pz and pa (if fitted) with DEFAULT_CLIP reuses instrument."""
+        """nuisance.intervals_at(H) for a set fitted on these models, computed once
+        per set: its cells are bounded on the models' instrument predictions."""
         if nuisance not in self._memo:
-            own = (nuisance.clip == DEFAULT_CLIP and nuisance.pz is self.__dict__.get("pz")
-                   and nuisance.pa is self.__dict__.get("pa"))
-            self._memo[nuisance] = arm_intervals(nuisance, self.H,
-                                                 self.instrument if own else None)
+            self._memo[nuisance] = arm_intervals(*self.instrument, nuisance.cells_at(self.H),
+                                                 nuisance.outcome_range)
         return self._memo[nuisance]
 
     @cached_property

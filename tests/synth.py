@@ -8,24 +8,50 @@ import tempfile
 
 import numpy as np
 
-from ivdtr.bounds import Interval, arm_intervals
+from ivdtr.bounds import Interval, mp_bounds_matrix
 from ivdtr.data import dataset_from_arrays, expected_header, load_csv, save_csv
 from ivdtr.dtr_core import (MIN_LEAF_WEIGHT_FRACTION, TIE_TOL, Leaf, TreeRule, _leaf_stats,
                             backward_induct)
-from ivdtr.nuisance import ConstantModel, NuisanceSet, StageModels
+from ivdtr.nuisance import DEFAULT_CLIP, ConstantModel, LogisticModel, NuisanceSet
 from ivdtr.sim import _r1_prob, _r2_prob
 
 
-def synthetic_nuisance(pz_pos, pa_pos_by_z, mu_by_cell, outcome_range, clip=0.0):
-    """NuisanceSet with constant conditional quantities, unclipped by default;
-    used to pin population-level formula values."""
+def synthetic_nuisance(pz_pos, pa_pos_by_z, mu_by_cell, outcome_range):
+    """NuisanceSet with constant, unclipped conditional quantities; used to pin
+    population-level formula values."""
     return NuisanceSet(
         pz=ConstantModel(pz_pos),
         pa={z: ConstantModel(p) for z, p in pa_pos_by_z.items()},
         mu={cell: ConstantModel(v) for cell, v in mu_by_cell.items()},
         outcome_range=(float(outcome_range[0]), float(outcome_range[1])),
-        clip=clip,
     )
+
+
+def reference_arm_intervals(nuisance, H, instrument=None):
+    """Reference for NuisanceSet.intervals_at and StageModels.intervals on the
+    sets the pipeline fits: P(Z=+1|H) and P(A=+1|H,Z=z) clipped to
+    [DEFAULT_CLIP, 1 - DEFAULT_CLIP], each cell's prediction (a logistic one so
+    clipped too) clipped to the outcome range, and both arms bounded by
+    mp_bounds_matrix. instrument, when given, is (P(Z=+1|H),
+    [P(A=+1|H,Z=-1), P(A=+1|H,Z=+1)]) predicted elsewhere, used in their place."""
+    def pz_pos(H):
+        return np.clip(nuisance.pz.predict(H), DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
+
+    def pa_pos(H, z):
+        return np.clip(nuisance.pa[z].predict(H), DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
+
+    def mu_val(H, z, a):
+        model = nuisance.mu[(z, a)]
+        pred = (model.predict(H, clip=DEFAULT_CLIP) if isinstance(model, LogisticModel)
+                else model.predict(H))
+        return np.clip(pred, nuisance.outcome_range[0], nuisance.outcome_range[1])
+
+    pz, pa = instrument or (pz_pos(H), [pa_pos(H, z) for z in (-1, 1)])
+    bounded = [mp_bounds_matrix(pz, tuple(p if a == 1 else 1.0 - p for p in pa),
+                                tuple(mu_val(H, z, a) for z in (-1, 1)), nuisance.outcome_range)
+               for a in (1, -1)]
+    plus, minus = (Interval(lower, upper) for lower, upper, _ in bounded)
+    return plus, minus, bounded[0][2] + bounded[1][2]
 
 
 def weighted_loss(tree, X, labels, weights):
@@ -201,17 +227,10 @@ def save_csv_rowwise(dataset, path):
 
 
 def interval_at(nuisance, h, a):
-    """Interval for action a at one history: row 0 of arm_intervals' plus or minus."""
-    plus, minus, _ = arm_intervals(nuisance, np.atleast_2d(h))
+    """Interval for action a at one history: row 0 of intervals_at's plus or minus."""
+    plus, minus, _ = nuisance.intervals_at(np.atleast_2d(h))
     lower, upper = plus if a == 1 else minus
     return Interval(float(lower[0]), float(upper[0]))
-
-
-def stage_rows(H):
-    """StageModels on the history rows H alone, for bounding a given nuisance there."""
-    n = H.shape[0]
-    return StageModels(H=H, z=np.ones(n), a=np.ones(n), r=np.zeros(n),
-                       reward_range=(0.0, 1.0), tail=(0.0, 1.0))
 
 
 def random_nuisance(rng, outcome_range=(0.0, 1.0)):

@@ -14,7 +14,6 @@ from synth import (
     random_nuisance,
     random_single_stage_dataset,
     random_two_stage_dataset,
-    stage_rows,
     synthetic_nuisance,
     weighted_loss,
 )
@@ -157,8 +156,8 @@ def test_criterion_4_bound_property_suite():
         extremes &= interval.lower - 1e-12 <= q <= interval.upper + 1e-12
 
         widen = float(rng.uniform(0.0, 0.5))
-        pz = ns.pz_pos(np.zeros((1, 1)))[0]
-        pa = {z: ns.pa_pos(np.zeros((1, 1)), z)[0] for z in (-1, 1)}
+        pz = ns.pz.value
+        pa = {z: m.value for z, m in ns.pa.items()}
         mu_cells = {cell: m.value for cell, m in ns.mu.items()}
         raw_in = oracle_interval(pz, pa, mu_cells, a, 0.0, 1.0)
         raw_out = oracle_interval(pz, pa, mu_cells, a, -widen, 1.0 + widen)
@@ -219,7 +218,7 @@ def test_criterion_5_closed_form_reductions():
         U = plus.upper - minus.lower
         for b in (-1, 1):
             contrast = relative_contrast_pieces(
-                stage_rows(np.zeros((1, 1))), np.array([b]), ns)[1][0]
+                np.array([b]), ns.intervals_at(np.zeros((1, 1))))[1][0]
             action = -b if contrast > 0 else b
             prop_agree &= action == improve_rule_single(L, U, b)
             triples += 1
@@ -234,10 +233,10 @@ def test_criterion_5_closed_form_reductions():
     for _ in range(500):
         ns = random_nuisance(rng)
         b = int(rng.choice([-1, 1]))
+        reward = ns.intervals_at(np.zeros((1, 1)))
         generic = relative_contrast_pieces(
-            stage_rows(np.zeros((1, 1))), np.array([b]), ns, (ns, zero))[1][0]
-        terminal &= abs(generic - relative_contrast_pieces(
-            stage_rows(np.zeros((1, 1))), np.array([b]), ns)[1][0]) < 1e-12
+            np.array([b]), reward, (reward, zero.intervals_at(np.zeros((1, 1)))))[1][0]
+        terminal &= abs(generic - relative_contrast_pieces(np.array([b]), reward)[1][0]) < 1e-12
     checks.append(("zero-continuation reduction exact to 1e-12", terminal))
     report_criterion(5, checks)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synth import interval_at, random_two_stage_dataset, stage_rows, synthetic_nuisance
+from synth import interval_at, random_two_stage_dataset, synthetic_nuisance
 
 from ivdtr.bounds import (
     Interval,
@@ -178,6 +178,26 @@ def history_nuisance(rng, d, outcome_range):
 
 
 class TestArmIntervals:
+    def test_intervals_at_bounds_each_models_predictions(self):
+        # probabilities as the models predict them, cells clipped to the range
+        rng = np.random.default_rng(9)
+        ns = history_nuisance(rng, 3, (-0.5, 0.5))
+        H = rng.normal(size=(200, 3))
+        mu = {cell: np.clip(model.predict(H), -0.5, 0.5) for cell, model in ns.mu.items()}
+        got = ns.intervals_at(H)
+        expected = arm_intervals(ns.pz.predict(H), [ns.pa[z].predict(H) for z in (-1, 1)],
+                                 mu, (-0.5, 0.5))
+        for got_end, end in zip((*got[0], *got[1]), (*expected[0], *expected[1])):
+            assert np.array_equal(got_end, end)
+        assert got[2] == expected[2]
+        assert any((model.predict(H) > 0.5).any() for model in ns.mu.values())  # clip binds
+        for a, (lower, upper) in zip((1, -1), got[:2]):
+            p_a = tuple(p if a == 1 else 1.0 - p for p in (ns.pa[-1].predict(H),
+                                                         ns.pa[1].predict(H)))
+            arm = mp_bounds_matrix(ns.pz.predict(H), p_a, (mu[(-1, a)], mu[(1, a)]),
+                                   (-0.5, 0.5))
+            assert np.array_equal(lower, arm[0]) and np.array_equal(upper, arm[1])
+
     def test_contrast_pieces_select_per_row_from_both_arms(self):
         rng, extra = np.random.default_rng(7), np.random.default_rng(8)
         repaired = 0
@@ -189,18 +209,17 @@ class TestArmIntervals:
             baseline = rng.choice([-1, 1], size=200)
             sum_ns, cont_ns = (history_nuisance(extra, 3, (low, low + extra.uniform(0.1, 2.0)))
                                for _ in range(2))
-            (plus, minus, n_r), (plus_s, minus_s, n_s), (plus_c, minus_c, n_c) = (
-                arm_intervals(x, H) for x in (ns, sum_ns, cont_ns))
+            reward, sums, cont = (x.intervals_at(H) for x in (ns, sum_ns, cont_ns))
+            (plus, minus, n_r), (plus_s, minus_s, n_s), (plus_c, minus_c, n_c) = reward, sums, cont
             keep = baseline == 1
             keep_upper = np.where(keep, plus.upper, minus.upper)
 
-            keep_lower, contrast, n_rep = relative_contrast_pieces(stage_rows(H), baseline, ns)
+            keep_lower, contrast, n_rep = relative_contrast_pieces(baseline, reward)
             assert np.array_equal(keep_lower, np.zeros(200))
             assert np.array_equal(contrast, np.where(keep, minus.lower, plus.lower) - keep_upper)
             assert n_rep == n_r
 
-            keep_lower, contrast, n_rep = relative_contrast_pieces(
-                stage_rows(H), baseline, ns, (sum_ns, cont_ns))
+            keep_lower, contrast, n_rep = relative_contrast_pieces(baseline, reward, (sums, cont))
             expected_keep = np.where(keep, plus_c.lower, minus_c.lower)
             assert np.array_equal(keep_lower, expected_keep)
             assert np.array_equal(contrast, np.where(keep, minus_s.lower, plus_s.lower)

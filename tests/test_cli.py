@@ -18,7 +18,6 @@ import ivdtr.cli
 import ivdtr.crossfit
 import ivdtr.nuisance
 import ivdtr.sim
-from ivdtr.bounds import arm_intervals
 from ivdtr.cli import run
 from ivdtr.data import dataset_from_arrays, save_csv
 from ivdtr.dtr_core import dtr_from_json, dtr_to_json
@@ -220,7 +219,7 @@ class TestFit:
             widths = []
             for H, est in fits:
                 if est.stage == entry["stage"]:
-                    plus, minus, _ = arm_intervals(est.nuisance, H)
+                    plus, minus, _ = est.nuisance.intervals_at(H)
                     widths += [plus.upper - plus.lower, minus.upper - minus.lower]
             widths = np.concatenate(widths)
             assert entry["interval_width_quantiles"] == {
@@ -489,11 +488,19 @@ class TestConfigSurface:
         monkeypatch.chdir(tmp_path)
         make_example_data(monkeypatch, 500)
         readme = (REPO / "README.md").read_text()
-        block = re.search(r"## Library\s*```python\n(.*?)```", readme, re.S)
+        library = readme[readme.index("## Library"):]
+        blocks = re.findall(r"```python\n(.*?)```", library, re.S)
         namespace: dict = {}
-        exec(block.group(1), namespace)
+        exec(blocks[0], namespace)
         assert namespace["data"].n == 500
         assert namespace["action"] in (-1, 1)
+        # the interval recipe, on the estimates the first block fitted
+        exec(blocks[1], namespace)
+        got = (namespace["plus"], namespace["minus"], namespace["n_repaired"])
+        expected = namespace["models"][1].intervals(namespace["estimates"][1].nuisance)
+        assert got[2] == expected[2]
+        for a, b in zip(got[:2], expected[:2]):
+            assert np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
 
     def test_readme_report_keys_match_reports(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -118,6 +118,15 @@ class TestCrossfitStageContrasts:
             crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), 2 * (np.arange(60) % 2),
                                      LAM)
 
+    @pytest.mark.parametrize("labels", [200, 400])
+    def test_batch_of_another_length_rejected(self, labels):
+        # too short would leave the last rows unscored; too long would index past them
+        models = fit_stage_models(random_two_stage_dataset(np.random.default_rng(2), n=300),
+                                  BOUNDS2)
+        batch = np.arange(labels) % 2
+        with pytest.raises(ValueError, match=f"batch has {labels} labels for 300 samples"):
+            crossfit_stage_contrasts(models, batch, LAM)
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_row_selection_matches_the_mask_reference(self, data):

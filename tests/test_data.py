@@ -124,6 +124,28 @@ def test_rejected_cell_names_its_data_row(bad_row, message):
         loads_csv(HEADER2 + "0.3,1,1,1.0,-0.2,-1,-1,0.0\n" + bad_row + "\n")
 
 
+@pytest.mark.parametrize("body", [
+    TWO_STAGE_CSV,
+    HEADER2 + "1_000,1,1,1.0,-0.2,-1,-1,0.0\n",  # numpy rejects 1_000: the row reader reads it
+], ids=["c-parse", "row-reader"])
+def test_byte_order_mark_skipped(body):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF
+    plain, marked = loads_csv(body), loads_csv("\ufeff" + body)
+    assert marked.covariate_dims == plain.covariate_dims
+    for got, want in zip((*marked.covariates, marked.z, marked.a, marked.r),
+                         (*plain.covariates, plain.z, plain.a, plain.r), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("\n0.3,1,1,1.0,foo,-1,-1,0.0", r"^row 3: non-numeric cell .*'foo'"),
+    ("\n0.3,1,1,1.0,-0.2,0,-1,0.0", r"^row 3: stage 2 instrument not in \{-1,\+1\}: 0$"),
+], ids=["parse", "validate"])
+def test_byte_order_mark_keeps_data_rows(bad_row, message):
+    with pytest.raises(DataError, match=message):
+        loads_csv("\ufeff" + HEADER2 + "0.3,1,1,1.0,-0.2,-1,-1,0.0\n" + bad_row + "\n")
+
+
 def test_blank_lines_skipped_and_pm1_spellings_accepted():
     ds = loads_csv(HEADER2 + "\n0.3,1.0, -1,1.0,-0.2, -1,1.0,0.0\n\n")
     assert ds.n == 1

@@ -10,13 +10,12 @@ from synth import (
     interval_at,
     reference_best_split,
     reference_fit_weighted_tree,
-    stage_rows,
     synthetic_nuisance,
     weighted_loss,
 )
 
 import ivdtr.nuisance
-from ivdtr.bounds import RewardBounds, WeightSpec, arm_intervals, weighted_q
+from ivdtr.bounds import RewardBounds, WeightSpec, weighted_q
 from ivdtr.data import dataset_from_arrays
 from ivdtr.dtr_core import (
     TIE_TOL,
@@ -33,7 +32,7 @@ from ivdtr.dtr_core import (
     sign_with_tie,
 )
 from ivdtr.crossfit import fit_ivoptimal_crossfit
-from ivdtr.nuisance import fit_stage_models
+from ivdtr.nuisance import StageModels, fit_stage_models
 
 
 # --------------------------- exhaustive tree oracle ---------------------------
@@ -272,9 +271,11 @@ class TestPolicyStages:
         assert tree.decide(np.array([0.2, 0.0]))[0] == -1
 
     def test_sign_of_contrast_tie_is_positive(self):
-        mu = {(z, a): 0.5 for z in (-1, 1) for a in (-1, 1)}
-        ns = synthetic_nuisance(0.5, {-1: 0.5, 1: 0.5}, mu, (0.0, 1.0))
-        est, _ = fit_stage(stage_rows(np.zeros((1, 2))), ns, 0.5, 1)
+        # one row per (z, a) cell, all alike: both arms get the same interval
+        models = StageModels(H=np.zeros((4, 2)), z=np.array([-1.0, -1.0, 1.0, 1.0]),
+                             a=np.array([-1.0, 1.0, -1.0, 1.0]), r=np.full(4, 0.5),
+                             reward_range=(0.0, 1.0), tail=(0.0, 1.0))
+        est, _ = fit_stage(models, models.reward, 0.5, 1)
         assert est.contrast_at(np.zeros(2))[0] == 0.0
         assert sign_with_tie(est.contrast)[0] == 1
 
@@ -316,7 +317,7 @@ class TestBackwardInduct:
         estimates = backward_induct(models, WeightSpec.minmax())
         for est in estimates:
             H = models[est.stage - 1].H
-            plus, minus, _ = arm_intervals(est.nuisance, H)
+            plus, minus, _ = est.nuisance.intervals_at(H)
             q_pos, q_neg = weighted_q(plus, 0.5), weighted_q(minus, 0.5)
             assert np.all(plus.lower <= q_pos + 1e-12)
             assert np.all(q_pos <= plus.upper + 1e-12)
@@ -339,10 +340,10 @@ class TestBackwardInduct:
         worst = backward_induct(models, WeightSpec.worst())
         best = backward_induct(models, WeightSpec.best())
         for est in worst:
-            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H)
+            plus, minus, _ = est.nuisance.intervals_at(models[est.stage - 1].H)
             np.testing.assert_allclose(est.contrast, plus.lower - minus.lower)
         for est in best:
-            plus, minus, _ = arm_intervals(est.nuisance, models[est.stage - 1].H)
+            plus, minus, _ = est.nuisance.intervals_at(models[est.stage - 1].H)
             np.testing.assert_allclose(est.contrast, plus.upper - minus.upper)
 
     def test_stage1_pseudo_outcome_range(self):

@@ -2,8 +2,7 @@
 
 import numpy as np
 import pytest
-from synth import (interval_at, random_nuisance, random_two_stage_dataset, stage_rows,
-                   synthetic_nuisance)
+from synth import interval_at, random_nuisance, random_two_stage_dataset, synthetic_nuisance
 
 from ivdtr.bounds import RewardBounds, WeightSpec
 from ivdtr.data import dataset_from_arrays
@@ -13,7 +12,14 @@ from ivdtr.nuisance import fit_stage_models
 
 BOUNDS2 = RewardBounds(lows=(0.0, 0.0), highs=(1.0, 1.0))
 BOUNDS1 = RewardBounds(lows=(0.0,), highs=(1.0,))
-ONE_ROW = stage_rows(np.zeros((1, 1)))
+ORIGIN = np.zeros((1, 1))
+
+
+def contrast_at_origin(baseline_action, ns, continuation=()):
+    """relative_contrast_pieces' contrast at one history, every set bounded there."""
+    cont = tuple(x.intervals_at(ORIGIN) for x in continuation) or None
+    return relative_contrast_pieces(np.array([baseline_action]), ns.intervals_at(ORIGIN),
+                                    cont)[1][0]
 
 
 def improve_rule_single(L: float, U: float, baseline_action: int) -> int:
@@ -60,7 +66,7 @@ class TestRelativeContrastStageK:
             ns = random_nuisance(rng)
             h = np.zeros(1)
             for a_base in (-1, 1):
-                got = relative_contrast_pieces(ONE_ROW, np.array([a_base]), ns)[1][0]
+                got = contrast_at_origin(a_base, ns)
                 flip = interval_at(ns, h, -a_base)
                 base = interval_at(ns, h, a_base)
                 assert got == pytest.approx(flip.lower - base.upper, abs=1e-12)
@@ -77,14 +83,14 @@ class TestRelativeContrastStageK:
         flip = interval_at(ns, np.zeros(1), +1)
         assert (flip.lower, flip.upper) == pytest.approx((0.7, 0.9), abs=1e-12)
         base = interval_at(ns, np.zeros(1), -1)
-        got = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns)[1][0]
+        got = contrast_at_origin(-1, ns)
         assert got == pytest.approx(flip.lower - base.upper, abs=1e-12)
 
     def test_identical_arms_keep_baseline(self):
         ns = synthetic_nuisance(
             0.5, {-1: 0.5, 1: 0.5},
             {(z, a): 0.6 for z in (-1, 1) for a in (-1, 1)}, (0.0, 1.0))
-        contrast = relative_contrast_pieces(ONE_ROW, np.array([1]), ns)[1][0]
+        contrast = contrast_at_origin(1, ns)
         arm = interval_at(ns, np.zeros(1), 1)
         assert contrast == pytest.approx(arm.lower - arm.upper, abs=1e-12)
         assert contrast < 0
@@ -97,7 +103,7 @@ class TestRelativeContrastStageK:
             {(1, 1): 1.0, (-1, 1): 0.0, (-1, -1): 0.0, (1, -1): 0.0}, (0.0, 1.0))
         assert interval_at(ns, np.zeros(1), +1) == pytest.approx((0.5, 1.0))
         assert interval_at(ns, np.zeros(1), -1) == pytest.approx((0.0, 0.5))
-        contrast = relative_contrast_pieces(ONE_ROW, np.array([-1]), ns)[1][0]
+        contrast = contrast_at_origin(-1, ns)
         assert contrast == pytest.approx(0.0, abs=1e-12)
         # tie -> keep: a strictly positive contrast is required for a flip
         assert not contrast > 0
@@ -112,10 +118,8 @@ class TestRelativeContrastStagek:
         for _ in range(100):
             ns = random_nuisance(rng)
             for a_base in (-1, 1):
-                generic = relative_contrast_pieces(
-                    ONE_ROW, np.array([a_base]), ns, (ns, zero))[1][0]
-                terminal = relative_contrast_pieces(
-                    ONE_ROW, np.array([a_base]), ns)[1][0]
+                generic = contrast_at_origin(a_base, ns, (ns, zero))
+                terminal = contrast_at_origin(a_base, ns)
                 assert generic == pytest.approx(terminal, abs=1e-12)
 
     def test_constant_rewards_keep_baseline(self):
@@ -127,8 +131,7 @@ class TestRelativeContrastStagek:
             0.5, {-1: 0.5, 1: 0.5},
             {(z, a): 0.0 for z in (-1, 1) for a in (-1, 1)}, (0.0, 0.0))
         for a_base in (-1, 1):
-            c = relative_contrast_pieces(
-                ONE_ROW, np.array([a_base]), ns, (ns, zero))[1][0]
+            c = contrast_at_origin(a_base, ns, (ns, zero))
             assert c <= 0.0
 
 
@@ -145,7 +148,7 @@ class TestSingleStageAgreement:
             L = plus.lower - minus.upper
             U = plus.upper - minus.lower
             for b in (-1, 1):
-                contrast = relative_contrast_pieces(ONE_ROW, np.array([b]), ns)[1][0]
+                contrast = contrast_at_origin(b, ns)
                 action = -b if contrast > 0 else b
                 assert action == improve_rule_single(L, U, b)
 
@@ -195,7 +198,7 @@ class TestRelativeStageEstimates:
         models = fit_stage_models(ds, BOUNDS2)
         estimates = backward_induct(models, WeightSpec.minmax())
         _, contrast, _ = relative_contrast_pieces(
-            models[1], sign_with_tie(estimates[1].contrast), models[1].reward)
+            sign_with_tie(estimates[1].contrast), models[1].intervals(models[1].reward))
         assert np.all(contrast <= 0.0)
 
     def test_stage_count_mismatch_rejected(self):

@@ -1,24 +1,32 @@
 """Logistic/linear fits against closed forms, finite differences, and oracles."""
 
-import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
-from synth import synthetic_nuisance
+from synth import reference_arm_intervals
 
+import ivdtr.crossfit
 import ivdtr.nuisance
-from ivdtr.bounds import arm_intervals
-from ivdtr.data import assign_batches
+from ivdtr.bounds import RewardBounds, WeightSpec, weighted_q
+from ivdtr.crossfit import crossfit_stage_contrasts
+from ivdtr.data import assign_batches, dataset_from_arrays
+from ivdtr.dtr_core import backward_induct, constant_dtr
+from ivdtr.improve import relative_stage_estimates
 from ivdtr.nuisance import (
     DEFAULT_CLIP,
     RIDGE,
     ConstantModel,
     LogisticModel,
+    NuisanceSet,
     StageModels,
     fit_linear,
     fit_logistic,
+    fit_stage_models,
     fit_stage_nuisance,
     logistic_mean,
     loglik_gradient,
@@ -356,7 +364,7 @@ class TestPredictProb:
     """Clipped probability predictions at one history."""
 
     def test_null_model(self):
-        assert ConstantModel(0.5).predict(np.zeros((1, 1)), clip=1e-3)[0] == 0.5
+        np.testing.assert_array_equal(ConstantModel(0.5).predict(np.zeros((3, 1))), [0.5] * 3)
         model = fit_logistic(np.zeros((4, 1)), np.array([0.0, 1.0, 0.0, 1.0]))
         assert model.predict(np.array([[0.0]]))[0] == pytest.approx(0.5, abs=1e-9)
 
@@ -431,6 +439,13 @@ class TestFitLinear:
             fit_linear(np.array([[1.0]]), np.array([np.inf]))
 
 
+def assert_same_intervals(got, expected):
+    """Both arms' ends equal bit for bit, and the repair counts equal."""
+    for got_end, end in zip((*got[0], *got[1]), (*expected[0], *expected[1]), strict=True):
+        assert got_end.shape == end.shape and np.array_equal(got_end, end)
+    assert got[2] == expected[2]
+
+
 def fit_stage_nuisance_on(H, z, a, y, outcome_range, binary_outcome):
     """Outcome cells for y on the stage models of one stage's (H, z, a, y)."""
     models = StageModels(H=H, z=z, a=a, r=y, reward_range=outcome_range, tail=outcome_range)
@@ -451,8 +466,8 @@ class TestFitStageNuisance:
         H, z, a, y = self.compliant_data()
         ns = fit_stage_nuisance_on(H, z, a, y, outcome_range=(0.0, 1.0), binary_outcome=True)
         probe = np.zeros((1, 2))
-        assert ns.pa_pos(probe, +1)[0] > 0.99
-        assert ns.pa_pos(probe, -1)[0] < 0.01
+        assert ns.pa[+1].predict(probe)[0] > 0.99
+        assert ns.pa[-1].predict(probe)[0] < 0.01
         # cells (z=+1, a=-1) and (z=-1, a=+1) never occur
         assert (1, -1) in ns.empty_cells and (-1, 1) in ns.empty_cells
 
@@ -464,8 +479,8 @@ class TestFitStageNuisance:
         a = rng.choice([-1.0, 1.0], size=n)
         ns = fit_stage_nuisance_on(H, z, a, np.ones(n), outcome_range=(0.0, 1.0),
                                    binary_outcome=True)
-        val = ns.mu_val(np.zeros((1, 1)), 1, 1)[0]
-        assert val == pytest.approx(1.0 - ns.clip, abs=1e-6)
+        val = ns.cells_at(np.zeros((1, 1)))[(1, 1)][0]
+        assert val == pytest.approx(1.0 - DEFAULT_CLIP, abs=1e-6)
 
     def test_empty_cell_fallback_midpoint(self):
         H = np.zeros((4, 1))
@@ -474,7 +489,7 @@ class TestFitStageNuisance:
         y = np.array([0.2, 0.4, 0.6, 0.8])
         ns = fit_stage_nuisance_on(H, z, a, y, outcome_range=(0.0, 1.0), binary_outcome=False)
         assert (1, -1) in ns.empty_cells
-        assert ns.mu_val(np.zeros((1, 1)), 1, -1)[0] == pytest.approx(0.5)
+        assert ns.cells_at(np.zeros((1, 1)))[(1, -1)][0] == pytest.approx(0.5)
 
     def test_empty_instrument_arm_listed_before_cells(self):
         H = np.zeros((4, 1))
@@ -483,7 +498,7 @@ class TestFitStageNuisance:
         ns = fit_stage_nuisance_on(H, z, a, np.full(4, 0.5), outcome_range=(0.0, 1.0),
                                    binary_outcome=False)
         assert ns.empty_cells == (("pa", 1), (1, -1), (1, 1))
-        assert ns.pa_pos(np.zeros((1, 1)), 1)[0] == 0.5
+        assert ns.pa[1].predict(np.zeros((1, 1)))[0] == 0.5
 
     def test_outcomes_outside_range_rejected(self):
         H, z, a, y = self.compliant_data()
@@ -500,10 +515,8 @@ class TestFitStageNuisance:
         y = rng.uniform(0.0, 2.0, size=n)
         ns = fit_stage_nuisance_on(H, z, a, y, outcome_range=(0.0, 2.0), binary_outcome=False)
         probe = rng.normal(size=(50, 1)) * 20
-        for z0 in (-1, 1):
-            for a0 in (-1, 1):
-                vals = ns.mu_val(probe, z0, a0)
-                assert np.all(vals >= 0.0) and np.all(vals <= 2.0)
+        for vals in ns.cells_at(probe).values():
+            assert np.all(vals >= 0.0) and np.all(vals <= 2.0)
 
     def test_models_fit_and_bound_each_outcome_vector_once(self, monkeypatch):
         # equal bytes, range and kind give the same set, fitted once; any of
@@ -529,27 +542,75 @@ class TestFitStageNuisance:
         got = models.intervals(first)
         assert all(models.intervals(first) is got for _ in range(3))
         assert len(bounded) == 1
-        expected = arm_intervals(first, H)
-        for got_end, end in zip((*got[0], *got[1]), (*expected[0], *expected[1])):
-            np.testing.assert_array_equal(got_end, end)
-        assert got[2] == expected[2]
+        assert_same_intervals(got, first.intervals_at(H))
 
-    def test_intervals_equal_arm_intervals_on_any_set(self):
-        # the stage's own sets reuse its instrument predictions at H; a set on
-        # other models, or on the stage's models with another clip, predicts its own
+    def test_intervals_equal_intervals_at_on_own_sets(self):
+        # a set fitted on the models is bounded on their instrument predictions
+        # at H, as its own models predict them there
         H, z, a, y = self.compliant_data()
         models = StageModels(H=H, z=z, a=a, r=y, reward_range=(0.0, 1.0), tail=(0.0, 2.0))
-        own = [models.reward, fit_stage_nuisance(models, 2.0 * y, (0.0, 2.0), False)]
-        other = synthetic_nuisance(0.3, {-1: 0.2, 1: 0.9},
-                                   {(z0, a0): 0.5 for z0 in (-1, 1) for a0 in (-1, 1)},
-                                   (0.0, 1.0))
-        others = [other, dataclasses.replace(other, clip=DEFAULT_CLIP)]
-        unclipped = dataclasses.replace(own[0], clip=0.0)
-        for ns in (*own, *others, unclipped):
-            got, expected = models.intervals(ns), arm_intervals(ns, H)
-            for got_end, end in zip((*got[0], *got[1]), (*expected[0], *expected[1])):
-                np.testing.assert_array_equal(got_end, end)
-            assert got[2] == expected[2]
-        # perfect compliance saturates P(A|H,Z), so the clip changes the intervals
-        assert not np.array_equal(models.intervals(unclipped)[0].lower,
-                                  models.intervals(own[0])[0].lower)
+        for ns in (models.reward, fit_stage_nuisance(models, 2.0 * y, (0.0, 2.0), False)):
+            assert_same_intervals(models.intervals(ns), ns.intervals_at(H))
+            assert_same_intervals(models.intervals(ns), reference_arm_intervals(ns, H))
+
+
+@st.composite
+def interval_datasets(draw):
+    """K in {1, 2, 3} stages of 40 to 120 rows with rewards in [0, 1], binary or
+    continuous; at one stage an instrument arm or a (z, a) cell may be empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K, n = draw(st.integers(1, 3)), draw(st.integers(40, 120))
+    hole, at = draw(st.sampled_from(["none", "arm", "cell"])), draw(st.integers(1, K))
+    covariates, z, a, r = [], [], [], []
+    for k in range(1, K + 1):
+        covariates.append(rng.normal(size=(n, 1 if k == 1 else draw(st.integers(0, 1)))))
+        z_k = rng.choice([-1.0, 1.0], size=n)
+        if hole == "arm" and k == at:
+            z_k[:] = draw(st.sampled_from([-1.0, 1.0]))
+        a_k = np.where(rng.random(n) < np.where(z_k == 1, 0.8, 0.2), 1.0, -1.0)
+        if hole == "cell" and k == at:
+            a_k[z_k == -1] = -1.0  # cell (-1, +1) empty
+        z.append(z_k)
+        a.append(a_k)
+        r.append(rng.integers(0, 2, size=n).astype(float) if draw(st.booleans())
+                 else rng.random(n))
+    return dataset_from_arrays(covariates, z, a, r), rng
+
+
+class TestOnePathToIntervals:
+    """Every set the passes fit is bounded as the reference predicts each model."""
+
+    @given(interval_datasets())
+    @settings(max_examples=50, deadline=None)
+    def test_every_set_the_passes_bound_matches_the_reference(self, drawn):
+        ds, rng = drawn
+        K = ds.num_stages
+        models = fit_stage_models(ds, RewardBounds(lows=(0.0,) * K, highs=(1.0,) * K))
+        for lam in (0.0, 0.5, 1.0):
+            backward_induct(models, WeightSpec(lam))
+        for label in (-1, 1):  # std and prosp
+            relative_stage_estimates(models, constant_dtr(label, K))
+        complements = []
+        induct = ivdtr.crossfit.backward_induct
+        batch = assign_batches(ds.n, 2, rng)
+        with mock.patch.object(ivdtr.crossfit, "backward_induct",
+                               lambda m, lam: complements.append(m) or induct(m, lam)):
+            contrasts, fits = crossfit_stage_contrasts(models, batch, WeightSpec.minmax())
+
+        for stages in (models, *complements):
+            for stage in stages:
+                sets = [v for v in stage._memo.values() if isinstance(v, NuisanceSet)]
+                assert sets and (stages is not models or stage.reward in sets)
+                for ns in sets:
+                    assert ns in stage._memo  # the passes bounded it
+                    expected = reference_arm_intervals(ns, stage.H)
+                    assert_same_intervals(stage.intervals(ns), expected)
+                    assert_same_intervals(ns.intervals_at(stage.H), expected)
+                    assert_same_intervals(
+                        reference_arm_intervals(ns, stage.H, stage.instrument), expected)
+        for j, est in enumerate(fits):
+            held = models[est.stage - 1].H[batch == j // K]
+            plus, minus, _ = reference_arm_intervals(est.nuisance, held)
+            expected = weighted_q(plus, est.lam) - weighted_q(minus, est.lam)
+            assert np.array_equal(est.contrast_at(held), expected)
+            assert np.array_equal(contrasts[est.stage - 1][batch == j // K], expected)
