@@ -34,10 +34,13 @@ def crossfit_stage_contrasts(
 ) -> tuple[tuple[np.ndarray, ...], list[StageQEstimate]]:
     """Per-stage contrasts (entry k-1: (n,) at stage k), a sample's from a
     backward induction on its batch's complement, and those m inductions'
-    stage estimates; batch holds each sample's batch label in 0..m-1. Another
-    length, a label outside 0..m-1 or a batch without samples raises ValueError."""
+    stage estimates; batch holds each sample's integer batch label in 0..m-1.
+    Another length or dtype, a label outside 0..m-1 or a batch without samples
+    raises ValueError."""
     if len(batch) != len(models[0].r):
         raise ValueError(f"batch has {len(batch)} labels for {len(models[0].r)} samples")
+    if not np.issubdtype(batch.dtype, np.integer):
+        raise ValueError(f"batch labels must be integers, got {batch.dtype}")
     m = int(np.max(batch)) + 1
     if m < 2:
         raise ValueError("cross-fitting needs at least 2 batches")
@@ -91,8 +94,7 @@ def fit_ivoptimal_crossfit(
             )
         contrasts, estimates = crossfit_stage_contrasts(models, batch, lam)
     stages = tuple(
-        fit_weighted_tree(stage.H, sign_with_tie(contrast), np.abs(contrast), depth,
-                          order=stage.order)
+        fit_weighted_tree(stage.H, sign_with_tie(contrast), np.abs(contrast), depth)
         for stage, contrast in zip(models, contrasts)
     )
     return Dtr(stages=stages, kind="iv_optimal", lam=lam), estimates

@@ -4,7 +4,9 @@ Step I fits, stage by stage from the last to the first, partial-identification
 intervals for each action's (pseudo-)outcome, combines them with the stage
 weight into a scalar Q value, and records the contrast between the two
 actions. Step II projects the sign of each stage's contrast onto depth-limited
-classification trees by weighted 0/1 loss. Both steps read the stage models
+classification trees by weighted 0/1 loss; a tree sorts its features only at an
+impure root that may split (_column_order), and each child that may split
+partitions its parent's sorted rows. Both steps read the stage models
 (fit_stage_models) as their only data.
 
 Sign ties resolve to +1.
@@ -115,15 +117,33 @@ def _best_split(X, order, labels, weights, min_leaf_weight, tol):
     return float(loss[j, i]), j, 0.5 * (xs[j, i] + xs[j, i + 1])
 
 
+def _column_order(X: np.ndarray) -> np.ndarray:
+    """np.argsort(X.T, axis=1, kind="stable"), exactly, at a fraction of its cost: a
+    column of at most two distinct values by a stable (radix) sort of whether each row
+    is above its least; any other by numpy's default, unstable argsort when the sorted
+    values strictly increase, as that permutation is unique, else (ties, NaN) stably."""
+    order = np.empty(X.T.shape, dtype=np.intp)
+    for j, col in enumerate(np.ascontiguousarray(X.T) if len(X) else ()):
+        above = col != col.min()
+        if (~above | (col == col.max())).all():
+            order[j] = np.argsort(above, kind="stable")
+        else:
+            fast = np.argsort(col)
+            xs = col[fast]
+            order[j] = fast if (xs[1:] > xs[:-1]).all() else np.argsort(col, kind="stable")
+    return order
+
+
 def _grow(X, labels, weights, rows, order, depth, min_leaf_weight, tol, nodes: list) -> Child:
     """Append the subtree of X's rows (ascending) to nodes, each node before its
     children; return its root. order is the rows sorted by each feature (None at
-    an unsorted root), and each child's is its parent's, stably partitioned."""
+    the root, which sorts only if it is impure and may split), and a child that may
+    split gets its parent's, stably partitioned."""
     label, node_loss = _leaf_stats(labels[rows], weights[rows], tol)
     if depth <= 0 or node_loss <= 0.0:
         return Leaf(label)
     if order is None:
-        order = np.argsort(X.T, axis=1, kind="stable")
+        order = _column_order(X)
     found = _best_split(X, order, labels, weights, min_leaf_weight, tol)
     if found is None or found[0] > node_loss + tol:
         return Leaf(label)
@@ -132,8 +152,8 @@ def _grow(X, labels, weights, rows, order, depth, min_leaf_weight, tol, nodes: l
     index = len(nodes)
     nodes.append(None)
     left, right = (_grow(X, labels, weights, rows[side[rows]],
-                         order[side[order]].reshape(order.shape[0], -1), depth - 1,
-                         min_leaf_weight, tol, nodes)
+                         order[side[order]].reshape(order.shape[0], -1) if depth > 1 else None,
+                         depth - 1, min_leaf_weight, tol, nodes)
                    for side in (go_left, ~go_left))
     nodes[index] = (feature, threshold, left, right)
     return index
@@ -145,33 +165,32 @@ def fit_weighted_tree(
     weights: np.ndarray,
     depth: int,
     min_leaf_weight: Optional[float] = None,
-    order: Optional[np.ndarray] = None,
 ) -> TreeRule:
     """Greedy CART-style tree minimizing sum_i w_i * 1{pred(x_i) != label_i}.
 
     min_leaf_weight defaults to 1% of the total weight. Losses and leaf masses
     within TIE_TOL times the total weight tie (see _best_split and _leaf_stats).
-    order, np.argsort(features.T, axis=1, kind="stable"), may be shared by trees
-    on the same features (StageModels.order); else an impure root sorts once.
+    A root that is impure and may split sorts the features once (_column_order).
     """
     X = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.asarray(labels, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
+    if not len(labels) == len(weights) == X.shape[0]:
+        raise ValueError(f"features have {X.shape[0]} rows, labels {len(labels)} and "
+                         f"weights {len(weights)}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if (weights < 0).any():
-        raise ValueError("weights must be nonnegative")
+    if not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ValueError("weights must be finite and nonnegative")
     if not ((labels == 1.0) | (labels == -1.0)).all():
         raise ValueError("labels must be +/-1")
-    if order is not None and order.shape != X.T.shape:
-        raise ValueError(f"order must have shape {X.T.shape}, got {order.shape}")
     total = float(weights.sum())
     if total <= 0.0:
         return TreeRule(nodes=(), root=Leaf(1), max_depth=depth, degenerate=True)
     if min_leaf_weight is None:
         min_leaf_weight = MIN_LEAF_WEIGHT_FRACTION * total
     nodes: list = []
-    root = _grow(X, labels, weights, np.arange(X.shape[0]), order, depth, min_leaf_weight,
+    root = _grow(X, labels, weights, np.arange(X.shape[0]), None, depth, min_leaf_weight,
                  TIE_TOL * total, nodes)
     return TreeRule(nodes=tuple(nodes), root=root, max_depth=depth)
 

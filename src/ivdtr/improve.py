@@ -143,7 +143,7 @@ def fit_ivimproved(
     estimates = relative_stage_estimates(models, baseline)
     stages = tuple(
         fit_weighted_tree(models[est.stage - 1].H, est.improved_action,
-                          np.abs(est.contrast), depth, order=models[est.stage - 1].order)
+                          np.abs(est.contrast), depth)
         for est in estimates
     )
     return Dtr(stages=stages, kind=f"iv_improved({baseline_id})"), estimates

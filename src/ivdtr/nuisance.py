@@ -6,15 +6,14 @@ quantity the partial-identification bounds need:
 
 StageModels holds one stage's data, reward range and tail range, and fits
 P(Z|H), P(A|H,Z) and the reward cells on [low_k, high_k] on first read, as
-it computes H's per-column sort for its trees, the (z, a) cells' rows and
-the instrument predictions at H. The backward passes read the stage models
-as their only data, which fit and bound each distinct outcome vector once
-(see StageModels), and a row subset of the models (one cross-fitting
-complement) fits its own. A set is bounded at any histories by its intervals_at,
-and at H by StageModels.intervals. An instrument arm's or a cell's rows are
-copied with compress, which copies the same rows as boolean indexing in the same
-order at about a seventh of its cost (17 us against 118 us for 8,000 of 10,000
-rows of 4 columns; numpy 2.4, one Xeon core).
+it computes the (z, a) cells' rows and the instrument predictions at H. The
+backward passes read the stage models as their only data, which fit and bound
+each distinct outcome vector once (see StageModels), and a row subset of the
+models (one cross-fitting complement) fits its own. A set is bounded at any
+histories by its intervals_at, and at H by StageModels.intervals. An instrument
+arm's or a cell's rows are copied with compress, which copies the same rows as
+boolean indexing in the same order at about a seventh of its cost (17 us
+against 118 us for 8,000 of 10,000 rows of 4 columns; numpy 2.4, one Xeon core).
 
 Logistic fits use Newton/IRLS with step-halving on a ridge-penalized
 log-likelihood (penalty RIDGE * ||theta||^2 over all parameters, intercept
@@ -257,7 +256,7 @@ class StageModels:
     pz models P(Z=+1|H), pa[z] models P(A=+1|H,Z=z) and reward holds the reward
     cells on reward_range; each is fitted on first read. They depend on the data
     alone, so every outcome vector bounded at the stage shares them, as it does
-    order, cells and instrument, each computed on first read.
+    cells and instrument, each computed on first read.
 
     The private memo holds each NuisanceSet fit_stage_nuisance made here, keyed by
     the bytes of its outcome vector and range and its outcome kind, and each set's
@@ -294,11 +293,6 @@ class StageModels:
     @property
     def converged(self) -> bool:
         return all(getattr(m, "converged", True) for m in (self.pz, self.pa[1], self.pa[-1]))
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Row j is the stable argsort of H's column j, for fit_weighted_tree."""
-        return np.argsort(self.H.T, axis=1, kind="stable")
 
     @cached_property
     def cells(self) -> dict:

@@ -118,6 +118,13 @@ class TestCrossfitStageContrasts:
             crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2), 2 * (np.arange(60) % 2),
                                      LAM)
 
+    def test_float_batch_labels_rejected(self):
+        # np.bincount cannot count float labels, even whole-numbered ones
+        ds = random_two_stage_dataset(np.random.default_rng(2), n=60)
+        with pytest.raises(ValueError, match="batch labels must be integers, got float64"):
+            crossfit_stage_contrasts(fit_stage_models(ds, BOUNDS2),
+                                     (np.arange(60) % 2).astype(float), LAM)
+
     @pytest.mark.parametrize("labels", [200, 400])
     def test_batch_of_another_length_rejected(self, labels):
         # too short would leave the last rows unscored; too long would index past them

@@ -14,6 +14,7 @@ from synth import (
     weighted_loss,
 )
 
+import ivdtr.dtr_core
 import ivdtr.nuisance
 from ivdtr.bounds import RewardBounds, WeightSpec, weighted_q
 from ivdtr.data import dataset_from_arrays
@@ -28,6 +29,7 @@ from ivdtr.dtr_core import (
     dtr_to_json,
     fit_stage,
     _best_split,
+    _column_order,
     fit_weighted_tree,
     sign_with_tie,
 )
@@ -118,6 +120,19 @@ class TestFitWeightedTree:
         with pytest.raises(ValueError, match="nonnegative"):
             fit_weighted_tree(np.zeros((2, 1)), np.array([1.0, -1.0]),
                               np.array([1.0, -0.5]), depth=1)
+
+    @pytest.mark.parametrize("n_labels, weights, error", [
+        (7, np.ones(7), "features have 6 rows, labels 7 and weights 7"),
+        (6, np.ones(5), "features have 6 rows, labels 6 and weights 5"),
+        (6, np.array([1.0, 1, np.nan, 1, 1, 1]), "weights must be finite and nonnegative"),
+    ], ids=["extra_row", "short_weights", "nan_weight"])
+    def test_labels_and_weights_checked_against_the_rows(self, n_labels, weights, error):
+        # one feature, 6 rows: the extra row was ignored, the short weights raised
+        # IndexError and the NaN weight gave a leaf
+        X = np.arange(6.0)[:, None]
+        labels = np.where(np.arange(n_labels) < 3, -1.0, 1.0)
+        with pytest.raises(ValueError, match=error):
+            fit_weighted_tree(X, labels, weights, depth=1)
 
     @pytest.mark.parametrize("labels, depth, error", [
         ([1.0, -1.0], -1, "depth must be >= 0"),
@@ -221,9 +236,10 @@ class TestFitWeightedTree:
     @settings(max_examples=300, deadline=None)
     def test_presorted_trees_match_the_per_node_sort_reference(self, data):
         # children partition their parent's sorted rows; a fresh sort at every node
-        # must give the same tree, with the sort passed in or made by the tree
+        # must give the same tree, on tied (integer) and on distinct (float) features
         n, d = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 4))
-        X = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)),
+        values = data.draw(st.sampled_from([st.integers(0, 3), st.floats(-5.0, 5.0)]))
+        X = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d)),
                      dtype=float).reshape(n, d)
         labels = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n,
                                              max_size=n)))
@@ -232,15 +248,39 @@ class TestFitWeightedTree:
         depth = data.draw(st.integers(0, 3))
         min_leaf_weight = data.draw(st.none() | st.floats(0.0, 0.3).map(
             lambda f: f * float(np.sum(weights))))
-        expected = reference_fit_weighted_tree(X, labels, weights, depth, min_leaf_weight)
-        assert fit_weighted_tree(X, labels, weights, depth, min_leaf_weight) == expected
-        assert fit_weighted_tree(X, labels, weights, depth, min_leaf_weight,
-                                 order=np.argsort(X.T, axis=1, kind="stable")) == expected
+        assert fit_weighted_tree(X, labels, weights, depth, min_leaf_weight) == \
+            reference_fit_weighted_tree(X, labels, weights, depth, min_leaf_weight)
 
-    def test_order_of_another_shape_rejected(self):
-        X = np.zeros((4, 2))
-        with pytest.raises(ValueError, match=r"order must have shape \(2, 4\), got \(4, 2\)"):
-            fit_weighted_tree(X, np.ones(4), np.ones(4), 1, order=np.argsort(X, axis=0))
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_column_order_is_the_stable_argsort(self, data):
+        # each column distinct floats, or drawn from up to 3 values (one value, two
+        # values or ties), with +/-0.0, +/-inf and NaN among them
+        n, d = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 4))
+        special = st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]) | st.floats()
+        columns = []
+        for _ in range(d):
+            pool = data.draw(st.lists(special, min_size=1, max_size=3))
+            columns.append(data.draw(st.lists(st.floats(), min_size=n, max_size=n, unique=True)
+                                     | st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        X = np.array(columns, dtype=float).reshape(d, n).T
+        expected = np.argsort(X.T, axis=1, kind="stable")
+        order = _column_order(X)
+        assert order.dtype == expected.dtype and np.array_equal(order, expected)
+
+    def test_only_an_impure_root_that_may_split_sorts(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ivdtr.dtr_core, "_column_order",
+                            lambda X: calls.append(X.shape) or _column_order(X))
+        X = np.arange(8.0)[:, None]
+        impure = np.array([-1.0, -1, 1, 1, -1, -1, 1, 1])
+        fit_weighted_tree(X, np.ones(8), np.ones(8), depth=2)  # a pure root
+        fit_weighted_tree(X, impure, np.ones(8), depth=0)
+        assert fit_weighted_tree(X, impure, np.zeros(8), depth=2).degenerate
+        assert calls == []
+        # a child splits on its parent's partitioned order, without a sort of its own
+        assert fit_weighted_tree(X, impure, np.ones(8), depth=2).depth() == 2
+        assert calls == [(8, 1)]
 
     def test_shatters_distinct_points(self):
         # at depth ceil(log2 n), n <= 8 distinct 1-d points are fit exactly
